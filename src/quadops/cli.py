@@ -9,13 +9,15 @@ file argument "builtins"; operand names may be wrapped as
 "dual:NAME" to dualize before use.
 
 Exit codes: 0 when every requested check passes (findings included),
-1 when a check fails, 2 on usage or parse errors.
+1 when a check fails or the reader closes the output pipe early, 2 on
+usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -442,10 +444,18 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
-    else:
-        print(text)
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2, ensure_ascii=False))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head`); send what is left to
+        # devnull so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -3,10 +3,20 @@
 The weight-n component of the free regular operad on k binary operations
 has a monomial basis indexed by planar binary trees with n leaves whose
 internal nodes carry operation labels; there are C(n-1) * k^(n-1) such
-monomials (Catalan number times label choices). The defining relations
-span the weight-3 component of an ideal; higher components are generated
-by one-step composition with single operations on either side. Component
-dimensions of the presented operad are basis size minus ideal dimension.
+monomials (Catalan number times label choices). A component of the
+presented operad is that space modulo the weight-n part of the ideal the
+relations generate, so its dimension is basis size minus ideal rank.
+
+The ideal's weight-n part is spanned by the relations placed at tree
+contexts, as in the tree-monomial set-up of Bremner and Dotsenko: a
+context is an n-leaf planar tree with one ternary vertex and labelled
+binary vertices elsewhere, and filling the ternary vertex with a relation
+(a combination of the 2k^2 quadratic combs) gives one generator with at
+most 2k^2 nonzeros. The generators go straight into the sparse integer
+echelon of ``linalg``; the rank, and the pivot columns that pick the
+surviving monomials, are read off the echelon without building any
+rational basis. ``ideal_span`` back-substitutes the same echelon when the
+canonical basis itself is wanted.
 
 Orderings are fixed so golden tests are byte-stable: trees are ordered by
 descending left-subtree leaf count (recursively), labels are read in
@@ -17,13 +27,12 @@ labels in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
-from .linalg import Subspace, span
+from .linalg import Echelon, Subspace, echelon_subspace, reduce_row, sparse_row
 from .presentations import Presentation
 
 __all__ = [
@@ -159,87 +168,174 @@ def graft(outer: TreeMonomial, position: int, inner: TreeMonomial) -> TreeMonomi
     return TreeMonomial(shape, tuple(labels))
 
 
-_LEFT_COMB = PlanarTree(PlanarTree(LEAF, LEAF), LEAF)
-_RIGHT_COMB = PlanarTree(LEAF, PlanarTree(LEAF, LEAF))
+# Trees inside the engine are plain nested tuples: None is a leaf,
+# (left, right) a binary vertex, and (a, b, c) the one ternary vertex of a
+# context, which holds a relation.
 
 
 @lru_cache(maxsize=None)
-def _quadratic_monomials(num_ops: int) -> tuple[TreeMonomial, ...]:
-    """Weight-3 monomials in relation-vector coordinate order.
+def _plain_trees(n: int) -> tuple:
+    """All n-leaf binary trees as tuples, in ``enumerate_trees`` order."""
+    if n == 1:
+        return (None,)
+    return tuple(
+        (left, right)
+        for left_leaves in range(n - 1, 0, -1)
+        for left in _plain_trees(left_leaves)
+        for right in _plain_trees(n - left_leaves)
+    )
 
-    Coordinate i*k+j holds (x op_i y) op_j z: the left comb with pre-order
-    labels (outer j, inner i). Coordinate k*k+i*k+j holds x op_i (y op_j z):
-    the right comb with labels (i, j).
+
+def _context_trees(n: int):
+    """Every n-leaf tree with one ternary vertex, all others binary."""
+    for la in range(1, n - 1):
+        for lb in range(1, n - la):
+            for a in _plain_trees(la):
+                for b in _plain_trees(lb):
+                    for c in _plain_trees(n - la - lb):
+                        yield (a, b, c)
+    for left_leaves in range(n - 1, 0, -1):
+        right_leaves = n - left_leaves
+        if left_leaves >= 3:
+            for left in _context_trees(left_leaves):
+                for right in _plain_trees(right_leaves):
+                    yield (left, right)
+        if right_leaves >= 3:
+            for left in _plain_trees(left_leaves):
+                for right in _context_trees(right_leaves):
+                    yield (left, right)
+
+
+def _substitute(t, right: bool) -> tuple[tuple, list]:
+    """Fill the ternary vertex of a context with a quadratic comb.
+
+    The left comb (x op_i y) op_j z has pre-order labels (j, i); the right
+    comb x op_i (y op_j z), chosen by ``right``, has labels (i, j). Returns
+    the binary tree and its vertices in pre-order: "i" and "j" for the
+    comb's two, the index in context pre-order for every other vertex.
     """
+    order: list = []
+    count = [0]
+
+    def go(t):
+        if t is None:
+            return None
+        if len(t) == 2:
+            order.append(count[0])
+            count[0] += 1
+            return (go(t[0]), go(t[1]))
+        a, b, c = t
+        if not right:
+            order.extend(("j", "i"))
+            return ((go(a), go(b)), go(c))
+        order.append("i")
+        left = go(a)
+        order.append("j")
+        return (left, (go(b), go(c)))
+
+    return go(t), order
+
+
+@lru_cache(maxsize=None)
+def _context_layouts(n: int) -> tuple:
+    """Per context: for the left and the right comb, the index of the
+    filled tree in ``enumerate_trees(n)`` and its pre-order layout."""
+    index = {t: i for i, t in enumerate(_plain_trees(n))}
     out = []
-    for i in range(num_ops):
-        for j in range(num_ops):
-            out.append(TreeMonomial(_LEFT_COMB, (j, i)))
-    for i in range(num_ops):
-        for j in range(num_ops):
-            out.append(TreeMonomial(_RIGHT_COMB, (i, j)))
+    for t in _context_trees(n):
+        combs = []
+        for right in (False, True):
+            tree, order = _substitute(t, right)
+            combs.append((index[tree], tuple(order)))
+        out.append(tuple(combs))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def _ideal_generators(p: Presentation, n: int):
+    """Sparse rows spanning the weight-n ideal, straight from the relations.
+
+    Each row is one relation placed at the ternary vertex of one labelled
+    context. Relation coordinate i*k + j, (x op_i y) op_j z, becomes the
+    left comb there, coordinate k*k + i*k + j, x op_i (y op_j z), the right
+    comb; a monomial's column is its shape index times k^(n-1) plus its
+    labels read in pre-order as a base-k number. The column of each of the
+    2k^2 coordinates is worked out once per labelled context.
+    """
+    k = p.num_ops
+    k2 = k * k
+    relations = [sparse_row(row) for row in p.relations.basis.row_list()]
+    if not relations:
+        return
+    block = k ** (n - 1)
+    coords = range(2 * k2)
+    for combs in _context_layouts(n):
+        # place value of each vertex: k ** (labels after it in pre-order)
+        places = [
+            {v: k ** (n - 2 - pos) for pos, v in enumerate(order)}
+            for _, order in combs
+        ]
+        starts = [shape * block for shape, _ in combs]
+        offset = [
+            places[c // k2]["i"] * ((c % k2) // k) + places[c // k2]["j"] * (c % k)
+            for c in coords
+        ]
+        for labels in itertools.product(range(k), repeat=n - 3):
+            base = [
+                start + sum(x * place[v] for v, x in enumerate(labels))
+                for start, place in zip(starts, places)
+            ]
+            cols = [base[c // k2] + offset[c] for c in coords]
+            for rel in relations:
+                yield {cols[c]: x for c, x in rel.items()}
+
+
+def _ideal_echelon(p: Presentation, n: int) -> Echelon:
+    if n < 3:
+        raise ValueError("the relation ideal starts at weight 3")
+    echelon: Echelon = {}
+    for row in _ideal_generators(p, n):
+        reduce_row(echelon, row)
+    return echelon
+
+
 def ideal_span(p: Presentation, n: int) -> Subspace:
     """Weight-n component of the ideal generated by the relations.
 
-    Weight 3 is the relation space itself, re-coordinatized to the monomial
-    basis. Each higher weight is spanned by one-step composites of the
-    previous weight: a single operation grafted into any leaf, and the
-    previous vectors grafted into either slot of a single operation.
+    It is spanned by every relation placed at the ternary vertex of every
+    labelled tree context with n leaves; weight 3 is the relation space
+    itself, re-coordinatized to the monomial basis. The canonical RREF
+    basis is back-substituted from the same echelon ``component_dim``
+    counts.
     """
-    if n < 3:
-        raise ValueError("the relation ideal starts at weight 3")
-    k = p.num_ops
-    basis = weight_basis(k, n)
-    index = {m: i for i, m in enumerate(basis)}
-    ambient = len(basis)
-    vecs = []
-    if n == 3:
-        quad = _quadratic_monomials(k)
-        for row in p.relations.basis.row_list():
-            out = [Fraction(0)] * ambient
-            for c, mon in zip(row, quad):
-                if c:
-                    out[index[mon]] += c
-            vecs.append(out)
-        return span(vecs, ambient)
-    prev = ideal_span(p, n - 1)
-    prev_basis = weight_basis(k, n - 1)
-    one_node = [TreeMonomial(PlanarTree(LEAF, LEAF), (g,)) for g in range(k)]
-    for row in prev.basis.row_list():
-        terms = [(c, prev_basis[i]) for i, c in enumerate(row) if c]
-        for g in one_node:
-            for pos in range(n - 1):
-                out = [Fraction(0)] * ambient
-                for c, mon in terms:
-                    out[index[graft(mon, pos, g)]] += c
-                vecs.append(out)
-            for slot in (0, 1):
-                out = [Fraction(0)] * ambient
-                for c, mon in terms:
-                    out[index[graft(g, slot, mon)]] += c
-                vecs.append(out)
-    return span(vecs, ambient)
+    echelon = _ideal_echelon(p, n)
+    return echelon_subspace(echelon, len(weight_basis(p.num_ops, n)))
 
 
 @dataclass(frozen=True)
 class WeightComponent:
-    """One weight-graded piece: monomial basis and the ideal inside it."""
+    """One weight-graded piece: monomial basis and the ideal inside it.
+
+    ``pivots`` are the lead columns of the ideal's echelon, which are the
+    pivot columns of its RREF basis; that basis itself is built only when
+    ``ideal`` is read.
+    """
 
     arity: int
     basis: tuple[TreeMonomial, ...]
-    ideal: Subspace
+    pivots: tuple[int, ...]
+    _echelon: Echelon = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis) - self.ideal.dimension
+        return len(self.basis) - len(self.pivots)
+
+    @cached_property
+    def ideal(self) -> Subspace:
+        return echelon_subspace(self._echelon, len(self.basis))
 
     def surviving_monomials(self) -> tuple[TreeMonomial, ...]:
         """Monomials at non-pivot coordinates: a basis of the quotient."""
-        pivots = set(self.ideal.pivot_columns())
+        pivots = set(self.pivots)
         return tuple(m for i, m in enumerate(self.basis) if i not in pivots)
 
 
@@ -248,16 +344,21 @@ def weight_component(p: Presentation, n: int) -> WeightComponent:
     if n < 1:
         raise ValueError("weight starts at 1")
     basis = weight_basis(p.num_ops, n)
-    if n < 3:
-        ideal = Subspace.zero(len(basis))
-    else:
-        ideal = ideal_span(p, n)
-    return WeightComponent(n, basis, ideal)
+    echelon = _ideal_echelon(p, n) if n >= 3 else {}
+    return WeightComponent(n, basis, tuple(sorted(echelon)), echelon)
 
 
 def component_dim(p: Presentation, n: int) -> int:
-    """Dimension of the weight-n component of the presented operad."""
-    return weight_component(p, n).dimension
+    """Dimension of the weight-n component of the presented operad.
+
+    The rank of the ideal is read off its echelon; no basis is built.
+    """
+    if n < 1:
+        raise ValueError("weight starts at 1")
+    size = catalan(n - 1) * p.num_ops ** (n - 1)
+    if n < 3:
+        return size
+    return size - len(_ideal_echelon(p, n))
 
 
 def binary_ops_dimension(p: Presentation) -> int:

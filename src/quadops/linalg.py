@@ -1,17 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with ``fractions.Fraction`` entries, reduced row echelon
-form, kernels, spans, and orthogonal complements with respect to a bilinear
-form. A subspace is stored by its RREF basis, which is a canonical
-representative: two subspaces are equal exactly when their stored bases are
-equal entrywise.
+One elimination engine serves the whole package. A row is a sparse
+primitive integer vector, a dict from column to nonzero ``int``; rational
+input is scaled by the common denominator of its entries. An echelon is a
+dict from lead column to such a row. ``reduce_row`` eliminates a row
+against an echelon fraction-free (cross-multiplying by the two lead
+entries, then dividing out the content) and inserts whatever survives
+with a positive lead. The set of lead columns is the set of pivot columns
+of the reduced row echelon form, so a rank or a pivot set needs nothing
+more. ``back_substitute`` clears each lead column from the rows above it,
+giving the canonical RREF rows, which are turned into ``Fraction`` rows
+only at the end.
 
-Row reduction picks the first nonzero entry in column order as the pivot;
-no pivoting heuristics are needed because the arithmetic is exact. The
-elimination itself runs on integer-scaled rows, which keeps the inner loop
-in machine integers for all the matrices this package produces.
+Dense ``Matrix`` values and ``Subspace`` bases remain the public
+currency: ``rref``, ``span``, ``kernel`` and ``complement_under_form`` all
+run on the engine above. A subspace is stored by its RREF basis, which is
+a canonical representative: two subspaces are equal exactly when their
+stored bases are equal entrywise.
 
-No floating point is used anywhere; every result is exact.
+No floating point and no modular arithmetic is used; every result is
+exact.
 """
 
 from __future__ import annotations
@@ -37,6 +45,12 @@ __all__ = [
     "complement_under_form",
     "subspace_contains",
     "subspace_equal",
+    "SparseRow",
+    "Echelon",
+    "sparse_row",
+    "reduce_row",
+    "back_substitute",
+    "echelon_subspace",
 ]
 
 
@@ -141,80 +155,130 @@ def _leading_index(row: Sequence) -> int | None:
     return None
 
 
-def _primitive(row: list[int]) -> None:
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = 0
-    for x in row:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return
-    if g > 1:
-        for i, x in enumerate(row):
-            row[i] = x // g
+SparseRow = dict[int, int]
+Echelon = dict[int, SparseRow]
 
 
-def _int_row(values: Iterable[Fraction | int]) -> list[int]:
-    """Scale a rational row to a primitive integer row (content divided out)."""
-    vals = [_scalar(x) for x in values]
-    den = 1
-    for x in vals:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    row = [int(x * den) for x in vals]
-    _primitive(row)
-    return row
+def sparse_row(values: Iterable[Fraction | int]) -> SparseRow:
+    """Integer row proportional to a dense rational vector, zeros omitted.
 
-
-def _echelon(work: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Forward elimination on integer rows, in place.
-
-    Returns the nonzero echelon rows (primitive, positive leading entry) and
-    their pivot columns. The pivot for each column is the first row, in the
-    current order, with a nonzero entry there.
+    The entries are the rational ones times the least common denominator;
+    the content is not divided out here (``reduce_row`` does that when it
+    stores a row).
     """
-    npiv = 0
-    pivot_cols: list[int] = []
-    nrows = len(work)
-    for c in range(cols):
-        piv = None
-        for i in range(npiv, nrows):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[npiv], work[piv] = work[piv], work[npiv]
-        prow = work[npiv]
-        if prow[c] < 0:
-            for j in range(c, cols):
-                prow[j] = -prow[j]
-        lead = prow[c]
-        ptail = prow[c:]
-        for i in range(npiv + 1, nrows):
-            wrow = work[i]
-            a = wrow[c]
-            if a:
-                wrow[c:] = [x * lead - y * a for x, y in zip(wrow[c:], ptail)]
-                _primitive(wrow)
-        pivot_cols.append(c)
-        npiv += 1
-        if npiv == nrows:
-            break
-    return work[:npiv], pivot_cols
+    nonzero = [(i, _scalar(x)) for i, x in enumerate(values) if x]
+    den = 1
+    for _, x in nonzero:
+        d = x.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return {i: x.numerator for i, x in nonzero}
+    return {i: x.numerator * (den // x.denominator) for i, x in nonzero}
 
 
-def _back_eliminate(rows: list[list[int]], pivot_cols: list[int]) -> None:
-    """Clear entries above each pivot, keeping rows integral."""
-    for k in range(len(pivot_cols) - 1, 0, -1):
-        prow = rows[k]
-        c = pivot_cols[k]
-        lead = prow[c]
-        for i in range(k):
-            wrow = rows[i]
-            a = wrow[c]
-            if a:
-                rows[i] = wrow = [x * lead - y * a for x, y in zip(wrow, prow)]
-                _primitive(wrow)
+def _normalize(row: SparseRow, lead: int) -> None:
+    """Divide out the content and make the lead entry positive, in place."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for col, x in row.items():
+            row[col] = x // g
+
+
+def _eliminate(row: SparseRow, col: int, prow: SparseRow) -> None:
+    """Clear ``row[col]`` with ``prow``, whose entry at ``col`` is nonzero.
+
+    Fraction-free: ``row`` becomes ``(b/g) row - (a/g) prow`` with
+    ``a = row[col]``, ``b = prow[col]`` and ``g = gcd(a, b)``; the content
+    is divided out again whenever ``row`` had to be scaled up.
+    """
+    a = row[col]
+    b = prow[col]
+    scale = 1
+    if b != 1:
+        g = math.gcd(a, b)
+        scale, a = b // g, a // g
+        if scale != 1:
+            for c, x in row.items():
+                row[c] = x * scale
+    get = row.get
+    for c, x in prow.items():
+        y = get(c, 0) - a * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+    if scale != 1 and row:
+        g = math.gcd(*row.values())
+        if g != 1:
+            for c, x in row.items():
+                row[c] = x // g
+
+
+def reduce_row(echelon: Echelon, row: SparseRow, insert: bool = True) -> int | None:
+    """Reduce ``row`` against ``echelon``; the package's one elimination step.
+
+    The row's lowest column is cleared with the echelon row leading there
+    until that column leads no echelon row. ``row`` is consumed.
+
+    Returns:
+        The lead column of the residue, or None when the row reduces to
+        zero (it lies in the span of the echelon). With ``insert``, a
+        nonzero residue is made primitive with a positive lead and stored
+        in ``echelon`` under its lead column.
+    """
+    while row:
+        lead = min(row)
+        prow = echelon.get(lead)
+        if prow is None:
+            if insert:
+                _normalize(row, lead)
+                echelon[lead] = row
+            return lead
+        _eliminate(row, lead, prow)
+    return None
+
+
+def back_substitute(echelon: Echelon) -> list[tuple[int, SparseRow]]:
+    """Reduced row echelon form of an echelon, by increasing lead column.
+
+    Each returned row is primitive with a positive lead and is zero at
+    every other lead column; dividing it by its lead gives the canonical
+    RREF row. The echelon itself is left unchanged.
+    """
+    done: Echelon = {}
+    for lead in sorted(echelon, reverse=True):
+        row = dict(echelon[lead])
+        # rows already done are zero at every other lead column, so one
+        # pass over the lead columns present now clears them all
+        for col in [c for c in row if c != lead and c in done]:
+            _eliminate(row, col, done[col])
+        _normalize(row, lead)
+        done[lead] = row
+    return [(lead, done[lead]) for lead in sorted(done)]
+
+
+def _echelon_of(vectors: Iterable[Sequence], cols: int) -> Echelon:
+    echelon: Echelon = {}
+    for v in vectors:
+        if len(v) != cols:
+            raise DimensionError("vector length does not match the ambient dimension")
+        reduce_row(echelon, sparse_row(v))
+    return echelon
+
+
+def _rref_entries(echelon: Echelon, cols: int) -> list[Fraction]:
+    """Row-major Fraction entries of the RREF rows of an echelon."""
+    entries: list[Fraction] = []
+    for lead, row in back_substitute(echelon):
+        dense = [_ZERO] * cols
+        pivot = row[lead]
+        for c, x in row.items():
+            dense[c] = Fraction(x, pivot)
+        entries.extend(dense)
+    return entries
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -226,15 +290,10 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
         pivot columns elsewhere zero, pivots strictly increasing) and the
         remaining rows are zero.
     """
-    work = [_int_row(m.row(i)) for i in range(m.rows)]
-    ech, pivot_cols = _echelon(work, m.cols)
-    _back_eliminate(ech, pivot_cols)
-    entries: list[Fraction] = []
-    for k, c in enumerate(pivot_cols):
-        lead = ech[k][c]
-        entries.extend(Fraction(x, lead) for x in ech[k])
-    entries.extend([_ZERO] * ((m.rows - len(pivot_cols)) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(entries)), len(pivot_cols)
+    echelon = _echelon_of(m.row_list(), m.cols)
+    entries = _rref_entries(echelon, m.cols)
+    entries.extend([_ZERO] * ((m.rows - len(echelon)) * m.cols))
+    return Matrix(m.rows, m.cols, tuple(entries)), len(echelon)
 
 
 @dataclass(frozen=True)
@@ -292,73 +351,57 @@ class Subspace:
 
 
 class _IntBasis:
-    """Integer-scaled copy of a subspace basis for fast exact membership tests.
+    """Echelon copy of a subspace basis for fast exact membership tests.
 
-    Build once, then test many candidate vectors; reduction runs entirely in
-    machine integers.
+    Build once, then test many candidate vectors with ``reduce_row``.
     """
 
-    __slots__ = ("cols", "pivots", "rows", "leads")
+    __slots__ = ("cols", "echelon")
 
     def __init__(self, s: Subspace) -> None:
         self.cols = s.ambient_dim
-        self.pivots: list[int] = []
-        self.rows: list[list[int]] = []
-        self.leads: list[int] = []
-        for i in range(s.basis.rows):
-            row = _int_row(s.basis.row(i))
-            c = _leading_index(row)
-            assert c is not None
-            self.pivots.append(c)
-            self.rows.append(row)
-            self.leads.append(row[c])
-
-    def residue(self, vector: Sequence) -> list[int]:
-        """Reduce a vector against the basis; all zero means membership."""
-        vec = _int_row(vector)
-        if len(vec) != self.cols:
-            raise DimensionError("vector length does not match the ambient dimension")
-        for c, row, lead in zip(self.pivots, self.rows, self.leads):
-            a = vec[c]
-            if a:
-                vec[c:] = [x * lead - y * a for x, y in zip(vec[c:], row[c:])]
-        return vec
+        self.echelon: Echelon = {}
+        for row in s.basis.row_list():
+            reduce_row(self.echelon, sparse_row(row))
 
     def contains(self, vector: Sequence) -> bool:
-        return not any(self.residue(vector))
+        if len(vector) != self.cols:
+            raise DimensionError("vector length does not match the ambient dimension")
+        return reduce_row(self.echelon, sparse_row(vector), insert=False) is None
+
+
+def echelon_subspace(echelon: Echelon, ambient_dim: int) -> Subspace:
+    """The subspace spanned by the rows of an echelon, with its RREF basis."""
+    entries = _rref_entries(echelon, ambient_dim)
+    return Subspace(ambient_dim, Matrix(len(echelon), ambient_dim, tuple(entries)))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Subspace spanned by the given coordinate vectors."""
-    vecs = [list(v) for v in vectors]
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise DimensionError("vector length does not match the ambient dimension")
-    m = Matrix.from_rows(vecs, ambient_dim)
-    r, rank = rref(m)
-    basis = Matrix(rank, ambient_dim, r.entries[: rank * ambient_dim])
-    return Subspace(ambient_dim, basis)
+    return echelon_subspace(_echelon_of(vectors, ambient_dim), ambient_dim)
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v = 0} as a canonical subspace."""
-    r, rank = rref(m)
-    pivots: list[int] = []
-    for i in range(rank):
-        c = _leading_index(r.row(i))
-        assert c is not None
-        pivots.append(c)
-    pivot_set = set(pivots)
-    vecs = []
+    """Right kernel {v : m v = 0} as a canonical subspace.
+
+    One vector per free column f of the RREF of ``m``: 1 at f, minus the
+    RREF entry in column f at each pivot column, scaled to integers.
+    """
+    rows = back_substitute(_echelon_of(m.row_list(), m.cols))
+    pivots = {lead for lead, _ in rows}
+    echelon: Echelon = {}
     for f in range(m.cols):
-        if f in pivot_set:
+        if f in pivots:
             continue
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r.at(i, f)
-        vecs.append(v)
-    return span(vecs, m.cols)
+        hits = [(lead, row[f], row[lead]) for lead, row in rows if f in row]
+        den = 1
+        for _, _, d in hits:
+            den = den * d // math.gcd(den, d)
+        v = {f: den}
+        for lead, x, d in hits:
+            v[lead] = -x * (den // d)
+        reduce_row(echelon, v)
+    return echelon_subspace(echelon, m.cols)
 
 
 def complement_under_form(s: Subspace, form: Matrix) -> Subspace:

@@ -1,4 +1,4 @@
-"""Acceptance battery: the eleven headline checks with their time budgets.
+"""Acceptance battery: the twelve headline checks with their time budgets.
 
 Each test performs one criterion end to end, prints a single PASS or
 FAIL line (visible under pytest -s), and asserts both the result and
@@ -217,3 +217,12 @@ def test_criterion_11_round_trip():
         assert again.relations == p.relations
         assert print_presentation(again, f"R{i}") == text
     _finish(11, "printer and parser reach a fixed point", started, 10.0)
+
+
+def test_criterion_12_sixteen_relation_weight_five():
+    started = time.perf_counter()
+    computed = {name: component_dim(builtin(name), 5) for name in ("Xplus", "Xminus")}
+    # frozen computed values; self-dual Koszulity would need 184 and 160
+    assert computed == {"Xplus": 211, "Xminus": 210}
+    detail = "FINDING weight-5 dims 211 and 210"
+    _finish(12, "weight-5 dimensions of the sixteen-relation pair", started, 30.0, detail)

@@ -1,6 +1,10 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +309,53 @@ class TestExpand:
         payload = json.loads(out)
         assert payload["dimension"] == 16
         assert len(payload["basis"]) == 16
+
+
+    def test_weight_four_basis_golden(self, capsys):
+        # frozen output; the lines follow the pivot order of the ideal
+        code, out, _ = run(
+            capsys, "expand", "builtins", "Dend", "--weight", "4", "--basis"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "weight 4 dimension 14",
+            "(x ∨ (y ∧ z)) ∨ w",
+            "(x ∨ (y ∨ z)) ∨ w",
+            "(x ∨ y) ∨ (z ∧ w)",
+            "(x ∨ y) ∨ (z ∨ w)",
+            "x ∧ ((y ∨ z) ∨ w)",
+            "x ∨ ((y ∨ z) ∨ w)",
+            "x ∧ (y ∧ (z ∧ w))",
+            "x ∧ (y ∧ (z ∨ w))",
+            "x ∧ (y ∨ (z ∧ w))",
+            "x ∧ (y ∨ (z ∨ w))",
+            "x ∨ (y ∧ (z ∧ w))",
+            "x ∨ (y ∧ (z ∨ w))",
+            "x ∨ (y ∨ (z ∧ w))",
+            "x ∨ (y ∨ (z ∨ w))",
+        ]
+
+    def test_closed_pipe_exits_quietly(self):
+        # the read end is closed before the command writes, as when
+        # `| head` has already exited
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quadops.cli", "expand", "builtins",
+                 "Dend", "--weight", "4", "--basis"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestVerifyPaper:

@@ -2,8 +2,9 @@
 
 Dimension claims are checked against independent oracles: the closed-form
 Catalan count for tree enumeration and dendriform components, the linear
-sequence for diassociative components, and sympy's rank for the ideal
-spans that feed the frozen weight-4 values.
+sequence for diassociative components, sympy's rank for the ideal spans
+that feed the frozen weight-4 values, and a reference construction of the
+ideal by one-step grafting from the weight below.
 """
 
 from fractions import Fraction
@@ -212,12 +213,13 @@ class TestIdealAndDims:
 
     def test_half_product_dims_are_catalan(self):
         p = builtin("Dend")
-        for n in range(1, 6):
+        for n in range(1, 8):
             assert component_dim(p, n) == closed_form_catalan(n)
+        assert (component_dim(p, 6), component_dim(p, 7)) == (132, 429)
 
     def test_bar_product_dims_are_linear(self):
         p = builtin("Dias")
-        for n in range(1, 6):
+        for n in range(1, 8):
             assert component_dim(p, n) == n
 
     def test_sixteen_relation_pair_weight_three(self):
@@ -228,6 +230,12 @@ class TestIdealAndDims:
         # computed outputs, frozen; cross-checked below against sympy rank
         assert component_dim(builtin("Xplus"), 4) == 58
         assert component_dim(builtin("Xminus"), 4) == 56
+
+    def test_sixteen_relation_pair_weight_five_frozen(self):
+        # computed outputs, frozen; the grafting construction of the ideal
+        # gave the same two values
+        assert component_dim(builtin("Xplus"), 5) == 211
+        assert component_dim(builtin("Xminus"), 5) == 210
 
     @pytest.mark.parametrize("name,dim4", (("Xplus", 58), ("Xminus", 56)))
     def test_weight_four_ideal_rank_against_sympy(self, name, dim4):
@@ -259,6 +267,71 @@ class TestIdealAndDims:
         }
         for name, value in expected.items():
             assert binary_ops_dimension(builtin(name)) == value
+
+
+_LEFT_COMB = PlanarTree(NODE, LEAF)
+_RIGHT_COMB = PlanarTree(LEAF, NODE)
+
+
+def reference_ideal_span(p: Presentation, n: int):
+    """The ideal's weight-n component by one-step grafting, a construction
+    independent of the engine's tree contexts.
+
+    Weight 3 is the relation space: coordinate i*k + j is the left comb with
+    pre-order labels (j, i), k*k + i*k + j the right comb with labels (i, j).
+    Each higher weight grafts a single operation into every leaf of every
+    basis vector of the previous weight, and every such vector into either
+    slot of a single operation, then reduces with ``span``.
+    """
+    k = p.num_ops
+    basis = weight_basis(k, n)
+    index = {m: i for i, m in enumerate(basis)}
+    vecs = []
+    if n == 3:
+        quad = [TreeMonomial(_LEFT_COMB, (j, i)) for i in range(k) for j in range(k)]
+        quad += [TreeMonomial(_RIGHT_COMB, (i, j)) for i in range(k) for j in range(k)]
+        for row in p.relations.basis.row_list():
+            out = [Fraction(0)] * len(basis)
+            for c, mon in zip(row, quad):
+                out[index[mon]] += c
+            vecs.append(out)
+        return span(vecs, len(basis))
+    prev_basis = weight_basis(k, n - 1)
+    for row in reference_ideal_span(p, n - 1).basis.row_list():
+        terms = [(c, prev_basis[i]) for i, c in enumerate(row) if c]
+        for g in (TreeMonomial(NODE, (x,)) for x in range(k)):
+            composites = [lambda m, pos=pos: graft(m, pos, g) for pos in range(n - 1)]
+            composites += [lambda m, slot=slot: graft(g, slot, m) for slot in (0, 1)]
+            for compose in composites:
+                out = [Fraction(0)] * len(basis)
+                for c, mon in terms:
+                    out[index[compose(mon)]] += c
+                vecs.append(out)
+    return span(vecs, len(basis))
+
+
+def assert_matches_reference(p: Presentation, n: int) -> None:
+    reference = reference_ideal_span(p, n)
+    assert ideal_span(p, n) == reference
+    pivots = set(reference.pivot_columns())
+    basis = weight_basis(p.num_ops, n)
+    expected = tuple(m for i, m in enumerate(basis) if i not in pivots)
+    assert weight_component(p, n).surviving_monomials() == expected
+
+
+class TestAgainstGraftingReference:
+    @pytest.mark.parametrize("name", ("As", "Dend", "Dias", "DendSquareDias", "Xplus", "Xminus"))
+    def test_builtins_at_weight_four(self, name):
+        assert_matches_reference(builtin(name), 4)
+
+    @pytest.mark.parametrize("name", ("Dend", "Dias"))
+    def test_two_operation_builtins_at_weight_five(self, name):
+        assert_matches_reference(builtin(name), 5)
+
+    @given(small_presentations(), st.sampled_from((4, 5)))
+    @settings(deadline=None, max_examples=25)
+    def test_drawn_presentations(self, p, n):
+        assert_matches_reference(p, n)
 
 
 class TestComponentAndFormatting:
