@@ -50,8 +50,7 @@ _GLOBAL_FLAGS = (
         dict(
             action="store_true",
             dest="allow_large",
-            help=f"permit work above weight {HARD_WEIGHT} "
-            "(weight 4 for verify-paper)",
+            help=f"permit work above weight {HARD_WEIGHT}",
         ),
     ),
 )
@@ -364,10 +363,7 @@ def _cmd_verify(
     fmt: str,
 ) -> tuple[int, str, dict]:
     max_weight = 4 if ceiling is None else ceiling
-    if max_weight > 4 and not allow:
-        raise UsageError(
-            "battery weights above 4 take minutes and need --allow-large"
-        )
+    _weight_guard(max_weight, ceiling, allow)
     try:
         config = VerifyConfig(
             max_weight=max_weight,

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
-from .linalg import Echelon, Subspace, echelon_subspace, reduce_row, sparse_row
+from .linalg import Echelon, Subspace, echelon_subspace, reduce_row
 from .presentations import Presentation
 
 __all__ = [
@@ -263,7 +263,7 @@ def _ideal_generators(p: Presentation, n: int):
     """
     k = p.num_ops
     k2 = k * k
-    relations = [sparse_row(row) for row in p.relations.basis.row_list()]
+    relations = p.relations.rows
     if not relations:
         return
     block = k ** (n - 1)
@@ -286,7 +286,7 @@ def _ideal_generators(p: Presentation, n: int):
             ]
             cols = [base[c // k2] + offset[c] for c in coords]
             for rel in relations:
-                yield {cols[c]: x for c, x in rel.items()}
+                yield {cols[c]: x for c, x in rel}
 
 
 def _ideal_echelon(p: Presentation, n: int) -> Echelon:
@@ -307,8 +307,8 @@ def ideal_span(p: Presentation, n: int) -> Subspace:
     basis is back-substituted from the same echelon ``component_dim``
     counts.
     """
-    echelon = _ideal_echelon(p, n)
-    return echelon_subspace(echelon, len(weight_basis(p.num_ops, n)))
+    size = catalan(n - 1) * p.num_ops ** (n - 1)
+    return echelon_subspace(_ideal_echelon(p, n), size)
 
 
 @dataclass(frozen=True)

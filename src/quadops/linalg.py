@@ -9,14 +9,17 @@ entries, then dividing out the content) and inserts whatever survives
 with a positive lead. The set of lead columns is the set of pivot columns
 of the reduced row echelon form, so a rank or a pivot set needs nothing
 more. ``back_substitute`` clears each lead column from the rows above it,
-giving the canonical RREF rows, which are turned into ``Fraction`` rows
-only at the end.
+giving the canonical RREF rows.
 
-Dense ``Matrix`` values and ``Subspace`` bases remain the public
-currency: ``rref``, ``span``, ``kernel`` and ``complement_under_form`` all
-run on the engine above. A subspace is stored by its RREF basis, which is
-a canonical representative: two subspaces are equal exactly when their
-stored bases are equal entrywise.
+A ``Subspace`` stores exactly those rows, primitive integers with a
+positive lead, in a hashable form. They are canonical, so two subspaces
+are equal exactly when their stored rows are equal. Membership tests
+reduce against them, ``kernel`` and ``complement_under_form`` (the
+kernel of the rows with each column multiplied by a sign) read them
+directly, and ``Fraction`` rows are built only on request, by
+``Subspace.fraction_rows``. The small dense ``Matrix`` type is kept for
+input: ``rref`` and ``kernel`` take one, and ``span`` takes dense
+coordinate vectors.
 
 No floating point and no modular arithmetic is used; every result is
 exact.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
 
@@ -44,13 +47,14 @@ __all__ = [
     "span",
     "complement_under_form",
     "subspace_contains",
-    "subspace_equal",
     "SparseRow",
+    "IntRow",
     "Echelon",
     "sparse_row",
     "reduce_row",
     "back_substitute",
     "echelon_subspace",
+    "span_rows",
 ]
 
 
@@ -111,12 +115,6 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> Matrix:
         return cls(rows, cols, (_ZERO,) * (rows * cols))
 
-    @classmethod
-    def diagonal(cls, diag: Sequence) -> Matrix:
-        d = [_scalar(x) for x in diag]
-        n = len(d)
-        return cls(n, n, tuple(d[i] if i == j else _ZERO for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -125,10 +123,6 @@ class Matrix:
 
     def row_list(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> Matrix:
-        ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.cols, self.rows, ents)
 
     def matmul(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
@@ -146,13 +140,6 @@ class Matrix:
                         acc += x * other.at(k, j)
                 out.append(acc)
         return Matrix(self.rows, other.cols, tuple(out))
-
-
-def _leading_index(row: Sequence) -> int | None:
-    for idx, x in enumerate(row):
-        if x:
-            return idx
-    return None
 
 
 SparseRow = dict[int, int]
@@ -260,25 +247,102 @@ def back_substitute(echelon: Echelon) -> list[tuple[int, SparseRow]]:
     return [(lead, done[lead]) for lead in sorted(done)]
 
 
-def _echelon_of(vectors: Iterable[Sequence], cols: int) -> Echelon:
-    echelon: Echelon = {}
+def _sparse_rows(vectors: Iterable[Sequence], cols: int) -> Iterator[SparseRow]:
     for v in vectors:
         if len(v) != cols:
             raise DimensionError("vector length does not match the ambient dimension")
-        reduce_row(echelon, sparse_row(v))
-    return echelon
+        yield sparse_row(v)
 
 
-def _rref_entries(echelon: Echelon, cols: int) -> list[Fraction]:
-    """Row-major Fraction entries of the RREF rows of an echelon."""
-    entries: list[Fraction] = []
-    for lead, row in back_substitute(echelon):
-        dense = [_ZERO] * cols
-        pivot = row[lead]
-        for c, x in row.items():
-            dense[c] = Fraction(x, pivot)
-        entries.extend(dense)
-    return entries
+IntRow = tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A linear subspace of QQ^n held by its canonical basis.
+
+    ``rows`` are the primitive integer RREF rows, by increasing lead
+    column: each row lists its nonzero ``(column, entry)`` pairs by
+    increasing column, leads with a positive entry, has content 1 and is
+    zero at every other row's lead column. Dividing each row by its lead
+    gives the RREF basis over QQ. Because the basis is canonical,
+    dataclass equality coincides with equality of subspaces.
+    """
+
+    ambient_dim: int
+    rows: tuple[IntRow, ...]
+
+    def __post_init__(self) -> None:
+        n = self.ambient_dim
+        if n < 0:
+            raise DimensionError("ambient dimension must be nonnegative")
+        leads = []
+        for row in self.rows:
+            if not row:
+                raise ValueError("zero row in subspace basis")
+            cols = [c for c, _ in row]
+            if cols[0] < 0 or cols[-1] >= n:
+                raise DimensionError("basis row reaches outside the ambient space")
+            if any(a >= b for a, b in zip(cols, cols[1:])) or not all(x for _, x in row):
+                raise ValueError("basis row must list nonzero entries by increasing column")
+            if row[0][1] < 0 or math.gcd(*(x for _, x in row)) != 1:
+                raise ValueError("basis row must be primitive with a positive lead")
+            leads.append(cols[0])
+        if any(a >= b for a, b in zip(leads, leads[1:])):
+            raise ValueError("subspace basis rows out of echelon order")
+        lead_set = set(leads)
+        if any(c in lead_set for row in self.rows for c, _ in row[1:]):
+            raise ValueError("basis row is nonzero at another row's lead column")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def zero(cls, ambient_dim: int) -> Subspace:
+        return cls(ambient_dim, ())
+
+    def pivot_columns(self) -> tuple[int, ...]:
+        return tuple(row[0][0] for row in self.rows)
+
+    def echelon(self) -> Echelon:
+        """A fresh echelon of the basis rows, for ``reduce_row``."""
+        return {row[0][0]: dict(row) for row in self.rows}
+
+    def fraction_rows(self) -> list[tuple[Fraction, ...]]:
+        """The dense RREF basis over QQ: each row divided by its lead."""
+        out = []
+        for row in self.rows:
+            dense = [_ZERO] * self.ambient_dim
+            lead = row[0][1]
+            for c, x in row:
+                dense[c] = Fraction(x, lead)
+            out.append(tuple(dense))
+        return out
+
+    def contains_vector(self, vector: Sequence) -> bool:
+        if len(vector) != self.ambient_dim:
+            raise DimensionError("vector length does not match the ambient dimension")
+        return reduce_row(self.echelon(), sparse_row(vector), insert=False) is None
+
+
+def echelon_subspace(echelon: Echelon, ambient_dim: int) -> Subspace:
+    """The subspace spanned by the rows of an echelon."""
+    rows = tuple(tuple(sorted(row.items())) for _, row in back_substitute(echelon))
+    return Subspace(ambient_dim, rows)
+
+
+def span_rows(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:
+    """Subspace spanned by sparse integer rows; the rows are consumed."""
+    echelon: Echelon = {}
+    for row in rows:
+        reduce_row(echelon, row)
+    return echelon_subspace(echelon, ambient_dim)
+
+
+def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
+    """Subspace spanned by the given dense coordinate vectors."""
+    return span_rows(_sparse_rows(vectors, ambient_dim), ambient_dim)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -290,141 +354,60 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
         pivot columns elsewhere zero, pivots strictly increasing) and the
         remaining rows are zero.
     """
-    echelon = _echelon_of(m.row_list(), m.cols)
-    entries = _rref_entries(echelon, m.cols)
-    entries.extend([_ZERO] * ((m.rows - len(echelon)) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(entries)), len(echelon)
+    s = span_rows(_sparse_rows(m.row_list(), m.cols), m.cols)
+    entries = [x for row in s.fraction_rows() for x in row]
+    entries.extend([_ZERO] * ((m.rows - s.dimension) * m.cols))
+    return Matrix(m.rows, m.cols, tuple(entries)), s.dimension
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace of QQ^n held by its RREF basis with no zero rows.
+def _kernel(rows: Iterable[IntRow], cols: int) -> Subspace:
+    """Right kernel of reduced integer rows.
 
-    Because the basis is canonical, dataclass equality coincides with
-    equality of subspaces.
+    Each row lists its lead first (of either sign) and is zero at every
+    other row's lead column. The kernel has one vector per free column f:
+    ``den`` at f and ``-x * den / d`` at the lead of each row with entry
+    ``x`` at f and lead entry ``d``, where ``den`` is the lcm of those
+    leads, so the vector is integral.
     """
-
-    ambient_dim: int
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
-            raise DimensionError("ambient dimension must be nonnegative")
-        if self.basis.cols != self.ambient_dim:
-            raise DimensionError("basis width does not match the ambient dimension")
-        last = -1
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            c = _leading_index(row)
-            if c is None:
-                raise ValueError("zero row in subspace basis")
-            if row[c] != 1:
-                raise ValueError("subspace basis row must lead with 1")
-            if c <= last:
-                raise ValueError("subspace basis rows out of echelon order")
-            last = c
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.rows
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        cols = []
-        for i in range(self.basis.rows):
-            c = _leading_index(self.basis.row(i))
-            assert c is not None
-            cols.append(c)
-        return tuple(cols)
-
-    def contains_vector(self, vector: Sequence) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise DimensionError("vector length does not match the ambient dimension")
-        return _IntBasis(self).contains(vector)
-
-
-class _IntBasis:
-    """Echelon copy of a subspace basis for fast exact membership tests.
-
-    Build once, then test many candidate vectors with ``reduce_row``.
-    """
-
-    __slots__ = ("cols", "echelon")
-
-    def __init__(self, s: Subspace) -> None:
-        self.cols = s.ambient_dim
-        self.echelon: Echelon = {}
-        for row in s.basis.row_list():
-            reduce_row(self.echelon, sparse_row(row))
-
-    def contains(self, vector: Sequence) -> bool:
-        if len(vector) != self.cols:
-            raise DimensionError("vector length does not match the ambient dimension")
-        return reduce_row(self.echelon, sparse_row(vector), insert=False) is None
-
-
-def echelon_subspace(echelon: Echelon, ambient_dim: int) -> Subspace:
-    """The subspace spanned by the rows of an echelon, with its RREF basis."""
-    entries = _rref_entries(echelon, ambient_dim)
-    return Subspace(ambient_dim, Matrix(len(echelon), ambient_dim, tuple(entries)))
-
-
-def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Subspace spanned by the given coordinate vectors."""
-    return echelon_subspace(_echelon_of(vectors, ambient_dim), ambient_dim)
+    reduced = [(row[0][0], row[0][1], dict(row)) for row in rows]
+    pivots = {lead for lead, _, _ in reduced}
+    echelon: Echelon = {}
+    for f in range(cols):
+        if f in pivots:
+            continue
+        hits = [(lead, d, row[f]) for lead, d, row in reduced if f in row]
+        den = math.lcm(*(d for _, d, _ in hits))
+        v = {f: den}
+        for lead, d, x in hits:
+            v[lead] = -x * den // d
+        reduce_row(echelon, v)
+    return echelon_subspace(echelon, cols)
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v = 0} as a canonical subspace.
-
-    One vector per free column f of the RREF of ``m``: 1 at f, minus the
-    RREF entry in column f at each pivot column, scaled to integers.
-    """
-    rows = back_substitute(_echelon_of(m.row_list(), m.cols))
-    pivots = {lead for lead, _ in rows}
-    echelon: Echelon = {}
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        hits = [(lead, row[f], row[lead]) for lead, row in rows if f in row]
-        den = 1
-        for _, _, d in hits:
-            den = den * d // math.gcd(den, d)
-        v = {f: den}
-        for lead, x, d in hits:
-            v[lead] = -x * (den // d)
-        reduce_row(echelon, v)
-    return echelon_subspace(echelon, m.cols)
+    """Right kernel {v : m v = 0} as a canonical subspace."""
+    return _kernel(span_rows(_sparse_rows(m.row_list(), m.cols), m.cols).rows, m.cols)
 
 
-def complement_under_form(s: Subspace, form: Matrix) -> Subspace:
-    """Orthogonal complement of ``s`` for the pairing (v, w) -> v^T F w.
+def complement_under_form(s: Subspace, signs: Sequence[int]) -> Subspace:
+    """Orthogonal complement of ``s`` for the diagonal form diag(signs).
 
-    Args:
-        s: the subspace to complement.
-        form: the matrix F of a nondegenerate bilinear form on the ambient
-            space.
+    A vector v pairs to zero with a basis row b exactly when
+    sum_c b_c signs_c v_c = 0, so the complement is the kernel of the basis
+    with each column multiplied by its sign, {v : B D v = 0}. Flipping
+    signs keeps the basis reduced, so no elimination precedes the kernel.
 
     Raises:
-        DimensionError: if the form shape does not match the ambient space.
-        ValueError: if the form is degenerate.
+        DimensionError: if there is not one sign per ambient coordinate.
+        ValueError: if a sign is not +1 or -1; a zero would make the
+            form degenerate.
     """
     n = s.ambient_dim
-    if form.rows != n or form.cols != n:
-        raise DimensionError("form shape does not match the ambient dimension")
-    _, rank = rref(form)
-    if rank != n:
-        raise ValueError("bilinear form is degenerate")
-    # v is orthogonal to basis row w exactly when (w^T F^T) v = 0.
-    m = s.basis.matmul(form.transpose())
-    return kernel(m)
+    if len(signs) != n:
+        raise DimensionError("form size does not match the ambient dimension")
+    if any(x not in (1, -1) for x in signs):
+        raise ValueError("form signs must be +1 or -1; a zero sign makes the form degenerate")
+    return _kernel([tuple((c, x * signs[c]) for c, x in row) for row in s.rows], n)
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
@@ -433,12 +416,5 @@ def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
         raise DimensionError("subspaces live in different ambient spaces")
     if inner.dimension > outer.dimension:
         return False
-    ib = _IntBasis(outer)
-    return all(ib.contains(inner.basis.row(i)) for i in range(inner.basis.rows))
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    """Exact subspace equality via the canonical bases."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError("subspaces live in different ambient spaces")
-    return a.basis == b.basis
+    echelon = outer.echelon()
+    return all(reduce_row(echelon, dict(row), insert=False) is None for row in inner.rows)

@@ -31,12 +31,16 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     DimensionError,
+    IntRow,
     Matrix,
+    SparseRow,
     Subspace,
-    _IntBasis,
     _scalar,
     complement_under_form,
-    span,
+    echelon_subspace,
+    reduce_row,
+    span_rows,
+    sparse_row,
 )
 
 __all__ = [
@@ -151,7 +155,7 @@ class Presentation:
         return self.relations.ambient_dim
 
     def relation_rows(self) -> list[RelVector]:
-        return [RelVector(row) for row in self.relations.basis.row_list()]
+        return [RelVector(row) for row in self.relations.fraction_rows()]
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,9 @@ class SignedRelabeling:
         return len(self.permutation)
 
 
-def pairing_form(k: int) -> Matrix:
-    """Duality pairing on the quadratic span: +1 left block, -1 right block."""
-    return Matrix.diagonal([1] * (k * k) + [-1] * (k * k))
+def pairing_form(k: int) -> tuple[int, ...]:
+    """Diagonal of the duality pairing: +1 on the left block, -1 on the right."""
+    return (1,) * (k * k) + (-1,) * (k * k)
 
 
 def pairing_value(v: RelVector, w: RelVector) -> Fraction:
@@ -214,34 +218,25 @@ def dual(p: Presentation) -> Presentation:
     return Presentation(GeneratorSet(names), relations)
 
 
-def _square_vector(
-    u: Sequence[Fraction], kp: int, v: Sequence[Fraction], kq: int
-) -> list[Fraction]:
+def _square_row(u: IntRow, kp: int, v: IntRow, kq: int) -> SparseRow:
+    """Product of a relation row of p and one of q, in the square's coordinates."""
     k = kp * kq
     k2 = k * k
     kp2 = kp * kp
     kq2 = kq * kq
-    out = [Fraction(0)] * (2 * k2)
-    for i in range(kp):
-        for j in range(kp):
-            ul = u[i * kp + j]
-            ur = u[kp2 + i * kp + j]
-            if not ul and not ur:
+    out: SparseRow = {}
+    for cu, x in u:
+        right, ij = divmod(cu, kp2)
+        i, j = divmod(ij, kp)
+        for cv, y in v:
+            # only left times left and right times right survive
+            if cv // kq2 != right:
                 continue
-            for a in range(kq):
-                ia = i * kq + a
-                for b in range(kq):
-                    jb = j * kq + b
-                    if ul:
-                        vl = v[a * kq + b]
-                        if vl:
-                            out[ia * k + jb] = ul * vl
-                    if ur:
-                        vr = v[kq2 + a * kq + b]
-                        if vr:
-                            # both stored blocks are "minus the right side",
-                            # so the product needs one more sign flip
-                            out[k2 + ia * k + jb] = -ur * vr
+            a, b = divmod(cv % kq2, kq)
+            col = (i * kq + a) * k + j * kq + b
+            # both stored blocks are "minus the right side", so the
+            # right-block product needs one more sign flip
+            out[right * k2 + col] = -x * y if right else x * y
     return out
 
 
@@ -250,50 +245,60 @@ def square(p: Presentation, q: Presentation) -> Presentation:
     names = tuple(f"{a}.{b}" for a in p.generators.names for b in q.generators.names)
     kp, kq = p.num_ops, q.num_ops
     k = kp * kq
-    vecs = []
-    for u in p.relations.basis.row_list():
-        for v in q.relations.basis.row_list():
-            vecs.append(_square_vector(u, kp, v, kq))
-    return Presentation(GeneratorSet(names), span(vecs, 2 * k * k))
+    rows = (
+        _square_row(u, kp, v, kq) for u in p.relations.rows for v in q.relations.rows
+    )
+    return Presentation(GeneratorSet(names), span_rows(rows, 2 * k * k))
 
 
 def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
     """Presentation with extra relations added to the span."""
-    vecs: list[Sequence[Fraction]] = list(p.relations.basis.row_list())
+    echelon = p.relations.echelon()
     for rv in extra:
         if len(rv.coordinates) != p.ambient_dim:
             raise DimensionError("extra relation has the wrong ambient dimension")
-        vecs.append(rv.coordinates)
-    return Presentation(p.generators, span(vecs, p.ambient_dim))
+        reduce_row(echelon, sparse_row(rv.coordinates))
+    return Presentation(p.generators, echelon_subspace(echelon, p.ambient_dim))
+
+
+def _push(
+    phi: GeneratorMap,
+    coeffs: dict[int, Fraction | int],
+    row: Iterable[tuple[int, Fraction | int]],
+) -> dict[int, Fraction | int]:
+    """Image of a sparse relation row, block by block.
+
+    ``coeffs`` holds the map's matrix entries by flat index ``i*kt + a``.
+    Returns the nonzero image coordinates.
+    """
+    ks = phi.source.size
+    kt = phi.target.size
+    ks2 = ks * ks
+    kt2 = kt * kt
+    images = [
+        [(a, coeffs[i * kt + a]) for a in range(kt) if i * kt + a in coeffs]
+        for i in range(ks)
+    ]
+    out: dict[int, Fraction | int] = {}
+    for c, x in row:
+        block, ij = divmod(c, ks2)
+        i, j = divmod(ij, ks)
+        for a, fa in images[i]:
+            base = block * kt2 + a * kt
+            xf = x * fa
+            for b, fb in images[j]:
+                out[base + b] = out.get(base + b, 0) + xf * fb
+    return {c: y for c, y in out.items() if y}
 
 
 def push_relation(phi: GeneratorMap, v: RelVector) -> RelVector:
     """Image of a relation vector under a generator map, block by block."""
-    ks = phi.source.size
-    kt = phi.target.size
-    if v.num_ops != ks:
+    if v.num_ops != phi.source.size:
         raise DimensionError("relation vector does not match the map source")
-    ks2 = ks * ks
-    kt2 = kt * kt
-    out = [Fraction(0)] * (2 * kt2)
-    for block in (0, ks2):
-        tblock = 0 if block == 0 else kt2
-        for i in range(ks):
-            for j in range(ks):
-                c = v.coordinates[block + i * ks + j]
-                if not c:
-                    continue
-                for a in range(kt):
-                    fia = phi.matrix.at(i, a)
-                    if not fia:
-                        continue
-                    base = tblock + a * kt
-                    cf = c * fia
-                    for b in range(kt):
-                        fjb = phi.matrix.at(j, b)
-                        if fjb:
-                            out[base + b] += cf * fjb
-    return RelVector(tuple(out))
+    coeffs = {i: x for i, x in enumerate(phi.matrix.entries) if x}
+    image = _push(phi, coeffs, ((c, x) for c, x in enumerate(v.coordinates) if x))
+    kt = phi.target.size
+    return RelVector(tuple(image.get(c, Fraction(0)) for c in range(2 * kt * kt)))
 
 
 def is_morphism(
@@ -308,12 +313,14 @@ def is_morphism(
         raise DimensionError("map source does not match the source presentation")
     if phi.target != to_ops_of.generators:
         raise DimensionError("map target does not match the target presentation")
-    target = _IntBasis(to_ops_of.relations)
-    for row in from_ops_of.relations.basis.row_list():
-        image = push_relation(phi, RelVector(row))
-        if not target.contains(image.coordinates):
-            return False
-    return True
+    # the map's entries scaled to integers: every image is scaled alike,
+    # which membership does not see
+    coeffs = sparse_row(phi.matrix.entries)
+    target = to_ops_of.relations.echelon()
+    return all(
+        reduce_row(target, _push(phi, coeffs, row), insert=False) is None
+        for row in from_ops_of.relations.rows
+    )
 
 
 def compose_maps(f: GeneratorMap, g: GeneratorMap) -> GeneratorMap:
@@ -323,33 +330,21 @@ def compose_maps(f: GeneratorMap, g: GeneratorMap) -> GeneratorMap:
     return GeneratorMap(f.source, g.target, f.matrix.matmul(g.matrix))
 
 
-def _transport(
-    row: Sequence[Fraction], imap: Sequence[int], smap: Sequence[int], out_len: int
-) -> list[Fraction]:
-    out = [Fraction(0)] * out_len
-    for idx, x in enumerate(row):
-        if x:
-            s = smap[idx]
-            out[imap[idx]] = x if s == 1 else -x
-    return out
-
-
-def _relabel_maps(sigma: SignedRelabeling, k: int) -> tuple[list[int], list[int]]:
-    """Coordinate index map and sign map induced on the quadratic span."""
+def _index_map(perm: Sequence[int], k: int) -> list[int]:
+    """Coordinate map induced on the quadratic span by a permutation."""
     k2 = k * k
-    perm = sigma.permutation
-    signs = sigma.signs
-    imap = [0] * (2 * k2)
-    smap = [1] * (2 * k2)
-    for i in range(k):
-        for j in range(k):
-            new = perm[i] * k + perm[j]
-            s = signs[i] * signs[j]
-            imap[i * k + j] = new
-            imap[k2 + i * k + j] = k2 + new
-            smap[i * k + j] = s
-            smap[k2 + i * k + j] = s
-    return imap, smap
+    pairs = [perm[i] * k + perm[j] for i in range(k) for j in range(k)]
+    return pairs + [k2 + c for c in pairs]
+
+
+def _relabel(
+    rows: Iterable[IntRow], imap: Sequence[int], signs: Sequence[int], k: int
+) -> Iterable[SparseRow]:
+    """Relation rows moved by ``imap`` and signed by ``signs``."""
+    k2 = k * k
+    pair_signs = [signs[i] * signs[j] for i in range(k) for j in range(k)]
+    for row in rows:
+        yield {imap[c]: x * pair_signs[c % k2] for c, x in row}
 
 
 def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
@@ -360,11 +355,9 @@ def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
     names: list[str] = [""] * k
     for i, name in enumerate(p.generators.names):
         names[sigma.permutation[i]] = name
-    imap, smap = _relabel_maps(sigma, k)
-    vecs = [
-        _transport(row, imap, smap, 2 * k * k) for row in p.relations.basis.row_list()
-    ]
-    return Presentation(GeneratorSet(tuple(names)), span(vecs, 2 * k * k))
+    imap = _index_map(sigma.permutation, k)
+    rows = _relabel(p.relations.rows, imap, sigma.signs, k)
+    return Presentation(GeneratorSet(tuple(names)), span_rows(rows, 2 * k * k))
 
 
 def find_relabeling_iso(
@@ -380,25 +373,14 @@ def find_relabeling_iso(
         raise DimensionError("presentations have different numbers of operations")
     if p.relations.dimension != q.relations.dimension:
         return None
-    k2 = k * k
-    ambient = 2 * k2
-    target = _IntBasis(q.relations)
-    rows = p.relations.basis.row_list()
+    target = q.relations.echelon()
+    rows = p.relations.rows
     for perm in itertools.permutations(range(k)):
-        base = [0] * ambient
-        for i in range(k):
-            for j in range(k):
-                new = perm[i] * k + perm[j]
-                base[i * k + j] = new
-                base[k2 + i * k + j] = k2 + new
+        imap = _index_map(perm, k)
         for signs in itertools.product((1, -1), repeat=k):
-            sigma = SignedRelabeling(tuple(perm), signs)
-            _, smap = _relabel_maps(sigma, k)
-            ok = True
-            for row in rows:
-                if not target.contains(_transport(row, base, smap, ambient)):
-                    ok = False
-                    break
-            if ok:
-                return sigma
+            if all(
+                reduce_row(target, row, insert=False) is None
+                for row in _relabel(rows, imap, signs, k)
+            ):
+                return SignedRelabeling(perm, signs)
     return None

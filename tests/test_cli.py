@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -150,6 +151,28 @@ class TestPresentationCommands:
             "  rel: (x ·* y) ·* z = x ·* (y ·* z);\n"
             "}\n"
         )
+
+    # sha256 of `quadops dual builtins NAME`, frozen from the output of
+    # the dense Fraction implementation; the relation rows are printed
+    # from the integer RREF rows, so this guards that conversion
+    @pytest.mark.parametrize(
+        "name,digest",
+        (
+            ("As", "40ccf42979c3d760e8170cee3122d49e5c0bd9c06aedb4b964f3704c6b344df9"),
+            ("Dend", "b8cfde8c87482efa34330de043fa20d038af674dd780346c322bd2f54423b936"),
+            ("Dias", "426f39a72dd8932a68daa15fc9442c6d1081176857463f4f7daf8bf7cf99131c"),
+            (
+                "DendSquareDias",
+                "44d37386ed5eb5f14d37fc8c10b9de06c7d4677591072cca8aad31f9f2d35496",
+            ),
+            ("Xplus", "3cb0f0eabf9295a518e78ba9bec31754af722b1b348d089fc04d9887ba7b1f87"),
+            ("Xminus", "8d0da08f80ed962cdf78c51aaa6bb263a2765f1664da97d8f4dc6f74550e5efb"),
+        ),
+    )
+    def test_printed_dual_of_every_builtin_frozen(self, capsys, name, digest):
+        code, out, _ = run(capsys, "dual", "builtins", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_dual_prefix_round_trips(self, capsys):
         code, out, _ = run(capsys, "dual", "builtins", "dual:As")
@@ -395,8 +418,31 @@ class TestVerifyPaper:
             "40 checks: 40 pass, 0 fail, 0 findings"
         )
 
-    def test_weight_five_needs_allow_large(self, capsys):
-        code, _, err = run(capsys, "--max-weight", "5", "verify-paper")
+    def test_weight_five_reports_the_order_five_defects(self, capsys):
+        code, out, _ = run(
+            capsys, "--max-weight", "5", "verify-paper", "--scan-grid", "0"
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "44 checks: 38 pass, 2 fail, 4 findings"
+        failures = [
+            (line.split()[1], lines[i + 2])
+            for i, line in enumerate(lines)
+            if line.startswith("FAIL")
+        ]
+        assert failures == [
+            (
+                "series-defect-sixteen-self-plus",
+                "        actual:   coefficients ('0', '0', '0', '0', '0', '54')",
+            ),
+            (
+                "series-defect-sixteen-self-minus",
+                "        actual:   coefficients ('0', '0', '0', '0', '0', '100')",
+            ),
+        ]
+
+    def test_weight_six_needs_allow_large(self, capsys):
+        code, _, err = run(capsys, "--max-weight", "6", "verify-paper")
         assert code == 2
         assert "--allow-large" in err
 

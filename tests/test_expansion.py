@@ -241,12 +241,12 @@ class TestIdealAndDims:
     def test_weight_four_ideal_rank_against_sympy(self, name, dim4):
         p = builtin(name)
         ideal = ideal_span(p, 4)
-        rows = [list(r) for r in ideal.basis.row_list()]
+        rows = [list(r) for r in ideal.fraction_rows()]
         assert sympy.Matrix(rows).rank() == ideal.dimension == 320 - dim4
 
     def test_dend_weight_four_ideal_rank_against_sympy(self):
         ideal = ideal_span(builtin("Dend"), 4)
-        rows = [list(r) for r in ideal.basis.row_list()]
+        rows = [list(r) for r in ideal.fraction_rows()]
         assert sympy.Matrix(rows).rank() == ideal.dimension == 40 - 14
 
     def test_adding_relations_never_raises_dims(self):
@@ -290,14 +290,14 @@ def reference_ideal_span(p: Presentation, n: int):
     if n == 3:
         quad = [TreeMonomial(_LEFT_COMB, (j, i)) for i in range(k) for j in range(k)]
         quad += [TreeMonomial(_RIGHT_COMB, (i, j)) for i in range(k) for j in range(k)]
-        for row in p.relations.basis.row_list():
+        for row in p.relations.fraction_rows():
             out = [Fraction(0)] * len(basis)
             for c, mon in zip(row, quad):
                 out[index[mon]] += c
             vecs.append(out)
         return span(vecs, len(basis))
     prev_basis = weight_basis(k, n - 1)
-    for row in reference_ideal_span(p, n - 1).basis.row_list():
+    for row in reference_ideal_span(p, n - 1).fraction_rows():
         terms = [(c, prev_basis[i]) for i, c in enumerate(row) if c]
         for g in (TreeMonomial(NODE, (x,)) for x in range(k)):
             composites = [lambda m, pos=pos: graft(m, pos, g) for pos in range(n - 1)]

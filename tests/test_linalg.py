@@ -1,7 +1,7 @@
 """Tests for the exact linear algebra core.
 
-Reference ranks are cross-checked against sympy's exact rational matrices,
-an independent implementation of row reduction.
+Reference ranks and kernels are cross-checked against sympy's exact
+rational matrices, an independent implementation of row reduction.
 """
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from quadops.linalg import (
     rref,
     span,
     subspace_contains,
-    subspace_equal,
 )
 
 F = Fraction
@@ -32,6 +31,10 @@ def sympy_rank(m: Matrix) -> int:
         m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries]
     )
     return sm.rank()
+
+
+def full(n: int) -> Subspace:
+    return span(Matrix.identity(n).row_list(), n)
 
 
 # Three relation rows in an 8 dimensional ambient space, entries in {0, +-1}.
@@ -97,13 +100,27 @@ def test_span_of_independent_rows_frozen():
     s = span(INDEPENDENT_ROWS, 8)
     assert s.dimension == 3
     # RREF reorders by pivot column (0, then 1, then 2).
-    assert s.basis == Matrix.from_rows(
-        [
+    assert s.rows == (
+        ((0, 1), (4, -1), (5, -1)),
+        ((1, 1), (3, 1), (7, -1)),
+        ((2, 1), (6, -1)),
+    )
+    assert s.fraction_rows() == [
+        tuple(F(x) for x in row)
+        for row in (
             [1, 0, 0, 0, -1, -1, 0, 0],
             [0, 1, 0, 1, 0, 0, 0, -1],
             [0, 0, 1, 0, 0, 0, -1, 0],
-        ]
-    )
+        )
+    ]
+
+
+def test_stored_rows_are_primitive_integers():
+    s = span([[F(1, 2), F(1, 3), 0], [0, 0, 4]], 3)
+    assert s.rows == (((0, 3), (1, 2)), ((2, 1),))
+    assert s.fraction_rows() == [(F(1), F(2, 3), F(0)), (F(0), F(0), F(1))]
+    # equal subspaces hash alike
+    assert hash(s) == hash(span([[0, 0, 1], [3, 2, 5]], 3))
 
 
 def test_span_empty_is_zero_subspace():
@@ -122,7 +139,7 @@ def test_span_rejects_wrong_length():
 def test_kernel_of_sum_row():
     k = kernel(Matrix.from_rows([[1, 1]]))
     assert k.dimension == 1
-    assert k.basis == Matrix.from_rows([[1, -1]])
+    assert k.rows == (((0, 1), (1, -1)),)
 
 
 def test_kernel_of_identity_is_zero():
@@ -131,40 +148,39 @@ def test_kernel_of_identity_is_zero():
 
 def test_kernel_of_zero_matrix_is_full():
     k = kernel(Matrix.zero(2, 3))
-    assert k == Subspace.full(3)
+    assert k == full(3)
 
 
 def test_complement_of_zero_subspace_is_everything():
-    form = Matrix.diagonal([1, -1])
-    c = complement_under_form(Subspace.zero(2), form)
-    assert c == Subspace.full(2)
+    c = complement_under_form(Subspace.zero(2), (1, -1))
+    assert c == full(2)
 
 
 def test_complement_of_full_is_zero():
-    form = Matrix.diagonal([1, 1, -1, -1])
-    c = complement_under_form(Subspace.full(4), form)
+    c = complement_under_form(full(4), (1, 1, -1, -1))
     assert c.dimension == 0
 
 
 def test_complement_dimension_example():
-    form = Matrix.diagonal([1, 1, -1, -1])
     s = span([[1, 0, -1, 0]], 4)
-    c = complement_under_form(s, form)
+    c = complement_under_form(s, (1, 1, -1, -1))
     assert c.dimension == 3
     # every basis vector of c pairs to zero with the generator of s
-    for row in c.basis.row_list():
+    for row in c.fraction_rows():
         value = row[0] * 1 - row[2] * (-1)
         assert value == 0
 
 
 def test_complement_degenerate_form_raises():
     with pytest.raises(ValueError, match="degenerate"):
-        complement_under_form(Subspace.zero(2), Matrix.zero(2, 2))
+        complement_under_form(Subspace.zero(2), (0, 0))
+    with pytest.raises(ValueError):
+        complement_under_form(Subspace.zero(2), (1, 2))
 
 
 def test_complement_shape_mismatch_raises():
     with pytest.raises(DimensionError):
-        complement_under_form(Subspace.zero(2), Matrix.identity(3))
+        complement_under_form(Subspace.zero(2), (1, 1, 1))
 
 
 def test_subspace_contains_and_equal_basics():
@@ -174,7 +190,7 @@ def test_subspace_contains_and_equal_basics():
     assert subspace_contains(big, small)
     assert not subspace_contains(small, big)
     assert not subspace_contains(big, other)
-    assert subspace_equal(big, span([[1, 1, 0], [1, -1, 0]], 3))
+    assert big == span([[1, 1, 0], [1, -1, 0]], 3)
     with pytest.raises(DimensionError):
         subspace_contains(big, span([], 2))
 
@@ -185,11 +201,10 @@ def test_contains_vector_reduces_fractions():
     assert not s.contains_vector([F(1, 2), F(2), F(0)])
 
 
-def test_matmul_and_transpose():
+def test_matmul():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])
     assert a.matmul(b) == Matrix.from_rows([[2, 1], [4, 3]])
-    assert a.transpose() == Matrix.from_rows([[1, 3], [2, 4]])
     with pytest.raises(DimensionError):
         a.matmul(Matrix.zero(3, 2))
 
@@ -205,10 +220,21 @@ def test_matrix_rejects_floats():
 
 
 def test_subspace_rejects_non_canonical_basis():
-    with pytest.raises(ValueError):
-        Subspace(2, Matrix.from_rows([[2, 0]]))
-    with pytest.raises(ValueError):
-        Subspace(2, Matrix.from_rows([[0, 0]]))
+    assert Subspace(3, (((0, 1), (2, -2)), ((1, 3), (2, 1)))).dimension == 2
+    bad = [
+        ((),),  # zero row
+        (((0, 2),),),  # not primitive
+        (((0, -1), (1, 1)),),  # negative lead
+        (((1, 1), (0, 1)),),  # columns out of order
+        (((0, 1), (1, 0)),),  # stored zero
+        (((1, 1),), ((0, 1),)),  # rows out of echelon order
+        (((0, 1), (1, 1)), ((1, 1),)),  # nonzero at another lead column
+    ]
+    for rows in bad:
+        with pytest.raises(ValueError):
+            Subspace(2, rows)
+    with pytest.raises(DimensionError):
+        Subspace(2, (((2, 1),),))
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -245,7 +271,7 @@ def test_rank_nullity(m):
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     k = kernel(m)
-    for v in k.basis.row_list():
+    for v in k.fraction_rows():
         for i in range(m.rows):
             assert sum(m.at(i, j) * v[j] for j in range(m.cols)) == 0
 
@@ -260,8 +286,7 @@ def test_rows_lie_in_their_span(m):
 @given(matrices())
 def test_span_is_idempotent(m):
     s = span(m.row_list(), m.cols)
-    again = span(s.basis.row_list(), m.cols)
-    assert subspace_equal(s, again)
+    again = span(s.fraction_rows(), m.cols)
     assert s == again
 
 
@@ -270,8 +295,21 @@ def test_span_is_idempotent(m):
 def test_double_complement_restores_subspace(m, data):
     n = m.cols
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-    form = Matrix.diagonal(signs)
     s = span(m.row_list(), n)
-    c = complement_under_form(s, form)
+    c = complement_under_form(s, signs)
     assert c.dimension == n - s.dimension
-    assert subspace_equal(complement_under_form(c, form), s)
+    assert complement_under_form(c, signs) == s
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_complement_matches_sympy_nullspace(m, data):
+    n = m.cols
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    scaled = sympy.Matrix(
+        m.rows,
+        n,
+        [sympy.Rational(x.numerator, x.denominator) * signs[i % n] for i, x in enumerate(m.entries)],
+    )
+    null = [[F(int(x.p), int(x.q)) for x in v] for v in scaled.nullspace()]
+    assert complement_under_form(span(m.row_list(), n), signs) == span(null, n)

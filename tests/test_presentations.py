@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadops.catalog import (
+    BUILTIN_NAMES,
     as_relations,
     builtin,
     builtin_map,
@@ -39,6 +40,21 @@ from quadops.presentations import (
     right_index,
     square,
 )
+
+
+def sympy_dual_relations(p: Presentation):
+    """Oracle: the span of sympy's nullspace of B D, where B holds the
+    relation rows and D = diag(+1, ..., -1, ...) is the pairing."""
+    n = p.ambient_dim
+    signs = [1] * (n // 2) + [-1] * (n // 2)
+    rows = [
+        [sympy.Rational(x.numerator, x.denominator) * s for x, s in zip(r.coordinates, signs)]
+        for r in p.relation_rows()
+    ]
+    flat = [x for row in rows for x in row]
+    null = sympy.Matrix(len(rows), n, flat).nullspace()
+    vectors = [[Fraction(int(x.p), int(x.q)) for x in v] for v in null]
+    return span(vectors, n)
 
 
 def sympy_in_span(rows, vector) -> bool:
@@ -109,8 +125,8 @@ class TestPairingAndDual:
         assert pairing_value(e(0), e(4)) == 0
 
     def test_pairing_form_golden(self):
-        f = pairing_form(1)
-        assert f.row_list() == [(1, 0), (0, -1)]
+        assert pairing_form(1) == (1, -1)
+        assert pairing_form(2) == (1, 1, 1, 1, -1, -1, -1, -1)
 
     def test_pairing_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -129,6 +145,16 @@ class TestPairingAndDual:
             assert dual(p).relations.dimension == (
                 p.ambient_dim - p.relations.dimension
             )
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_dual_matches_sympy_nullspace_for_builtins(self, name):
+        p = builtin(name)
+        assert dual(p).relations == sympy_dual_relations(p)
+
+    @given(presentations())
+    @settings(deadline=None)
+    def test_dual_matches_sympy_nullspace(self, p):
+        assert dual(p).relations == sympy_dual_relations(p)
 
     @given(presentations())
     @settings(deadline=None)
@@ -239,7 +265,7 @@ class TestMaps:
     def test_standard_maps_against_span_oracle(self):
         for source, target in builtin_map_pairs():
             phi = builtin_map(source, target)
-            rows = builtin(target).relations.basis.row_list()
+            rows = builtin(target).relations.fraction_rows()
             for rel in builtin(source).relation_rows():
                 image = push_relation(phi, rel)
                 assert sympy_in_span(rows, image.coordinates)
@@ -251,7 +277,7 @@ class TestMaps:
             Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]]),
         )
         assert not is_morphism(phi, builtin("Dias"), builtin("Xplus"))
-        rows = builtin("Xplus").relations.basis.row_list()
+        rows = builtin("Xplus").relations.fraction_rows()
         bad = [
             rel
             for rel in builtin("Dias").relation_rows()
