@@ -337,14 +337,45 @@ def _index_map(perm: Sequence[int], k: int) -> list[int]:
     return pairs + [k2 + c for c in pairs]
 
 
+def _pair_signs(signs: Sequence[int], k: int) -> tuple[int, ...]:
+    """Scale of the coordinates of pair (i, j), at index i*k + j: signs[i]*signs[j]."""
+    return tuple(signs[i] * signs[j] for i in range(k) for j in range(k))
+
+
 def _relabel(
-    rows: Iterable[IntRow], imap: Sequence[int], signs: Sequence[int], k: int
+    rows: Iterable[IntRow], imap: Sequence[int], pair_signs: Sequence[int], k: int
 ) -> Iterable[SparseRow]:
-    """Relation rows moved by ``imap`` and signed by ``signs``."""
+    """Relation rows moved by ``imap`` and scaled by the ``_pair_signs`` table."""
     k2 = k * k
-    pair_signs = [signs[i] * signs[j] for i in range(k) for j in range(k)]
     for row in rows:
         yield {imap[c]: x * pair_signs[c % k2] for c, x in row}
+
+
+def _pair_ranks(p: Presentation) -> tuple[int, ...]:
+    """Rank of the relation space projected onto each coordinate pair.
+
+    Entry i*k + j is the rank (0, 1 or 2) of the projection onto the two
+    coordinates ``left_index(k, i, j)`` and ``right_index(k, i, j)``. The
+    projected basis rows span the projection, so one pass over them
+    decides it: rank 2 as soon as two projected rows are not proportional.
+    """
+    k2 = p.num_ops ** 2
+    ranks = [0] * k2
+    first: list[tuple[int, int]] = [(0, 0)] * k2
+    for row in p.relations.rows:
+        projected: dict[int, list[int]] = {}
+        for c, x in row:
+            block, pair = divmod(c, k2)
+            projected.setdefault(pair, [0, 0])[block] = x
+        for pair, (a, b) in projected.items():
+            if ranks[pair] == 0:
+                ranks[pair] = 1
+                first[pair] = (a, b)
+            elif ranks[pair] == 1:
+                a0, b0 = first[pair]
+                if a0 * b != a * b0:
+                    ranks[pair] = 2
+    return tuple(ranks)
 
 
 def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
@@ -356,7 +387,7 @@ def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
     for i, name in enumerate(p.generators.names):
         names[sigma.permutation[i]] = name
     imap = _index_map(sigma.permutation, k)
-    rows = _relabel(p.relations.rows, imap, sigma.signs, k)
+    rows = _relabel(p.relations.rows, imap, _pair_signs(sigma.signs, k), k)
     return Presentation(GeneratorSet(tuple(names)), span_rows(rows, 2 * k * k))
 
 
@@ -367,20 +398,43 @@ def find_relabeling_iso(
 
     Candidates are tried in lexicographic order: permutations first, then
     sign patterns with all +1 first. Returns the first match, or None.
+    Two exact prunings skip candidates without any elimination; neither
+    changes the order in which the rest are tried, nor the match returned.
+
+    * Only sign patterns with signs[0] = +1 are tried. A relabeling scales
+      the coordinates of pair (i, j) by signs[i]*signs[j], so negating
+      every sign gives the same relabeling. Within one permutation the
+      patterns with signs[0] = +1 come first, so the first match always
+      has one.
+    * A signed relabeling carries the coordinate pair (i, j) onto
+      (perm[i], perm[j]) and scales both of its coordinates by one sign,
+      so it preserves the rank of the relation space projected onto each
+      pair (``_pair_ranks``). If the sorted ranks of p and q differ there
+      is no match; otherwise a permutation that does not carry p's ranks
+      onto q's is skipped with all its sign patterns.
     """
     k = p.num_ops
     if q.num_ops != k:
         raise DimensionError("presentations have different numbers of operations")
     if p.relations.dimension != q.relations.dimension:
         return None
+    p_ranks = _pair_ranks(p)
+    q_ranks = _pair_ranks(q)
+    if sorted(p_ranks) != sorted(q_ranks):
+        return None
+    patterns = [(1,) + rest for rest in itertools.product((1, -1), repeat=k - 1)]
+    sign_tables = [(signs, _pair_signs(signs, k)) for signs in patterns]
     target = q.relations.echelon()
     rows = p.relations.rows
     for perm in itertools.permutations(range(k)):
         imap = _index_map(perm, k)
-        for signs in itertools.product((1, -1), repeat=k):
+        # the first k*k entries of imap are the image pairs
+        if any(q_ranks[imap[c]] != r for c, r in enumerate(p_ranks)):
+            continue
+        for signs, pair_signs in sign_tables:
             if all(
                 reduce_row(target, row, insert=False) is None
-                for row in _relabel(rows, imap, signs, k)
+                for row in _relabel(rows, imap, pair_signs, k)
             ):
                 return SignedRelabeling(perm, signs)
     return None

@@ -340,11 +340,14 @@ def _self_duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     records = []
     for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
         p = cat.presentation(name)
-        sigma = find_relabeling_iso(p, dual(p))
+        p_dual = dual(p)
+        sigma = find_relabeling_iso(p, p_dual)
+        # apply the witness too: a check that does not go through the search
         records.append(
             _record(
                 f"self-duality-witness-{tag}",
-                sigma == MIDDLE_SWAP,
+                sigma == MIDDLE_SWAP
+                and apply_relabeling(sigma, p).relations == p_dual.relations,
                 f"relabeling {MIDDLE_SWAP.permutation} with all positive signs",
                 "no relabeling found"
                 if sigma is None

@@ -4,6 +4,7 @@ Dimension claims are cross-checked against sympy's rank as an independent
 oracle before being asserted as frozen numbers.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from quadops.catalog import (
     builtin_map_pairs,
     dend_relations,
 )
-from quadops.linalg import DimensionError, Matrix, span
+from quadops.linalg import DimensionError, Matrix, reduce_row, span
 from quadops.presentations import (
     GeneratorMap,
     GeneratorSet,
@@ -39,7 +40,9 @@ from quadops.presentations import (
     relation_vector,
     right_index,
     square,
+    _pair_ranks,
 )
+from quadops.verify import extra_relation_directions, scan_grid
 
 
 def sympy_dual_relations(p: Presentation):
@@ -64,9 +67,77 @@ def sympy_in_span(rows, vector) -> bool:
     return m.rank() == extended.rank()
 
 
+def exhaustive_relabeling_iso(p: Presentation, q: Presentation):
+    """Oracle: the unpruned search, every signed relabeling in lexicographic
+    order (permutations first, then sign patterns with all +1 first), each
+    checked by reducing every moved relation row against q."""
+    k = p.num_ops
+    if q.num_ops != k:
+        raise DimensionError("presentations have different numbers of operations")
+    if p.relations.dimension != q.relations.dimension:
+        return None
+    k2 = k * k
+    target = q.relations.echelon()
+    for perm in itertools.permutations(range(k)):
+        pairs = [perm[i] * k + perm[j] for i in range(k) for j in range(k)]
+        imap = pairs + [k2 + c for c in pairs]
+        for signs in itertools.product((1, -1), repeat=k):
+            pair_signs = [signs[i] * signs[j] for i in range(k) for j in range(k)]
+            if all(
+                reduce_row(
+                    target,
+                    {imap[c]: x * pair_signs[c % k2] for c, x in row},
+                    insert=False,
+                )
+                is None
+                for row in p.relations.rows
+            ):
+                return SignedRelabeling(perm, signs)
+    return None
+
+
+def sympy_pair_ranks(p: Presentation) -> tuple[int, ...]:
+    """Oracle: sympy's rank of the relation rows restricted to the two
+    coordinates of each pair (i, j)."""
+    k = p.num_ops
+    rows = p.relation_rows()
+    ranks = []
+    for i in range(k):
+        for j in range(k):
+            cols = (left_index(k, i, j), right_index(k, i, j))
+            entries = [
+                sympy.Rational(r.coordinates[c].numerator, r.coordinates[c].denominator)
+                for r in rows
+                for c in cols
+            ]
+            ranks.append(sympy.Matrix(len(rows), 2, entries).rank() if rows else 0)
+    return tuple(ranks)
+
+
+def scan_quotients(radius: int):
+    """The quotients of the fifteen-relation square swept by the scan."""
+    base = builtin("DendSquareDias")
+    left_dir, right_dir = extra_relation_directions()
+    for a, b in scan_grid(radius):
+        extra = RelVector(
+            tuple(
+                a * x + b * y
+                for x, y in zip(left_dir.coordinates, right_dir.coordinates)
+            )
+        )
+        yield quotient(base, [extra])
+
+
 @st.composite
-def presentations(draw, max_ops: int = 2):
-    k = draw(st.integers(min_value=1, max_value=max_ops))
+def signed_relabelings(draw, k: int):
+    perm = tuple(draw(st.permutations(range(k))))
+    signs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k)))
+    return SignedRelabeling(perm, signs)
+
+
+@st.composite
+def presentations(draw, max_ops: int = 2, min_ops: int = 1):
+    k = draw(st.integers(min_value=min_ops, max_value=max_ops))
     ambient = 2 * k * k
     nvecs = draw(st.integers(min_value=0, max_value=3))
     vecs = [
@@ -381,3 +452,79 @@ class TestRelabeling:
             ),
         )
         assert find_relabeling_iso(one, other) is None
+
+
+class TestPrunedSearchMatchesExhaustiveSearch:
+    """The pruned search returns exactly what trying every candidate does."""
+
+    def test_scan_quotients_against_their_duals(self):
+        hits = 0
+        for q in scan_quotients(4):
+            witness = find_relabeling_iso(q, dual(q))
+            assert witness == exhaustive_relabeling_iso(q, dual(q))
+            hits += witness is not None
+        assert hits == 16
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_against_dual_and_itself(self, name):
+        p = builtin(name)
+        d = dual(p)
+        for left, right in ((p, d), (d, p), (p, p)):
+            assert find_relabeling_iso(left, right) == exhaustive_relabeling_iso(
+                left, right
+            )
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_random_relabeling_is_found_first(self, data):
+        p = data.draw(presentations(max_ops=3))
+        q = apply_relabeling(data.draw(signed_relabelings(p.num_ops)), p)
+        witness = find_relabeling_iso(p, q)
+        assert witness is not None
+        assert witness == exhaustive_relabeling_iso(p, q)
+        assert apply_relabeling(witness, p).relations == q.relations
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_unrelated_draws(self, data):
+        p = data.draw(presentations(max_ops=3))
+        k = p.num_ops
+        q = data.draw(presentations(min_ops=k, max_ops=k))
+        assert find_relabeling_iso(p, q) == exhaustive_relabeling_iso(p, q)
+
+
+class TestPairRanks:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matches_sympy_for_builtins(self, name):
+        p = builtin(name)
+        assert _pair_ranks(p) == sympy_pair_ranks(p)
+        assert _pair_ranks(dual(p)) == sympy_pair_ranks(dual(p))
+
+    @given(presentations(max_ops=3))
+    @settings(deadline=None, max_examples=40)
+    def test_matches_sympy(self, p):
+        assert _pair_ranks(p) == sympy_pair_ranks(p)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_carried_along_by_relabeling(self, data):
+        p = data.draw(presentations(max_ops=3))
+        k = p.num_ops
+        sigma = data.draw(signed_relabelings(k))
+        before = _pair_ranks(p)
+        after = _pair_ranks(apply_relabeling(sigma, p))
+        perm = sigma.permutation
+        for i in range(k):
+            for j in range(k):
+                assert after[perm[i] * k + perm[j]] == before[i * k + j]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_negating_every_sign_gives_the_same_relabeling(self, data):
+        p = data.draw(presentations(max_ops=3))
+        sigma = data.draw(signed_relabelings(p.num_ops))
+        negated = SignedRelabeling(sigma.permutation, tuple(-s for s in sigma.signs))
+        assert (
+            apply_relabeling(sigma, p).relations
+            == apply_relabeling(negated, p).relations
+        )

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import quadops.verify
 from quadops.catalog import BUILTIN_NAMES, catalog
 from quadops.verify import (
     CheckRecord,
@@ -21,6 +22,7 @@ from quadops.verify import (
     scan_grid,
     sixteenth_relation_scan,
     verify_all,
+    _self_duality_checks,
 )
 
 EXPECTED_IDS = (
@@ -107,6 +109,16 @@ class TestRecordAndConfig:
         cfg = VerifyConfig.quick()
         assert cfg.max_weight == 3
         assert cfg.run_scan is False
+
+    def test_self_duality_witness_is_applied(self, monkeypatch):
+        records = _self_duality_checks(catalog())
+        witnesses = [r for r in records if r.check_id.startswith("self-duality")]
+        assert [r.status for r in witnesses] == ["pass", "pass"]
+        # a relabeling that moved nothing would leave p, not its dual
+        monkeypatch.setattr(quadops.verify, "apply_relabeling", lambda sigma, p: p)
+        records = _self_duality_checks(catalog())
+        witnesses = [r for r in records if r.check_id.startswith("self-duality")]
+        assert [r.status for r in witnesses] == ["fail", "fail"]
 
     def test_middle_swap_shape(self):
         assert MIDDLE_SWAP.permutation == (0, 2, 1, 3)
@@ -195,6 +207,13 @@ class TestScan:
 
     def test_radius_two_passing_set(self):
         assert sixteenth_relation_scan(scan_grid(2)) == SCAN_PASSING_RADIUS_TWO
+
+    def test_radius_four_passing_set(self):
+        expected = {
+            (a, b) for a, b in scan_grid(4) if a != 0 and abs(a) == abs(b)
+        }
+        assert len(expected) == 16
+        assert sixteenth_relation_scan(scan_grid(4)) == frozenset(expected)
 
     def test_passing_law_on_scaled_pairs(self):
         # self-duality survives exactly when the two coefficients have
