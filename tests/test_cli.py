@@ -358,6 +358,31 @@ class TestExpand:
             "x ∨ (y ∨ (z ∨ w))",
         ]
 
+    # sha256 of `quadops --format json expand builtins NAME --weight 4
+    # --basis`, frozen; it pins the tree order, the label order, the pivot
+    # choice and the monomial rendering together
+    @pytest.mark.parametrize(
+        "name,digest",
+        (
+            ("As", "0a1a9dee9efa6c1823947bd27b3c79d12fb28ff5f8bbb6a3a9a66e2d5aa0aec3"),
+            ("Dend", "eaba741b15c2d06153f28427e1a1c3c57b54685360e41f6fa22b03533499796f"),
+            ("Dias", "3db99b184983306bc49b7ea362b56c17f31db270b63d0fe4a08aa6e52d917576"),
+            (
+                "DendSquareDias",
+                "f9847cac9bf34b671a861776b2c4e5b0e5203034c81397018d0a6991f0607300",
+            ),
+            ("Xplus", "4dce98157422ecf0a4f7265c46284fd314c61fbe6e7815fd78fc78e8245c0f47"),
+            ("Xminus", "259cbef2d085273a25fcffe0cc7698d1394ffc7fe0d351c440e30f2763e1d4b6"),
+        ),
+    )
+    def test_weight_four_basis_of_every_builtin_frozen(self, capsys, name, digest):
+        code, out, _ = run(
+            capsys, "--format", "json", "expand", "builtins", name,
+            "--weight", "4", "--basis",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_closed_pipe_exits_quietly(self):
         # the read end is closed before the command writes, as when
         # `| head` has already exited
