@@ -167,6 +167,7 @@ def _presentation(names: tuple[str, ...], rels: tuple[RelVector, ...]) -> Presen
     )
 
 
+# Cached per built-in name: at most six entries.
 @lru_cache(maxsize=None)
 def spanning_relations(name: str) -> tuple[RelVector, ...]:
     """The literal defining relation list of a built-in, in source order."""
@@ -195,6 +196,7 @@ _GENERATORS = {
 }
 
 
+# Cached per built-in name: at most six entries.
 @lru_cache(maxsize=None)
 def builtin(name: str) -> Presentation:
     """Look up a built-in presentation by name; raises KeyError if unknown."""
@@ -219,6 +221,7 @@ def builtin_map_pairs() -> tuple[tuple[str, str], ...]:
     return tuple(_MAP_MATRICES)
 
 
+# Cached per built-in pair of _MAP_MATRICES: at most six entries.
 @lru_cache(maxsize=None)
 def builtin_map(source: str, target: str) -> GeneratorMap:
     """The standard generator map between two built-ins; KeyError if none."""

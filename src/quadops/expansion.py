@@ -7,6 +7,11 @@ monomials (Catalan number times label choices). A component of the
 presented operad is that space modulo the weight-n part of the ideal the
 relations generate, so its dimension is basis size minus ideal rank.
 
+A tree has one encoding, a nested tuple: ``None`` is a leaf and
+``(left, right)`` a binary vertex; a context adds one ``(a, b, c)``
+ternary vertex, which holds a relation. A ``TreeMonomial`` pairs such a
+shape with its labels in pre-order.
+
 The ideal's weight-n part is spanned by the relations placed at tree
 contexts, as in the tree-monomial set-up of Bremner and Dotsenko: a
 context is an n-leaf planar tree with one ternary vertex and labelled
@@ -22,13 +27,20 @@ Orderings are fixed so golden tests are byte-stable: trees are ordered by
 descending left-subtree leaf count (recursively), labels are read in
 pre-order, and the monomial basis runs through trees in tree order and
 labels in lexicographic order.
+
+Two caches remain, both keyed by the weight alone: ``enumerate_trees``
+and ``_context_layouts`` keep the shapes and the context layouts of each
+weight asked for, and the weight ceiling of the CLI bounds how many there
+are. Nothing that depends on a presentation or on the number of
+operations is cached, so monomials, echelons and ideal bases are freed
+with the call that built them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -36,15 +48,11 @@ from .linalg import Echelon, Subspace, echelon_subspace, reduce_row
 from .presentations import Presentation
 
 __all__ = [
-    "PlanarTree",
     "TreeMonomial",
     "WeightComponent",
-    "LEAF",
     "catalan",
-    "tree_arity",
     "enumerate_trees",
     "weight_basis",
-    "graft",
     "ideal_span",
     "weight_component",
     "component_dim",
@@ -53,72 +61,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlanarTree:
-    """Planar binary tree: a leaf, or an ordered pair of subtrees."""
-
-    left: PlanarTree | None = None
-    right: PlanarTree | None = None
-
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
-            raise ValueError("a tree node has either two children or none")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-LEAF = PlanarTree()
-
-
 def catalan(n: int) -> int:
     """Number of planar binary trees with n+1 leaves."""
     return comb(2 * n, n) // (n + 1)
 
 
+# Cached by weight alone: one entry per weight asked for.
 @lru_cache(maxsize=None)
-def tree_arity(t: PlanarTree) -> int:
-    """Number of leaves."""
-    if t.is_leaf:
-        return 1
-    return tree_arity(t.left) + tree_arity(t.right)
-
-
-@lru_cache(maxsize=None)
-def enumerate_trees(n: int) -> tuple[PlanarTree, ...]:
+def enumerate_trees(n: int) -> tuple:
     """All planar binary trees with n leaves, larger left subtrees first."""
     if n < 1:
         raise ValueError("a tree has at least one leaf")
     if n == 1:
-        return (LEAF,)
-    out = []
-    for left_leaves in range(n - 1, 0, -1):
-        for lt in enumerate_trees(left_leaves):
-            for rt in enumerate_trees(n - left_leaves):
-                out.append(PlanarTree(lt, rt))
-    return tuple(out)
+        return (None,)
+    return tuple(
+        (left, right)
+        for left_leaves in range(n - 1, 0, -1)
+        for left in enumerate_trees(left_leaves)
+        for right in enumerate_trees(n - left_leaves)
+    )
+
+
+def _leaf_count(shape) -> int:
+    if shape is None:
+        return 1
+    if not (isinstance(shape, tuple) and len(shape) == 2):
+        raise ValueError("a tree is None (a leaf) or a (left, right) pair of trees")
+    return _leaf_count(shape[0]) + _leaf_count(shape[1])
 
 
 @dataclass(frozen=True)
 class TreeMonomial:
     """A tree shape with one operation label per internal node, pre-order."""
 
-    shape: PlanarTree
+    shape: tuple | None
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != tree_arity(self.shape) - 1:
+        if _leaf_count(self.shape) != len(self.labels) + 1:
             raise ValueError("one label per internal node")
         if any(g < 0 for g in self.labels):
             raise ValueError("labels are operation indices")
 
     @property
     def arity(self) -> int:
-        return tree_arity(self.shape)
+        return len(self.labels) + 1
 
 
-@lru_cache(maxsize=None)
 def weight_basis(num_ops: int, n: int) -> tuple[TreeMonomial, ...]:
     """Ordered monomial basis of the weight-n free component."""
     if num_ops < 1:
@@ -130,78 +119,22 @@ def weight_basis(num_ops: int, n: int) -> tuple[TreeMonomial, ...]:
     return tuple(out)
 
 
-def _graft(
-    shape: PlanarTree,
-    labels: Sequence[int],
-    position: int,
-    inner: TreeMonomial,
-) -> tuple[PlanarTree, list[int]]:
-    if shape.is_leaf:
-        return inner.shape, list(inner.labels)
-    left_leaves = tree_arity(shape.left)
-    left_labels = labels[1 : left_leaves]
-    right_labels = labels[left_leaves:]
-    if position < left_leaves:
-        new_left, new_left_labels = _graft(
-            shape.left, left_labels, position, inner
-        )
-        return (
-            PlanarTree(new_left, shape.right),
-            [labels[0]] + new_left_labels + list(right_labels),
-        )
-    new_right, new_right_labels = _graft(
-        shape.right, right_labels, position - left_leaves, inner
-    )
-    return (
-        PlanarTree(shape.left, new_right),
-        [labels[0]] + list(left_labels) + new_right_labels,
-    )
-
-
-def graft(outer: TreeMonomial, position: int, inner: TreeMonomial) -> TreeMonomial:
-    """Substitute ``inner`` at leaf ``position`` (0-based, left to right)."""
-    if not 0 <= position < outer.arity:
-        raise ValueError(
-            f"leaf position {position} out of range for arity {outer.arity}"
-        )
-    shape, labels = _graft(outer.shape, outer.labels, position, inner)
-    return TreeMonomial(shape, tuple(labels))
-
-
-# Trees inside the engine are plain nested tuples: None is a leaf,
-# (left, right) a binary vertex, and (a, b, c) the one ternary vertex of a
-# context, which holds a relation.
-
-
-@lru_cache(maxsize=None)
-def _plain_trees(n: int) -> tuple:
-    """All n-leaf binary trees as tuples, in ``enumerate_trees`` order."""
-    if n == 1:
-        return (None,)
-    return tuple(
-        (left, right)
-        for left_leaves in range(n - 1, 0, -1)
-        for left in _plain_trees(left_leaves)
-        for right in _plain_trees(n - left_leaves)
-    )
-
-
 def _context_trees(n: int):
     """Every n-leaf tree with one ternary vertex, all others binary."""
     for la in range(1, n - 1):
         for lb in range(1, n - la):
-            for a in _plain_trees(la):
-                for b in _plain_trees(lb):
-                    for c in _plain_trees(n - la - lb):
+            for a in enumerate_trees(la):
+                for b in enumerate_trees(lb):
+                    for c in enumerate_trees(n - la - lb):
                         yield (a, b, c)
     for left_leaves in range(n - 1, 0, -1):
         right_leaves = n - left_leaves
         if left_leaves >= 3:
             for left in _context_trees(left_leaves):
-                for right in _plain_trees(right_leaves):
+                for right in enumerate_trees(right_leaves):
                     yield (left, right)
         if right_leaves >= 3:
-            for left in _plain_trees(left_leaves):
+            for left in enumerate_trees(left_leaves):
                 for right in _context_trees(right_leaves):
                     yield (left, right)
 
@@ -236,11 +169,12 @@ def _substitute(t, right: bool) -> tuple[tuple, list]:
     return go(t), order
 
 
+# Cached by weight alone, like enumerate_trees.
 @lru_cache(maxsize=None)
 def _context_layouts(n: int) -> tuple:
     """Per context: for the left and the right comb, the index of the
     filled tree in ``enumerate_trees(n)`` and its pre-order layout."""
-    index = {t: i for i, t in enumerate(_plain_trees(n))}
+    index = {t: i for i, t in enumerate(enumerate_trees(n))}
     out = []
     for t in _context_trees(n):
         combs = []
@@ -316,22 +250,16 @@ class WeightComponent:
     """One weight-graded piece: monomial basis and the ideal inside it.
 
     ``pivots`` are the lead columns of the ideal's echelon, which are the
-    pivot columns of its RREF basis; that basis itself is built only when
-    ``ideal`` is read.
+    pivot columns of its RREF basis; ``ideal_span`` builds that basis.
     """
 
     arity: int
     basis: tuple[TreeMonomial, ...]
     pivots: tuple[int, ...]
-    _echelon: Echelon = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis) - len(self.pivots)
-
-    @cached_property
-    def ideal(self) -> Subspace:
-        return echelon_subspace(self._echelon, len(self.basis))
 
     def surviving_monomials(self) -> tuple[TreeMonomial, ...]:
         """Monomials at non-pivot coordinates: a basis of the quotient."""
@@ -345,7 +273,7 @@ def weight_component(p: Presentation, n: int) -> WeightComponent:
         raise ValueError("weight starts at 1")
     basis = weight_basis(p.num_ops, n)
     echelon = _ideal_echelon(p, n) if n >= 3 else {}
-    return WeightComponent(n, basis, tuple(sorted(echelon)), echelon)
+    return WeightComponent(n, basis, tuple(sorted(echelon)))
 
 
 def component_dim(p: Presentation, n: int) -> int:
@@ -382,15 +310,15 @@ def format_monomial(m: TreeMonomial, names: Sequence[str]) -> str:
         leaves = tuple(f"x{i + 1}" for i in range(arity))
     state = {"label": 0, "leaf": 0}
 
-    def go(t: PlanarTree, top: bool) -> str:
-        if t.is_leaf:
+    def go(t, top: bool) -> str:
+        if t is None:
             s = leaves[state["leaf"]]
             state["leaf"] += 1
             return s
         op = names[m.labels[state["label"]]]
         state["label"] += 1
-        left = go(t.left, False)
-        right = go(t.right, False)
+        left = go(t[0], False)
+        right = go(t[1], False)
         body = f"{left} {op} {right}"
         return body if top else f"({body})"
 

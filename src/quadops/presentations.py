@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     DimensionError,
@@ -53,6 +53,7 @@ __all__ = [
     "right_index",
     "relation_vector",
     "pairing_form",
+    "pairing_terms",
     "pairing_value",
     "dual",
     "square",
@@ -199,16 +200,20 @@ def pairing_form(k: int) -> tuple[int, ...]:
     return (1,) * (k * k) + (-1,) * (k * k)
 
 
-def pairing_value(v: RelVector, w: RelVector) -> Fraction:
-    """Evaluate the duality pairing on two relation vectors."""
+def pairing_terms(v: RelVector, w: RelVector) -> Iterator[Fraction]:
+    """Signed products of the duality pairing on the common support: x*y on
+    the left-comb half of the coordinates, -x*y on the right-comb half."""
     if len(v.coordinates) != len(w.coordinates):
         raise DimensionError("relation vectors live in different spaces")
     half = len(v.coordinates) // 2
-    acc = Fraction(0)
     for idx, (x, y) in enumerate(zip(v.coordinates, w.coordinates)):
         if x and y:
-            acc += x * y if idx < half else -x * y
-    return acc
+            yield x * y if idx < half else -x * y
+
+
+def pairing_value(v: RelVector, w: RelVector) -> Fraction:
+    """Evaluate the duality pairing on two relation vectors."""
+    return sum(pairing_terms(v, w), Fraction(0))
 
 
 def dual(p: Presentation) -> Presentation:

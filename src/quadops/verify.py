@@ -33,6 +33,7 @@ from .presentations import (
     dual,
     find_relabeling_iso,
     is_morphism,
+    pairing_terms,
     pairing_value,
     quotient,
     relation_vector,
@@ -132,15 +133,12 @@ def extra_relation_directions() -> tuple[RelVector, RelVector]:
     (x nw y) se z. The second lives in the right-parenthesized block:
     x nw (y sw z) minus x nw (y se z).
     """
-    left_dir = relation_vector(4, [(1, 1, 3), (-1, 0, 3)], [])
-    right_dir = relation_vector(4, [], [(-1, 0, 2), (1, 0, 3)])
-    return left_dir, right_dir
+    return _candidate(1, 0), _candidate(0, 1)
 
 
-def _combine(a: int, u: RelVector, b: int, v: RelVector) -> RelVector:
-    return RelVector(
-        tuple(a * x + b * y for x, y in zip(u.coordinates, v.coordinates))
-    )
+def _candidate(a: int, b: int) -> RelVector:
+    """a times the first direction plus b times the second."""
+    return relation_vector(4, [(a, 1, 3), (-a, 0, 3)], [(-b, 0, 2), (b, 0, 3)])
 
 
 def scan_grid(radius: int) -> tuple[tuple[int, int], ...]:
@@ -162,11 +160,9 @@ def sixteenth_relation_scan(
     if cat is None:
         cat = catalog()
     base = cat.presentation("DendSquareDias")
-    left_dir, right_dir = extra_relation_directions()
     passing = []
     for a, b in pairs:
-        extra = _combine(a, left_dir, b, right_dir)
-        q = quotient(base, [extra])
+        q = quotient(base, [_candidate(a, b)])
         if find_relabeling_iso(q, dual(q)) is not None:
             passing.append((a, b))
     return frozenset(passing)
@@ -300,13 +296,8 @@ def _tableau_dual_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     return records
 
 
-def _pairing_terms(v: RelVector, w: RelVector) -> str:
-    half = len(v.coordinates) // 2
-    terms = []
-    for idx, (x, y) in enumerate(zip(v.coordinates, w.coordinates)):
-        if x and y:
-            prod = x * y if idx < half else -x * y
-            terms.append(f"{'+' if prod > 0 else ''}{prod}")
+def _pairing_text(v: RelVector, w: RelVector) -> str:
+    terms = [f"{'+' if t > 0 else ''}{t}" for t in pairing_terms(v, w)]
     return " ".join(terms) if terms else "no common support"
 
 
@@ -325,13 +316,13 @@ def _spot_checks() -> list[CheckRecord]:
             "pairing-spot-check-left-comb-terms",
             value_left == 0,
             "two unit terms cancel to 0",
-            f"{_pairing_terms(left_dual, left_row)} = {value_left}",
+            f"{_pairing_text(left_dual, left_row)} = {value_left}",
         ),
         _record(
             "pairing-spot-check-right-comb-terms",
             value_right == 0,
             "two unit terms cancel to 0",
-            f"{_pairing_terms(right_dual, right_row)} = {value_right}",
+            f"{_pairing_text(right_dual, right_row)} = {value_right}",
         ),
     ]
 

@@ -16,17 +16,13 @@ from hypothesis import strategies as st
 
 from quadops.catalog import builtin
 from quadops.expansion import (
-    LEAF,
-    PlanarTree,
     TreeMonomial,
     binary_ops_dimension,
     catalan,
     component_dim,
     enumerate_trees,
     format_monomial,
-    graft,
     ideal_span,
-    tree_arity,
     weight_basis,
     weight_component,
 )
@@ -38,7 +34,13 @@ from quadops.presentations import (
     relation_vector,
 )
 
-NODE = PlanarTree(LEAF, LEAF)
+# trees are nested tuples: None is a leaf, (left, right) a binary vertex
+LEAF = None
+NODE = (LEAF, LEAF)
+
+
+def leaf_count(t) -> int:
+    return 1 if t is None else leaf_count(t[0]) + leaf_count(t[1])
 
 
 def closed_form_catalan(n: int) -> int:
@@ -54,19 +56,19 @@ class TestTrees:
             trees = enumerate_trees(n)
             assert len(trees) == catalan(n - 1) == closed_form_catalan(n - 1)
             assert len(set(trees)) == len(trees)
-            assert all(tree_arity(t) == n for t in trees)
+            assert all(leaf_count(t) == n for t in trees)
 
     def test_single_leaf(self):
         assert enumerate_trees(1) == (LEAF,)
 
     def test_left_comb_comes_first_at_three_leaves(self):
         left_comb, right_comb = enumerate_trees(3)
-        assert left_comb == PlanarTree(NODE, LEAF)
-        assert right_comb == PlanarTree(LEAF, NODE)
+        assert left_comb == (NODE, LEAF)
+        assert right_comb == (LEAF, NODE)
 
     def test_four_leaf_order_by_left_subtree_size(self):
         trees = enumerate_trees(4)
-        left_sizes = [tree_arity(t.left) for t in trees]
+        left_sizes = [leaf_count(t[0]) for t in trees]
         assert left_sizes == [3, 3, 2, 1, 1]
 
     def test_zero_leaves_rejected(self):
@@ -75,66 +77,11 @@ class TestTrees:
 
     def test_tree_shape_validation(self):
         with pytest.raises(ValueError):
-            PlanarTree(LEAF, None)
-
-
-class TestMonomialsAndGrafting:
-    def test_label_count_validated(self):
+            TreeMonomial((LEAF,), ())
         with pytest.raises(ValueError):
-            TreeMonomial(NODE, ())
+            TreeMonomial((LEAF, LEAF, LEAF), (0, 0))
         with pytest.raises(ValueError):
-            TreeMonomial(LEAF, (0,))
-        with pytest.raises(ValueError):
-            TreeMonomial(NODE, (-1,))
-
-    def test_graft_into_bare_leaf_is_identity(self):
-        inner = TreeMonomial(PlanarTree(NODE, LEAF), (1, 0))
-        assert graft(TreeMonomial(LEAF, ()), 0, inner) == inner
-
-    def test_graft_at_first_leaf_builds_left_comb(self):
-        outer = TreeMonomial(NODE, (3,))
-        inner = TreeMonomial(NODE, (5,))
-        result = graft(outer, 0, inner)
-        assert result == TreeMonomial(PlanarTree(NODE, LEAF), (3, 5))
-
-    def test_graft_at_second_leaf_builds_right_comb(self):
-        outer = TreeMonomial(NODE, (3,))
-        inner = TreeMonomial(NODE, (5,))
-        result = graft(outer, 1, inner)
-        assert result == TreeMonomial(PlanarTree(LEAF, NODE), (3, 5))
-
-    def test_graft_position_out_of_range(self):
-        outer = TreeMonomial(NODE, (0,))
-        inner = TreeMonomial(NODE, (0,))
-        with pytest.raises(ValueError):
-            graft(outer, 2, inner)
-        with pytest.raises(ValueError):
-            graft(outer, -1, inner)
-
-    def test_graft_arity_adds(self):
-        outer = TreeMonomial(PlanarTree(NODE, NODE), (0, 1, 2))
-        inner = TreeMonomial(NODE, (3,))
-        for pos in range(4):
-            assert graft(outer, pos, inner).arity == 5
-
-    @given(
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=3),
-        st.data(),
-    )
-    @settings(deadline=None, max_examples=40)
-    def test_disjoint_grafts_commute(self, p1, p2, data):
-        outer_tree = data.draw(st.sampled_from(enumerate_trees(4)))
-        outer = TreeMonomial(outer_tree, (0, 1, 2))
-        a = TreeMonomial(NODE, (3,))
-        b = TreeMonomial(PlanarTree(NODE, LEAF), (4, 5))
-        if p1 == p2:
-            return
-        lo, hi = min(p1, p2), max(p1, p2)
-        # grafting at the lower leaf first shifts the higher leaf's index
-        first_low = graft(graft(outer, lo, a), hi + a.arity - 1, b)
-        first_high = graft(graft(outer, hi, b), lo, a)
-        assert first_low == first_high
+            TreeMonomial((NODE, (LEAF,)), (0, 0))
 
 
 class TestWeightBasis:
@@ -146,8 +93,8 @@ class TestWeightBasis:
 
     def test_basis_order_golden(self):
         basis = weight_basis(2, 3)
-        left_comb = PlanarTree(NODE, LEAF)
-        right_comb = PlanarTree(LEAF, NODE)
+        left_comb = (NODE, LEAF)
+        right_comb = (LEAF, NODE)
         assert basis == (
             TreeMonomial(left_comb, (0, 0)),
             TreeMonomial(left_comb, (0, 1)),
@@ -269,8 +216,98 @@ class TestIdealAndDims:
             assert binary_ops_dimension(builtin(name)) == value
 
 
-_LEFT_COMB = PlanarTree(NODE, LEAF)
-_RIGHT_COMB = PlanarTree(LEAF, NODE)
+def _graft(shape, labels, position: int, inner: TreeMonomial):
+    if shape is None:
+        return inner.shape, list(inner.labels)
+    left_leaves = leaf_count(shape[0])
+    left_labels = labels[1:left_leaves]
+    right_labels = labels[left_leaves:]
+    if position < left_leaves:
+        new_left, new_left_labels = _graft(shape[0], left_labels, position, inner)
+        return (
+            (new_left, shape[1]),
+            [labels[0]] + new_left_labels + list(right_labels),
+        )
+    new_right, new_right_labels = _graft(
+        shape[1], right_labels, position - left_leaves, inner
+    )
+    return (
+        (shape[0], new_right),
+        [labels[0]] + list(left_labels) + new_right_labels,
+    )
+
+
+def graft(outer: TreeMonomial, position: int, inner: TreeMonomial) -> TreeMonomial:
+    """Substitute ``inner`` at leaf ``position`` (0-based, left to right)."""
+    if not 0 <= position < outer.arity:
+        raise ValueError(
+            f"leaf position {position} out of range for arity {outer.arity}"
+        )
+    shape, labels = _graft(outer.shape, outer.labels, position, inner)
+    return TreeMonomial(shape, tuple(labels))
+
+
+class TestMonomialsAndGrafting:
+    def test_label_count_validated(self):
+        with pytest.raises(ValueError):
+            TreeMonomial(NODE, ())
+        with pytest.raises(ValueError):
+            TreeMonomial(LEAF, (0,))
+        with pytest.raises(ValueError):
+            TreeMonomial(NODE, (-1,))
+
+    def test_graft_into_bare_leaf_is_identity(self):
+        inner = TreeMonomial((NODE, LEAF), (1, 0))
+        assert graft(TreeMonomial(LEAF, ()), 0, inner) == inner
+
+    def test_graft_at_first_leaf_builds_left_comb(self):
+        outer = TreeMonomial(NODE, (3,))
+        inner = TreeMonomial(NODE, (5,))
+        result = graft(outer, 0, inner)
+        assert result == TreeMonomial((NODE, LEAF), (3, 5))
+
+    def test_graft_at_second_leaf_builds_right_comb(self):
+        outer = TreeMonomial(NODE, (3,))
+        inner = TreeMonomial(NODE, (5,))
+        result = graft(outer, 1, inner)
+        assert result == TreeMonomial((LEAF, NODE), (3, 5))
+
+    def test_graft_position_out_of_range(self):
+        outer = TreeMonomial(NODE, (0,))
+        inner = TreeMonomial(NODE, (0,))
+        with pytest.raises(ValueError):
+            graft(outer, 2, inner)
+        with pytest.raises(ValueError):
+            graft(outer, -1, inner)
+
+    def test_graft_arity_adds(self):
+        outer = TreeMonomial((NODE, NODE), (0, 1, 2))
+        inner = TreeMonomial(NODE, (3,))
+        for pos in range(4):
+            assert graft(outer, pos, inner).arity == 5
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_disjoint_grafts_commute(self, p1, p2, data):
+        outer_tree = data.draw(st.sampled_from(enumerate_trees(4)))
+        outer = TreeMonomial(outer_tree, (0, 1, 2))
+        a = TreeMonomial(NODE, (3,))
+        b = TreeMonomial((NODE, LEAF), (4, 5))
+        if p1 == p2:
+            return
+        lo, hi = min(p1, p2), max(p1, p2)
+        # grafting at the lower leaf first shifts the higher leaf's index
+        first_low = graft(graft(outer, lo, a), hi + a.arity - 1, b)
+        first_high = graft(graft(outer, hi, b), lo, a)
+        assert first_low == first_high
+
+
+_LEFT_COMB = (NODE, LEAF)
+_RIGHT_COMB = (LEAF, NODE)
 
 
 def reference_ideal_span(p: Presentation, n: int):
@@ -353,17 +390,17 @@ class TestComponentAndFormatting:
 
     def test_low_weight_components_have_zero_ideal(self):
         comp = weight_component(builtin("Dend"), 2)
-        assert comp.ideal.dimension == 0
+        assert comp.pivots == ()
         assert comp.dimension == 2
 
     def test_format_weight_four(self):
-        left_comb4 = PlanarTree(PlanarTree(NODE, LEAF), LEAF)
+        left_comb4 = ((NODE, LEAF), LEAF)
         m = TreeMonomial(left_comb4, (0, 0, 0))
         assert format_monomial(m, ("·",)) == "((x · y) · z) · w"
 
     def test_format_quadratic_shapes(self):
         names = ("⊣", "⊢")
-        m = TreeMonomial(PlanarTree(LEAF, NODE), (0, 1))
+        m = TreeMonomial((LEAF, NODE), (0, 1))
         assert format_monomial(m, names) == "x ⊣ (y ⊢ z)"
-        m2 = TreeMonomial(PlanarTree(NODE, LEAF), (1, 0))
+        m2 = TreeMonomial((NODE, LEAF), (1, 0))
         assert format_monomial(m2, names) == "(x ⊣ y) ⊢ z"

@@ -34,6 +34,7 @@ from quadops.presentations import (
     is_morphism,
     left_index,
     pairing_form,
+    pairing_terms,
     pairing_value,
     push_relation,
     quotient,
@@ -194,6 +195,14 @@ class TestPairingAndDual:
         assert pairing_value(e(0), e(0)) == 1
         assert pairing_value(e(4), e(4)) == -1
         assert pairing_value(e(0), e(4)) == 0
+
+    def test_pairing_terms_on_common_support(self):
+        # left-comb coordinates (the first half) keep the product's sign,
+        # right-comb coordinates flip it; disjoint support gives no term
+        v = RelVector(tuple(Fraction(x) for x in (1, 2, 0, 3, 1, 0, 2, -2)))
+        w = RelVector(tuple(Fraction(x) for x in (2, -1, 5, 0, 3, 4, 1, 0)))
+        assert list(pairing_terms(v, w)) == [2, -2, -3, -2]
+        assert pairing_value(v, w) == -5
 
     def test_pairing_form_golden(self):
         assert pairing_form(1) == (1, -1)

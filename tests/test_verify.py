@@ -12,6 +12,7 @@ import pytest
 
 import quadops.verify
 from quadops.catalog import BUILTIN_NAMES, catalog
+from quadops.presentations import relation_vector
 from quadops.verify import (
     CheckRecord,
     MIDDLE_SWAP,
@@ -234,6 +235,31 @@ class TestScan:
         ]
         expected = {(a, b) for a, b in grid if a != 0 and abs(a) == abs(b)}
         assert sixteenth_relation_scan(grid) == frozenset(expected)
+
+    def test_scan_candidates_are_dense_combinations(self, monkeypatch):
+        # record the extra relation of every quotient the scan builds and
+        # compare it with a*left + b*right, computed coordinate by coordinate
+        # from the two directions built on their own
+        left_dir = relation_vector(4, [(1, 1, 3), (-1, 0, 3)], [])
+        right_dir = relation_vector(4, [], [(-1, 0, 2), (1, 0, 3)])
+        seen = []
+
+        def record(base, extras):
+            seen.append(extras[0].coordinates)
+            return base
+
+        monkeypatch.setattr(quadops.verify, "quotient", record)
+        monkeypatch.setattr(quadops.verify, "dual", lambda q: q)
+        monkeypatch.setattr(quadops.verify, "find_relabeling_iso", lambda p, q: None)
+        grid = scan_grid(4)
+        assert sixteenth_relation_scan(grid) == frozenset()
+        assert seen == [
+            tuple(
+                a * x + b * y
+                for x, y in zip(left_dir.coordinates, right_dir.coordinates)
+            )
+            for a, b in grid
+        ]
 
     def test_direction_coordinates(self):
         # right-hand terms are stored negated, the vector encodes
