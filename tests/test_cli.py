@@ -466,6 +466,34 @@ class TestVerifyPaper:
             ),
         ]
 
+    # sha256 of the whole battery report, frozen: every record's id,
+    # status, expected and actual value, in text and in JSON, at the
+    # default weight and at weight 5
+    @pytest.mark.parametrize(
+        "argv,exit_code,digest",
+        (
+            (
+                ("verify-paper",),
+                0,
+                "8a264b5877a2b51e20beeb65d2e8a3cc20f7e05316bfa34887bec9eb672571a5",
+            ),
+            (
+                ("--format", "json", "verify-paper"),
+                0,
+                "e10c45458e39c3d1b1a7f75c8ef9516545e0b68111b1b0b20c17f398e7fb8ec6",
+            ),
+            (
+                ("--max-weight", "5", "verify-paper"),
+                1,
+                "813650055a50559fe69736d8593c26bee1334c9f0883a66f1368eba50fc89342",
+            ),
+        ),
+    )
+    def test_report_frozen(self, capsys, argv, exit_code, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_weight_six_needs_allow_large(self, capsys):
         code, _, err = run(capsys, "--max-weight", "6", "verify-paper")
         assert code == 2
