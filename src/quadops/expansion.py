@@ -28,12 +28,19 @@ descending left-subtree leaf count (recursively), labels are read in
 pre-order, and the monomial basis runs through trees in tree order and
 labels in lexicographic order.
 
-Two caches remain, both keyed by the weight alone: ``enumerate_trees``
-and ``_context_layouts`` keep the shapes and the context layouts of each
+Two caches are keyed by the weight alone: ``enumerate_trees`` and
+``_context_layouts`` keep the shapes and the context layouts of each
 weight asked for, and the weight ceiling of the CLI bounds how many there
-are. Nothing that depends on a presentation or on the number of
-operations is cached, so monomials, echelons and ideal bases are freed
-with the call that built them.
+are. One memo depends on a presentation: ``_ideal_rank`` keeps the rank
+of the weight-n ideal, keyed by the canonical relation ``Subspace`` and
+n, so presentations with equal relations share an entry whatever their
+names, and ``component_dim`` asks each (space, weight) pair once. It is an
+LRU of at most 128 entries, each holding one relation space and an int: a
+built-in's space takes about 5 KB and a dense one on four operations with
+small coefficients under 30 KB, so a full memo of spaces on at most four
+operations stays under 4 MB. Monomials, echelons and ideal bases are not
+kept: ``weight_component`` and ``ideal_span`` rebuild them on each call
+and free them with it.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from typing import Sequence
 
-from .linalg import Echelon, Subspace, echelon_subspace, reduce_row
+from .linalg import Echelon, IntRow, Subspace, echelon_subspace, reduce_row
 from .presentations import Presentation
 
 __all__ = [
@@ -185,9 +192,10 @@ def _context_layouts(n: int) -> tuple:
     return tuple(out)
 
 
-def _ideal_generators(p: Presentation, n: int):
+def _ideal_generators(k: int, relations: Sequence[IntRow], n: int):
     """Sparse rows spanning the weight-n ideal, straight from the relations.
 
+    ``relations`` are the integer rows of a relation space on k operations.
     Each row is one relation placed at the ternary vertex of one labelled
     context. Relation coordinate i*k + j, (x op_i y) op_j z, becomes the
     left comb there, coordinate k*k + i*k + j, x op_i (y op_j z), the right
@@ -195,9 +203,7 @@ def _ideal_generators(p: Presentation, n: int):
     labels read in pre-order as a base-k number. The column of each of the
     2k^2 coordinates is worked out once per labelled context.
     """
-    k = p.num_ops
     k2 = k * k
-    relations = p.relations.rows
     if not relations:
         return
     block = k ** (n - 1)
@@ -223,13 +229,22 @@ def _ideal_generators(p: Presentation, n: int):
                 yield {cols[c]: x for c, x in rel}
 
 
-def _ideal_echelon(p: Presentation, n: int) -> Echelon:
+def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
+    """Echelon of the weight-n ideal of a relation space in 2k^2 columns."""
     if n < 3:
         raise ValueError("the relation ideal starts at weight 3")
+    k = isqrt(relations.ambient_dim // 2)
     echelon: Echelon = {}
-    for row in _ideal_generators(p, n):
+    for row in _ideal_generators(k, relations.rows, n):
         reduce_row(echelon, row)
     return echelon
+
+
+# Bounded LRU keyed by the canonical relation rows and weight, never names.
+@lru_cache(maxsize=128)
+def _ideal_rank(relations: Subspace, n: int) -> int:
+    """Rank of the weight-n ideal generated by a relation space."""
+    return len(_ideal_echelon(relations, n))
 
 
 def ideal_span(p: Presentation, n: int) -> Subspace:
@@ -242,7 +257,7 @@ def ideal_span(p: Presentation, n: int) -> Subspace:
     counts.
     """
     size = catalan(n - 1) * p.num_ops ** (n - 1)
-    return echelon_subspace(_ideal_echelon(p, n), size)
+    return echelon_subspace(_ideal_echelon(p.relations, n), size)
 
 
 @dataclass(frozen=True)
@@ -272,21 +287,22 @@ def weight_component(p: Presentation, n: int) -> WeightComponent:
     if n < 1:
         raise ValueError("weight starts at 1")
     basis = weight_basis(p.num_ops, n)
-    echelon = _ideal_echelon(p, n) if n >= 3 else {}
+    echelon = _ideal_echelon(p.relations, n) if n >= 3 else {}
     return WeightComponent(n, basis, tuple(sorted(echelon)))
 
 
 def component_dim(p: Presentation, n: int) -> int:
     """Dimension of the weight-n component of the presented operad.
 
-    The rank of the ideal is read off its echelon; no basis is built.
+    The rank of the ideal is read off its echelon, and memoized per
+    relation space and weight (``_ideal_rank``); no basis is built.
     """
     if n < 1:
         raise ValueError("weight starts at 1")
     size = catalan(n - 1) * p.num_ops ** (n - 1)
     if n < 3:
         return size
-    return size - len(_ideal_echelon(p, n))
+    return size - _ideal_rank(p.relations, n)
 
 
 def binary_ops_dimension(p: Presentation) -> int:

@@ -276,23 +276,36 @@ class Subspace:
         n = self.ambient_dim
         if n < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        leads = []
+        # One pass per row. Leads increase from row to row and a row's other
+        # columns lie after its lead, so only a later row can lead at one of
+        # them: each lead is checked against the other columns seen so far.
+        others: set[int] = set()
+        last_lead = -1
         for row in self.rows:
             if not row:
                 raise ValueError("zero row in subspace basis")
-            cols = [c for c, _ in row]
-            if cols[0] < 0 or cols[-1] >= n:
+            entries = iter(row)
+            col, g = next(entries)
+            if col < 0:
                 raise DimensionError("basis row reaches outside the ambient space")
-            if any(a >= b for a, b in zip(cols, cols[1:])) or not all(x for _, x in row):
-                raise ValueError("basis row must list nonzero entries by increasing column")
-            if row[0][1] < 0 or math.gcd(*(x for _, x in row)) != 1:
+            if g <= 0:
                 raise ValueError("basis row must be primitive with a positive lead")
-            leads.append(cols[0])
-        if any(a >= b for a, b in zip(leads, leads[1:])):
-            raise ValueError("subspace basis rows out of echelon order")
-        lead_set = set(leads)
-        if any(c in lead_set for row in self.rows for c, _ in row[1:]):
-            raise ValueError("basis row is nonzero at another row's lead column")
+            if col <= last_lead:
+                raise ValueError("subspace basis rows out of echelon order")
+            if col in others:
+                raise ValueError("basis row is nonzero at another row's lead column")
+            last_lead = prev = col
+            for col, x in entries:
+                if col <= prev or not x:
+                    raise ValueError("basis row must list nonzero entries by increasing column")
+                if g != 1:
+                    g = math.gcd(g, x)
+                others.add(col)
+                prev = col
+            if prev >= n:
+                raise DimensionError("basis row reaches outside the ambient space")
+            if g != 1:
+                raise ValueError("basis row must be primitive with a positive lead")
 
     @property
     def dimension(self) -> int:

@@ -13,7 +13,10 @@ the vector "left side minus right side". The duality pairing is +1 on the
 left block and -1 on the right block; the dual presentation carries the
 orthogonal complement of the relation space under this pairing, with a
 star appended to each generator name. Complementing twice restores the
-original relation space.
+original relation space. The complement of each relation space is
+memoized in an LRU of at most 128 entries, keyed by the canonical
+relation rows alone; only the complement computed is stored, never the
+reverse pair, so a double dual still takes two kernel computations.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -216,11 +220,21 @@ def pairing_value(v: RelVector, w: RelVector) -> Fraction:
     return sum(pairing_terms(v, w), Fraction(0))
 
 
+# Bounded LRU keyed by the canonical relation rows alone, never names.
+@lru_cache(maxsize=128)
+def _dual_relations(relations: Subspace) -> Subspace:
+    """Orthogonal complement of a relation space under the duality pairing."""
+    return complement_under_form(relations, pairing_form(isqrt(relations.ambient_dim // 2)))
+
+
 def dual(p: Presentation) -> Presentation:
-    """Dual presentation: starred names, orthogonal relation space."""
+    """Dual presentation: starred names, orthogonal relation space.
+
+    The complement is memoized per relation space (``_dual_relations``);
+    the starred names are attached on each call.
+    """
     names = tuple(n + "*" for n in p.generators.names)
-    relations = complement_under_form(p.relations, pairing_form(p.num_ops))
-    return Presentation(GeneratorSet(names), relations)
+    return Presentation(GeneratorSet(names), _dual_relations(p.relations))
 
 
 def _square_row(u: IntRow, kp: int, v: IntRow, kq: int) -> SparseRow:

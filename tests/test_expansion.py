@@ -14,9 +14,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadops.catalog import builtin
+from quadops.catalog import BUILTIN_NAMES, builtin
 from quadops.expansion import (
     TreeMonomial,
+    _ideal_echelon,
+    _ideal_rank,
     binary_ops_dimension,
     catalan,
     component_dim,
@@ -214,6 +216,36 @@ class TestIdealAndDims:
         }
         for name, value in expected.items():
             assert binary_ops_dimension(builtin(name)) == value
+
+
+class TestRankMemo:
+    def test_memo_is_bounded(self):
+        maxsize = _ideal_rank.cache_info().maxsize
+        assert maxsize is not None
+        _ideal_rank.cache_clear()
+        # distinct one-operation presentations: the lines through (1, b)
+        for b in range(maxsize + 8):
+            p = Presentation(GeneratorSet(("a",)), span([[1, b]], 2))
+            component_dim(p, 3)
+        info = _ideal_rank.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 8, maxsize)
+
+    def test_names_are_not_part_of_the_key(self):
+        p = builtin("Dend")
+        q = Presentation(GeneratorSet(("a", "b")), p.relations)
+        _ideal_rank.cache_clear()
+        assert component_dim(p, 4) == component_dim(q, 4) == 14
+        info = _ideal_rank.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_rank_is_the_echelon_size(self, name):
+        p = builtin(name)
+        for n in (3, 4, 5):
+            _ideal_rank.cache_clear()
+            size = catalan(n - 1) * p.num_ops ** (n - 1)
+            assert component_dim(p, n) == size - len(_ideal_echelon(p.relations, n))
+            assert _ideal_rank.cache_info().misses == 1
 
 
 def _graft(shape, labels, position: int, inner: TreeMonomial):

@@ -4,11 +4,12 @@ Reference ranks and kernels are cross-checked against sympy's exact
 rational matrices, an independent implementation of row reduction.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadops.linalg import (
@@ -235,6 +236,45 @@ def test_subspace_rejects_non_canonical_basis():
             Subspace(2, rows)
     with pytest.raises(DimensionError):
         Subspace(2, (((2, 1),),))
+
+
+def is_canonical(n: int, rows) -> bool:
+    """Oracle: the canonical-basis conditions, each checked on its own."""
+    leads = []
+    for row in rows:
+        if not row:
+            return False
+        cols = [c for c, _ in row]
+        values = [x for _, x in row]
+        if cols[0] < 0 or cols[-1] >= n:
+            return False
+        if any(a >= b for a, b in zip(cols, cols[1:])) or 0 in values:
+            return False
+        if values[0] < 0 or math.gcd(*values) != 1:
+            return False
+        leads.append(cols[0])
+    if any(a >= b for a, b in zip(leads, leads[1:])):
+        return False
+    return not any(c in leads for row in rows for c, _ in row[1:])
+
+
+entry_lists = st.lists(
+    st.tuples(st.integers(-1, 4), st.integers(-2, 2)), min_size=0, max_size=3
+)
+
+
+@given(st.integers(0, 4), st.lists(entry_lists, max_size=3))
+@example(2, [[(0, 0), (1, 1)]])  # a zero lead, with content 1
+@example(2, [[(-1, 1)]])  # a lead before the first column
+@example(2, [[(0, 1)], [(0, 1)]])  # two rows with one lead
+@settings(max_examples=300)
+def test_subspace_accepts_exactly_the_canonical_bases(n, rows):
+    rows = tuple(tuple(row) for row in rows)
+    if is_canonical(n, rows):
+        assert Subspace(n, rows).rows == rows
+    else:
+        with pytest.raises(ValueError):
+            Subspace(n, rows)
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)

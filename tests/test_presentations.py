@@ -41,6 +41,7 @@ from quadops.presentations import (
     relation_vector,
     right_index,
     square,
+    _dual_relations,
     _pair_ranks,
 )
 from quadops.verify import extra_relation_directions, scan_grid
@@ -248,6 +249,55 @@ class TestPairingAndDual:
         for u in p.relation_rows():
             for w in d.relation_rows():
                 assert pairing_value(u, w) == 0
+
+
+def lines(count: int):
+    """``count`` distinct one-operation presentations: the lines through (1, b)."""
+    return [
+        Presentation(GeneratorSet(("a",)), span([[1, b]], 2)) for b in range(count)
+    ]
+
+
+class TestDualMemo:
+    def test_memo_is_bounded(self):
+        maxsize = _dual_relations.cache_info().maxsize
+        assert maxsize is not None
+        _dual_relations.cache_clear()
+        for p in lines(maxsize + 8):
+            dual(p)
+        info = _dual_relations.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 8, maxsize)
+
+    def test_names_are_not_part_of_the_key(self):
+        p = builtin("Dend")
+        q = Presentation(GeneratorSet(("a", "b")), p.relations)
+        _dual_relations.cache_clear()
+        dp, dq = dual(p), dual(q)
+        assert dp.generators.names == ("∧*", "∨*")
+        assert dq.generators.names == ("a*", "b*")
+        assert dp.relations == dq.relations
+        info = _dual_relations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "As"])
+    def test_double_dual_computes_both_complements(self, name):
+        # the complement of R is stored under R only: were C -> R stored
+        # alongside, the second dual would be a hit and the double-dual
+        # checks would hold by construction
+        p = builtin(name)
+        _dual_relations.cache_clear()
+        assert dual(dual(p)).relations == p.relations
+        info = _dual_relations.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
+    def test_one_operation_dual_is_the_same_space(self):
+        # As's relation space is its own complement, so its double dual
+        # asks the same question twice
+        p = builtin("As")
+        _dual_relations.cache_clear()
+        assert dual(dual(p)).relations == p.relations
+        info = _dual_relations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestSquare:

@@ -12,7 +12,8 @@ import pytest
 
 import quadops.verify
 from quadops.catalog import BUILTIN_NAMES, catalog
-from quadops.presentations import relation_vector
+from quadops.expansion import _ideal_rank
+from quadops.presentations import _dual_relations, relation_vector
 from quadops.verify import (
     CheckRecord,
     MIDDLE_SWAP,
@@ -334,6 +335,29 @@ class TestSensitivity:
 
     def test_deletion_case_count(self):
         assert len(_deletion_cases()) == 56
+
+    def test_verdicts_do_not_depend_on_the_memos(self):
+        # the dual and rank memos must give what a fresh computation gives:
+        # each deletion once on cleared memos, once on memos warmed by the
+        # full battery (which asks about every unchanged built-in)
+        def sweep(clear):
+            reports = []
+            for name, index in _deletion_cases():
+                if clear:
+                    _dual_relations.cache_clear()
+                    _ideal_rank.cache_clear()
+                mutant = catalog().without_relation(name, index)
+                reports.append(verify_all(mutant, VerifyConfig.quick()))
+            return reports
+
+        cold = sweep(clear=True)
+        assert verify_all().ok
+        hits = (_dual_relations.cache_info().hits, _ideal_rank.cache_info().hits)
+        warm = sweep(clear=False)
+        assert _dual_relations.cache_info().hits > hits[0]
+        assert _ideal_rank.cache_info().hits > hits[1]
+        assert warm == cold
+        assert not any(report.ok for report in cold)
 
     def test_swapping_the_twins_is_detected(self):
         cat = catalog()
