@@ -251,20 +251,14 @@ class TestPairingAndDual:
                 assert pairing_value(u, w) == 0
 
 
-def lines(count: int):
-    """``count`` distinct one-operation presentations: the lines through (1, b)."""
-    return [
-        Presentation(GeneratorSet(("a",)), span([[1, b]], 2)) for b in range(count)
-    ]
-
-
 class TestDualMemo:
     def test_memo_is_bounded(self):
         maxsize = _dual_relations.cache_info().maxsize
         assert maxsize is not None
         _dual_relations.cache_clear()
-        for p in lines(maxsize + 8):
-            dual(p)
+        # distinct one-operation presentations: the lines through (1, b)
+        for b in range(maxsize + 8):
+            dual(Presentation(GeneratorSet(("a",)), span([[1, b]], 2)))
         info = _dual_relations.cache_info()
         assert (info.misses, info.currsize) == (maxsize + 8, maxsize)
 
