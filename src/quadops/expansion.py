@@ -17,11 +17,26 @@ contexts, as in the tree-monomial set-up of Bremner and Dotsenko: a
 context is an n-leaf planar tree with one ternary vertex and labelled
 binary vertices elsewhere, and filling the ternary vertex with a relation
 (a combination of the 2k^2 quadratic combs) gives one generator with at
-most 2k^2 nonzeros. The generators go straight into the sparse integer
-echelon of ``linalg``; the rank, and the pivot columns that pick the
-surviving monomials, are read off the echelon without building any
-rational basis. ``ideal_span`` back-substitutes the same echelon when the
-canonical basis itself is wanted.
+most 2k^2 nonzeros. The generators feed the sparse integer echelon of
+``linalg``; the rank, and the pivot columns that pick the surviving
+monomials, are read off the echelon without building any rational basis.
+``ideal_span`` back-substitutes the same echelon when the canonical basis
+itself is wanted.
+
+The generator rows of one weight are built into one list, so they are all
+held at once, and reduced highest lead (lowest nonzero) column first; among
+equal leads the row with the fewest nonzeros goes first. This is exact: for
+a fixed column order, the lead columns of an echelon are the pivot columns
+of the RREF of the space its rows span, and back-substitution gives that
+RREF, whatever order the rows came in. So the rank, the pivots and the
+ideal basis are those of any other order, and only the cost changes. Every
+earlier row leads at the same column or a later one, so a row is stored
+untouched unless an earlier row shares its lead, and then the sparsest of
+those is the one it is reduced by, which adds the fewest new nonzeros.
+For Xplus at weight 6 the echelon holds 108,806 nonzeros this way against
+447,870 in the order of generation, and the elimination is about 7 times
+faster; holding the 86,016 rows costs about 42 MB at peak, the 205,920 of
+Dias at weight 8 about 75 MB.
 
 Orderings are fixed so golden tests are byte-stable: trees are ordered by
 descending left-subtree leaf count (recursively), labels are read in
@@ -214,29 +229,44 @@ def _ideal_generators(k: int, relations: Sequence[IntRow], n: int):
             {v: k ** (n - 2 - pos) for pos, v in enumerate(order)}
             for _, order in combs
         ]
-        starts = [shape * block for shape, _ in combs]
         offset = [
             places[c // k2]["i"] * ((c % k2) // k) + places[c // k2]["j"] * (c % k)
             for c in coords
         ]
-        for labels in itertools.product(range(k), repeat=n - 3):
-            base = [
-                start + sum(x * place[v] for v, x in enumerate(labels))
-                for start, place in zip(starts, places)
-            ]
-            cols = [base[c // k2] + offset[c] for c in coords]
+        # per comb, the column of its tree under every labelling of the
+        # context's other vertices, the first vertex's label varying slowest
+        bases = []
+        for (shape, _), place in zip(combs, places):
+            starts = [shape * block]
+            for v in range(n - 3):
+                starts = [start + x * place[v] for start in starts for x in range(k)]
+            bases.append(starts)
+        for left, right in zip(*bases):
+            cols = [(right if c >= k2 else left) + offset[c] for c in coords]
             for rel in relations:
                 yield {cols[c]: x for c, x in rel}
 
 
 def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
-    """Echelon of the weight-n ideal of a relation space in 2k^2 columns."""
+    """Echelon of the weight-n ideal of a relation space in 2k^2 columns.
+
+    The generators are reduced in the order the module docstring gives;
+    the lead columns, and the RREF ``back_substitute`` makes of the
+    echelon, do not depend on it.
+    """
     if n < 3:
         raise ValueError("the relation ideal starts at weight 3")
     k = isqrt(relations.ambient_dim // 2)
+    rows = list(_ideal_generators(k, relations.rows, n))
+    # pop() takes the highest lead column first; among equal leads the
+    # fewest nonzeros first, then the order of generation. Popping frees
+    # each row that reduces to zero as soon as it has.
+    rows.sort(key=len)
+    rows.sort(key=min, reverse=True)
+    rows.reverse()
     echelon: Echelon = {}
-    for row in _ideal_generators(k, relations.rows, n):
-        reduce_row(echelon, row)
+    while rows:
+        reduce_row(echelon, rows.pop())
     return echelon
 
 

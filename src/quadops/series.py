@@ -2,8 +2,8 @@
 
 For a Koszul operad the signed generating functions of the component
 dimensions of the operad and of its dual are compositional inverses:
-f_dual(f(t)) = t. This module computes truncated compositions over exact
-rationals and the defect series f_dual(f(t)) - t, whose vanishing is a
+f_dual(f(t)) = t. This module computes truncated compositions, exactly,
+and the defect series f_dual(f(t)) - t, whose vanishing is a
 necessary condition for Koszulity. It is necessary only: the chain
 complexes behind the criterion are not built here, so a zero defect
 proves nothing, while a nonzero defect refutes Koszulity at the level of
@@ -111,18 +111,18 @@ class DimSeries:
         return self.dims[weight - 1]
 
 
+def _signed_coefficients(dims: Sequence[int]) -> list[int]:
+    """Coefficients of sum over n of (-1)^n * dims[n] * t^n, degree 0 first."""
+    return [0] + [-d if n % 2 else d for n, d in enumerate(dims, start=1)]
+
+
 def signed_series(d: DimSeries) -> PowerSeries:
     """f(t) = sum over n of (-1)^n * dims[n] * t^n."""
-    coeffs = [Fraction(0)]
-    for n, dn in enumerate(d.dims, start=1):
-        coeffs.append(Fraction(-dn if n % 2 else dn))
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries(tuple(_signed_coefficients(d.dims)))
 
 
-def _multiply_truncated(
-    a: Sequence[Fraction], b: Sequence[Fraction], order: int
-) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def _multiply_truncated(a: Sequence, b: Sequence, order: int) -> list:
+    out = [0] * (order + 1)
     for i, x in enumerate(a):
         if x and i <= order:
             for j, y in enumerate(b):
@@ -131,6 +131,23 @@ def _multiply_truncated(
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _compose_coefficients(f: Sequence, g: Sequence, order: int) -> list:
+    """Coefficients of f(g(t)) through degree ``order``.
+
+    ``f`` and ``g`` are plain coefficient lists, degree 0 first, of ints or
+    Fractions; ``g[0]`` is 0. Integer input gives integer output, so the
+    dimension series never pass through ``Fraction``.
+    """
+    g = list(g[: order + 1])
+    g += [0] * (order + 1 - len(g))
+    # Horner in g: result = (...((f_N) g + f_{N-1}) g + ...) g
+    acc = [0] * (order + 1)
+    for n in range(min(len(f) - 1, order), 0, -1):
+        acc[0] += f[n]
+        acc = _multiply_truncated(acc, g, order)
+    return acc
 
 
 def compose(f: PowerSeries, g: PowerSeries, order: int | None = None) -> PowerSeries:
@@ -143,26 +160,19 @@ def compose(f: PowerSeries, g: PowerSeries, order: int | None = None) -> PowerSe
         order = min(f.order, g.order)
     if order < 1:
         raise ValueError("order must be at least 1")
-    g_coeffs = list(g.coefficients[: order + 1])
-    g_coeffs += [Fraction(0)] * (order + 1 - len(g_coeffs))
-    # Horner in g: result = (...((f_N) g + f_{N-1}) g + ...) g
-    acc = [Fraction(0)] * (order + 1)
-    top = min(f.order, order)
-    for n in range(top, 0, -1):
-        acc[0] += f.coefficients[n]
-        acc = _multiply_truncated(acc, g_coeffs, order)
-    return PowerSeries(tuple(acc))
+    return PowerSeries(
+        tuple(_compose_coefficients(f.coefficients, g.coefficients, order))
+    )
 
 
 def gk_defect(p_dims: DimSeries, dual_dims: DimSeries, order: int) -> PowerSeries:
     """Defect f_dual(f_p(t)) - t, zero to the order iff the necessary
     dimension-count condition for Koszulity holds there."""
-    fp = signed_series(p_dims)
-    fd = signed_series(dual_dims)
-    if order > min(fp.order, fd.order):
+    if order > min(p_dims.max_weight, dual_dims.max_weight):
         raise ValueError("dim series too short for the requested order")
-    composed = compose(fd, fp, order)
-    coeffs = list(composed.coefficients)
+    coeffs = _compose_coefficients(
+        _signed_coefficients(dual_dims.dims), _signed_coefficients(p_dims.dims), order
+    )
     coeffs[1] -= 1
     return PowerSeries(tuple(coeffs))
 
@@ -205,10 +215,9 @@ def predicted_dims(x2: int, order: int) -> DimPrediction:
         # with the new coefficient set to zero, the degree-n defect is
         # linear in it: defect(c) = base + c * ((-1)^n - 1) = base - 2c,
         # so c_n = base/2 and the dimension is (-1)^n c_n = -base/2
-        trial = DimSeries(tuple(dims) + (0,))
-        f = signed_series(trial)
-        base = compose(f, f, n).coefficient(n)
-        value = -base / 2
+        f = _signed_coefficients(dims + [0])
+        base = _compose_coefficients(f, f, n)[n]
+        value = Fraction(-base, 2)
         if value.denominator != 1:
             return DimPrediction(
                 tuple(dims), f"weight {n} needs a fractional dimension {value}"

@@ -8,6 +8,7 @@ ideal by one-step grafting from the weight below.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -18,6 +19,7 @@ from quadops.catalog import BUILTIN_NAMES, builtin
 from quadops.expansion import (
     TreeMonomial,
     _ideal_echelon,
+    _ideal_generators,
     _ideal_rank,
     binary_ops_dimension,
     catalan,
@@ -28,7 +30,7 @@ from quadops.expansion import (
     weight_basis,
     weight_component,
 )
-from quadops.linalg import span
+from quadops.linalg import echelon_subspace, reduce_row, span
 from quadops.presentations import (
     GeneratorSet,
     Presentation,
@@ -162,13 +164,13 @@ class TestIdealAndDims:
 
     def test_half_product_dims_are_catalan(self):
         p = builtin("Dend")
-        for n in range(1, 8):
+        for n in range(1, 9):
             assert component_dim(p, n) == closed_form_catalan(n)
-        assert (component_dim(p, 6), component_dim(p, 7)) == (132, 429)
+        assert [component_dim(p, n) for n in (6, 7, 8)] == [132, 429, 1430]
 
     def test_bar_product_dims_are_linear(self):
         p = builtin("Dias")
-        for n in range(1, 8):
+        for n in range(1, 9):
             assert component_dim(p, n) == n
 
     def test_sixteen_relation_pair_weight_three(self):
@@ -246,6 +248,41 @@ class TestRankMemo:
             size = catalan(n - 1) * p.num_ops ** (n - 1)
             assert component_dim(p, n) == size - len(_ideal_echelon(p.relations, n))
             assert _ideal_rank.cache_info().misses == 1
+
+
+def streaming_echelon(relations, n: int):
+    """Oracle: the weight-n generators reduced one at a time, in the order
+    ``_ideal_generators`` builds them, with no sorting."""
+    k = isqrt(relations.ambient_dim // 2)
+    echelon = {}
+    for row in _ideal_generators(k, relations.rows, n):
+        reduce_row(echelon, row)
+    return echelon
+
+
+def assert_order_independent(relations, n: int) -> None:
+    expected = streaming_echelon(relations, n)
+    echelon = _ideal_echelon(relations, n)
+    assert len(echelon) == len(expected)
+    assert set(echelon) == set(expected)
+    k = isqrt(relations.ambient_dim // 2)
+    size = catalan(n - 1) * k ** (n - 1)
+    assert echelon_subspace(echelon, size) == echelon_subspace(expected, size)
+
+
+class TestReductionOrder:
+    """The sorted reduction gives the rank, lead columns and RREF of the
+    generators reduced in the order they are built."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_at_weights_three_to_five(self, name):
+        for n in (3, 4, 5):
+            assert_order_independent(builtin(name).relations, n)
+
+    @given(small_presentations(), st.sampled_from((3, 4, 5)))
+    @settings(deadline=None, max_examples=40)
+    def test_drawn_presentations(self, p, n):
+        assert_order_independent(p.relations, n)
 
 
 def _graft(shape, labels, position: int, inner: TreeMonomial):

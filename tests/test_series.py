@@ -222,6 +222,24 @@ class TestDefect:
         with pytest.raises(ValueError):
             gk_defect(d, d, 3)
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=7),
+        st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=7),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_integer_defect_matches_fraction_composition(self, p_tail, d_tail):
+        # gk_defect composes the integer coefficient lists; the oracle is
+        # compose on the Fraction series, minus t
+        p_dims = DimSeries((1,) + tuple(p_tail))
+        dual_dims = DimSeries((1,) + tuple(d_tail))
+        order = min(p_dims.max_weight, dual_dims.max_weight)
+        composed = compose(signed_series(dual_dims), signed_series(p_dims), order)
+        expected = list(composed.coefficients)
+        expected[1] -= 1
+        defect = gk_defect(p_dims, dual_dims, order)
+        assert defect == PowerSeries(tuple(expected))
+        assert all(type(c) is Fraction for c in defect.coefficients)
+
 
 class TestPredictedDims:
     def test_unit_case(self):
