@@ -34,9 +34,10 @@ earlier row leads at the same column or a later one, so a row is stored
 untouched unless an earlier row shares its lead, and then the sparsest of
 those is the one it is reduced by, which adds the fewest new nonzeros.
 For Xplus at weight 6 the echelon holds 108,806 nonzeros this way against
-447,870 in the order of generation, and the elimination is about 7 times
-faster; holding the 86,016 rows costs about 42 MB at peak, the 205,920 of
-Dias at weight 8 about 75 MB.
+447,870 in the order of generation, and the weight takes about a seventh
+of the time. Each row is dropped once reduced; holding the 86,016 rows of
+that weight peaks at about 42 MB, the 205,920 of Dias at weight 8 at about
+75 MB.
 
 Orderings are fixed so golden tests are byte-stable: trees are ordered by
 descending left-subtree leaf count (recursively), labels are read in

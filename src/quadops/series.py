@@ -2,8 +2,8 @@
 
 For a Koszul operad the signed generating functions of the component
 dimensions of the operad and of its dual are compositional inverses:
-f_dual(f(t)) = t. This module computes truncated compositions, exactly,
-and the defect series f_dual(f(t)) - t, whose vanishing is a
+f_dual(f(t)) = t. This module computes exact truncated compositions and
+the defect series f_dual(f(t)) - t, whose vanishing is a
 necessary condition for Koszulity. It is necessary only: the chain
 complexes behind the criterion are not built here, so a zero defect
 proves nothing, while a nonzero defect refutes Koszulity at the level of
@@ -168,6 +168,8 @@ def compose(f: PowerSeries, g: PowerSeries, order: int | None = None) -> PowerSe
 def gk_defect(p_dims: DimSeries, dual_dims: DimSeries, order: int) -> PowerSeries:
     """Defect f_dual(f_p(t)) - t, zero to the order iff the necessary
     dimension-count condition for Koszulity holds there."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
     if order > min(p_dims.max_weight, dual_dims.max_weight):
         raise ValueError("dim series too short for the requested order")
     coeffs = _compose_coefficients(

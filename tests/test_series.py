@@ -222,6 +222,12 @@ class TestDefect:
         with pytest.raises(ValueError):
             gk_defect(d, d, 3)
 
+    def test_order_below_one_rejected(self):
+        d = DimSeries((1, 2))
+        for order in (0, -1):
+            with pytest.raises(ValueError):
+                gk_defect(d, d, order)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=7),
         st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=7),
