@@ -10,7 +10,7 @@ file argument "builtins"; operand names may be wrapped as
 
 Exit codes: 0 when every requested check passes (findings included),
 1 when a check fails or the reader closes the output pipe early, 2 on
-usage or parse errors.
+usage or parse errors and on work over ``WORK_LIMIT`` (see ``_preflight``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ from pathlib import Path
 
 from .catalog import ASCII_ALIASES, catalog
 from .dsl import format_relation, parse, parse_relation, print_presentation
-from .expansion import component_dim, format_monomial, weight_component
+from .expansion import (
+    component_dim,
+    format_monomial,
+    weight_component,
+    weight_work,
+)
 from .presentations import (
     Presentation,
     dual,
@@ -37,20 +42,20 @@ from .verify import VerifyConfig, report_to_json, report_to_text, verify_all
 
 __all__ = ["main"]
 
-HARD_WEIGHT = 5
+# Largest number of weight-n generator rows, or of ambient monomials, a
+# command may ask for. Dend at weight 9 (960,960 rows) takes about 28 s and
+# 343 MB on a 2-core machine; Xplus at weight 7 (1,351,680) is refused.
+WORK_LIMIT = 1_000_000
 
 _GLOBAL_FLAGS = (
     ("--format", dict(choices=("text", "json"), help="output format")),
     (
         "--max-weight",
-        dict(type=int, dest="max_weight", help="weight ceiling for heavy work"),
-    ),
-    (
-        "--allow-large",
         dict(
-            action="store_true",
-            dest="allow_large",
-            help=f"permit work above weight {HARD_WEIGHT}",
+            type=int,
+            dest="max_weight",
+            help="weight of the verify-paper battery (default 4); "
+            "a weight ceiling for the other commands",
         ),
     ),
 )
@@ -62,17 +67,10 @@ class UsageError(Exception):
 
 def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     for name, options in _GLOBAL_FLAGS:
-        kwargs = dict(options)
-        if top:
-            if kwargs.get("action") == "store_true":
-                kwargs["default"] = False
-            else:
-                kwargs["default"] = None
-        else:
-            # subparser defaults would overwrite values parsed at the
-            # top level, so subparsers only set what was given
-            kwargs["default"] = argparse.SUPPRESS
-        parser.add_argument(name, **kwargs)
+        # subparser defaults would overwrite values parsed at the top
+        # level, so subparsers only set what was given
+        default = None if top else argparse.SUPPRESS
+        parser.add_argument(name, default=default, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,11 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("dual", help="print the dual presentation")
+    sp.set_defaults(handler=_cmd_dual)
     _add_global_flags(sp, top=False)
     sp.add_argument("file", help="source file or 'builtins'")
     sp.add_argument("op", help="operad name, optionally dual:NAME")
 
     sp = sub.add_parser("square", help="print the square product")
+    sp.set_defaults(handler=_cmd_square)
     _add_global_flags(sp, top=False)
     sp.add_argument("file")
     sp.add_argument("op1")
@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "quotient", help="add relations and print the quotient"
     )
+    sp.set_defaults(handler=_cmd_quotient)
     _add_global_flags(sp, top=False)
     sp.add_argument("file")
     sp.add_argument("op")
@@ -111,12 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "iso", help="search for a signed relabeling isomorphism"
     )
+    sp.set_defaults(handler=_cmd_iso)
     _add_global_flags(sp, top=False)
     sp.add_argument("file")
     sp.add_argument("op1")
     sp.add_argument("op2")
 
     sp = sub.add_parser("dims", help="free-algebra component dimensions")
+    sp.set_defaults(handler=_cmd_dims)
     _add_global_flags(sp, top=False)
     sp.add_argument("file")
     sp.add_argument("op")
@@ -126,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gk-check",
         help="generating-series inverse test against the dual",
     )
+    sp.set_defaults(handler=_cmd_gk)
     _add_global_flags(sp, top=False)
     sp.add_argument("file")
     sp.add_argument("op")
@@ -134,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "verify-paper", help="run the full verification battery"
     )
+    sp.set_defaults(handler=_cmd_verify)
     _add_global_flags(sp, top=False)
     sp.add_argument(
         "--report", help="also write the report to this path"
@@ -149,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "expand", help="weight component of the free algebra"
     )
+    sp.set_defaults(handler=_cmd_expand)
     _add_global_flags(sp, top=False)
     sp.add_argument("file")
     sp.add_argument("op")
@@ -196,20 +202,28 @@ def _resolve(
     return name, p
 
 
-def _weight_guard(requested: int, ceiling: int | None, allow: bool) -> None:
-    if requested < 1:
+def _preflight(
+    ns: argparse.Namespace, weight: int, operads: dict[str, Presentation]
+) -> None:
+    """Refuse, before any elimination, a weight over the --max-weight
+    ceiling or one whose work exceeds WORK_LIMIT for any of the operads.
+
+    The work at the heaviest weight bounds the work at every lighter one.
+    """
+    if weight < 1:
         raise UsageError("weight must be at least 1")
-    cap = HARD_WEIGHT if ceiling is None else ceiling
-    if requested > cap:
+    if ns.max_weight is not None and weight > ns.max_weight:
         raise UsageError(
-            f"weight {requested} is above the ceiling {cap}; "
+            f"weight {weight} is above the ceiling {ns.max_weight}; "
             "raise --max-weight"
         )
-    if requested > HARD_WEIGHT and not allow:
-        raise UsageError(
-            f"weight {requested} is above {HARD_WEIGHT} and needs "
-            "--allow-large"
-        )
+    for name, p in operads.items():
+        rows, ambient = weight_work(p, weight)
+        if max(rows, ambient) > WORK_LIMIT:
+            raise UsageError(
+                f"{name} at weight {weight} needs {rows:,} generator rows "
+                f"over {ambient:,} monomials; the limit is {WORK_LIMIT:,}"
+            )
 
 
 def _presentation_payload(name: str, p: Presentation) -> dict:
@@ -298,12 +312,10 @@ def _cmd_iso(ns: argparse.Namespace) -> tuple[int, str, dict]:
     return 0, "\n".join(lines), payload
 
 
-def _cmd_dims(
-    ns: argparse.Namespace, ceiling: int | None, allow: bool
-) -> tuple[int, str, dict]:
+def _cmd_dims(ns: argparse.Namespace) -> tuple[int, str, dict]:
     presentations, _ = _load(ns.file)
     name, p = _resolve(presentations, ns.op)
-    _weight_guard(ns.max, ceiling, allow)
+    _preflight(ns, ns.max, {name: p})
     weights = list(range(1, ns.max + 1))
     dims = [component_dim(p, n) for n in weights]
     payload = {
@@ -315,16 +327,15 @@ def _cmd_dims(
     return 0, ", ".join(str(d) for d in dims), payload
 
 
-def _cmd_gk(
-    ns: argparse.Namespace, ceiling: int | None, allow: bool
-) -> tuple[int, str, dict]:
+def _cmd_gk(ns: argparse.Namespace) -> tuple[int, str, dict]:
     presentations, _ = _load(ns.file)
     name, p = _resolve(presentations, ns.op)
-    _weight_guard(ns.max, ceiling, allow)
+    p_dual = dual(p)
+    _preflight(ns, ns.max, {name: p, f"{name}_dual": p_dual})
     if ns.max < 2:
         raise UsageError("the series test needs order at least 2")
     p_dims = dim_series(p, ns.max)
-    dual_dims = dim_series(dual(p), ns.max)
+    dual_dims = dim_series(p_dual, ns.max)
     defect = gk_defect(p_dims, dual_dims, ns.max)
     coefficients = [defect.coefficient(d) for d in range(1, ns.max + 1)]
     zero = all(c == 0 for c in coefficients)
@@ -356,29 +367,23 @@ def _cmd_gk(
     return (0 if zero else 1), text, payload
 
 
-def _cmd_verify(
-    ns: argparse.Namespace,
-    ceiling: int | None,
-    allow: bool,
-    fmt: str,
-) -> tuple[int, str, dict]:
-    max_weight = 4 if ceiling is None else ceiling
-    _weight_guard(max_weight, ceiling, allow)
+def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str, dict]:
     try:
         config = VerifyConfig(
-            max_weight=max_weight,
-            scan_radius=ns.scan_grid if ns.scan_grid > 0 else 2,
-            run_scan=ns.scan_grid > 0,
+            max_weight=4 if ns.max_weight is None else ns.max_weight,
+            scan_radius=ns.scan_grid,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = verify_all(config=config)
+    cat = catalog()
+    _preflight(ns, config.max_weight, cat.presentations)
+    report = verify_all(cat, config)
     text = report_to_text(report)
     payload = json.loads(report_to_json(report))
     if ns.report:
         rendered = (
             json.dumps(payload, indent=2, ensure_ascii=False)
-            if fmt == "json"
+            if ns.format == "json"
             else text
         )
         try:
@@ -388,12 +393,10 @@ def _cmd_verify(
     return (0 if report.ok else 1), text, payload
 
 
-def _cmd_expand(
-    ns: argparse.Namespace, ceiling: int | None, allow: bool
-) -> tuple[int, str, dict]:
+def _cmd_expand(ns: argparse.Namespace) -> tuple[int, str, dict]:
     presentations, _ = _load(ns.file)
     name, p = _resolve(presentations, ns.op)
-    _weight_guard(ns.weight, ceiling, allow)
+    _preflight(ns, ns.weight, {name: p})
     component = weight_component(p, ns.weight)
     payload = {
         "command": "expand",
@@ -413,35 +416,16 @@ def _cmd_expand(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    fmt = ns.format or "text"
-    ceiling = ns.max_weight
-    allow = ns.allow_large
+    ns = build_parser().parse_args(argv)
     try:
-        if ceiling is not None and ceiling < 1:
+        if ns.max_weight is not None and ns.max_weight < 1:
             raise UsageError("--max-weight must be at least 1")
-        if ns.command == "dual":
-            code, text, payload = _cmd_dual(ns)
-        elif ns.command == "square":
-            code, text, payload = _cmd_square(ns)
-        elif ns.command == "quotient":
-            code, text, payload = _cmd_quotient(ns)
-        elif ns.command == "iso":
-            code, text, payload = _cmd_iso(ns)
-        elif ns.command == "dims":
-            code, text, payload = _cmd_dims(ns, ceiling, allow)
-        elif ns.command == "gk-check":
-            code, text, payload = _cmd_gk(ns, ceiling, allow)
-        elif ns.command == "verify-paper":
-            code, text, payload = _cmd_verify(ns, ceiling, allow, fmt)
-        else:
-            code, text, payload = _cmd_expand(ns, ceiling, allow)
+        code, text, payload = ns.handler(ns)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        if fmt == "json":
+        if ns.format == "json":
             print(json.dumps(payload, indent=2, ensure_ascii=False))
         else:
             print(text)

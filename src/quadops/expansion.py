@@ -46,17 +46,17 @@ labels in lexicographic order.
 
 Two caches are keyed by the weight alone: ``enumerate_trees`` and
 ``_context_layouts`` keep the shapes and the context layouts of each
-weight asked for, and the weight ceiling of the CLI bounds how many there
-are. One memo depends on a presentation: ``_ideal_rank`` keeps the rank
-of the weight-n ideal, keyed by the canonical relation ``Subspace`` and
-n, so presentations with equal relations share an entry whatever their
-names, and ``component_dim`` asks each (space, weight) pair once. It is an
-LRU of at most 128 entries, each holding one relation space and an int: a
-built-in's space takes about 5 KB and a dense one on four operations with
-small coefficients under 30 KB, so a full memo of spaces on at most four
-operations stays under 4 MB. Monomials, echelons and ideal bases are not
-kept: ``weight_component`` and ``ideal_span`` rebuild them on each call
-and free them with it.
+weight asked for, and the CLI's preflight (``weight_work``) bounds the
+weights asked for. One memo depends on a presentation: ``_ideal_rank``
+keeps the rank of the weight-n ideal, keyed by the canonical relation
+``Subspace`` and n, so presentations with equal relations share an entry
+whatever their names, and ``component_dim`` asks each (space, weight)
+pair once. It is an LRU of at most 128 entries, each holding one relation
+space and an int: a built-in's space takes about 5 KB and a dense one on
+four operations with small coefficients under 30 KB, so a full memo of
+spaces on at most four operations stays under 4 MB. Monomials, echelons
+and ideal bases are not kept: ``weight_component`` and ``ideal_span``
+rebuild them on each call and free them with it.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ __all__ = [
     "ideal_span",
     "weight_component",
     "component_dim",
+    "weight_work",
     "binary_ops_dimension",
     "format_monomial",
 ]
@@ -248,6 +249,21 @@ def _ideal_generators(k: int, relations: Sequence[IntRow], n: int):
                 yield {cols[c]: x for c, x in rel}
 
 
+def weight_work(p: Presentation, n: int) -> tuple[int, int]:
+    """Generator rows and ambient size of the weight-n elimination.
+
+    An n-leaf context has n - 3 binary vertices, and there are C(2n-3, n)
+    contexts (1, 5, 21, 84, ... for n = 3, 4, 5, 6, ...), so
+    ``_ideal_generators`` yields C(2n-3, n) * k^(n-3) * dim R rows, in
+    C(n-1) * k^(n-1) columns. Below weight 3 there is no ideal.
+    """
+    if n < 1:
+        raise ValueError("weight starts at 1")
+    k = p.num_ops
+    rows = comb(2 * n - 3, n) * k ** (n - 3) * p.relations.dimension if n >= 3 else 0
+    return rows, catalan(n - 1) * k ** (n - 1)
+
+
 def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     """Echelon of the weight-n ideal of a relation space in 2k^2 columns.
 
@@ -287,7 +303,7 @@ def ideal_span(p: Presentation, n: int) -> Subspace:
     basis is back-substituted from the same echelon ``component_dim``
     counts.
     """
-    size = catalan(n - 1) * p.num_ops ** (n - 1)
+    _, size = weight_work(p, n)
     return echelon_subspace(_ideal_echelon(p.relations, n), size)
 
 
@@ -328,9 +344,7 @@ def component_dim(p: Presentation, n: int) -> int:
     The rank of the ideal is read off its echelon, and memoized per
     relation space and weight (``_ideal_rank``); no basis is built.
     """
-    if n < 1:
-        raise ValueError("weight starts at 1")
-    size = catalan(n - 1) * p.num_ops ** (n - 1)
+    _, size = weight_work(p, n)
     if n < 3:
         return size
     return size - _ideal_rank(p.relations, n)

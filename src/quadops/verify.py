@@ -108,22 +108,21 @@ class VerifyConfig:
 
     max_weight bounds the dimension battery (weight 4 reaches the
     conjectured values; weight 3 keeps mutation sweeps fast). scan_radius
-    sets the integer grid for the uniqueness scan.
+    sets the integer grid for the uniqueness scan; 0 skips the scan.
     """
 
     max_weight: int = 4
     scan_radius: int = 2
-    run_scan: bool = True
 
     def __post_init__(self) -> None:
         if self.max_weight < 3:
             raise ValueError("the battery needs at least weight 3")
-        if self.scan_radius < 1:
-            raise ValueError("scan radius is at least 1")
+        if self.scan_radius < 0:
+            raise ValueError("scan radius is at least 0")
 
     @classmethod
     def quick(cls) -> "VerifyConfig":
-        return cls(max_weight=3, run_scan=False)
+        return cls(max_weight=3, scan_radius=0)
 
 
 def extra_relation_directions() -> tuple[RelVector, RelVector]:
@@ -583,7 +582,7 @@ def verify_all(
     records.extend(_morphism_checks(cat))
     records.extend(_dimension_checks(cat, config))
     records.extend(_series_checks(cat, config))
-    if config.run_scan:
+    if config.scan_radius:
         records.append(_scan_check(cat, config))
     return CheckReport(tuple(records))
 

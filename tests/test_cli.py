@@ -1,16 +1,20 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quadops.cli
+import quadops.expansion
 from quadops.catalog import builtin
-from quadops.cli import main
+from quadops.cli import build_parser, main
 from quadops.dsl import parse
 from quadops.presentations import dual
 
@@ -68,39 +72,63 @@ class TestDims:
         assert code == 0
         assert json.loads(out)["dims"] == [1, 4, 16]
 
-    def test_weight_above_hard_limit_needs_allow_large(self, capsys):
-        code, _, err = run(
-            capsys,
-            "dims",
-            "builtins",
-            "As",
-            "--max",
-            "6",
-            "--max-weight",
-            "6",
-        )
-        assert code == 2
-        assert "--allow-large" in err
+    def test_weight_six_needs_no_flag(self, capsys):
+        code, out, _ = run(capsys, "dims", "builtins", "As", "--max", "6")
+        assert code == 0
+        assert out == "1, 1, 1, 1, 1, 1\n"
 
     def test_weight_above_ceiling_rejected(self, capsys):
-        code, _, err = run(capsys, "dims", "builtins", "As", "--max", "6")
+        code, _, err = run(
+            capsys, "--max-weight", "5", "dims", "builtins", "As", "--max", "6"
+        )
         assert code == 2
         assert "ceiling" in err
 
-    def test_allow_large_unlocks_weight_six(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "--max-weight",
-            "6",
-            "--allow-large",
-            "dims",
-            "builtins",
-            "As",
-            "--max",
-            "6",
-        )
+    def test_weight_eight_within_the_limit(self, capsys):
+        # Dend at weight 8: 123,552 generator rows
+        code, out, _ = run(capsys, "dims", "builtins", "Dend", "--max", "8")
         assert code == 0
-        assert out == "1, 1, 1, 1, 1, 1\n"
+        assert out == "1, 2, 5, 14, 42, 132, 429, 1430\n"
+
+
+class TestPreflight:
+    @pytest.fixture(autouse=True)
+    def no_elimination(self, monkeypatch):
+        def refuse(relations, n):
+            raise AssertionError("elimination reached")
+
+        monkeypatch.setattr(quadops.expansion, "_ideal_echelon", refuse)
+
+    @pytest.mark.parametrize(
+        "argv,operad,rows",
+        (
+            (("dims", "builtins", "Xplus", "--max", "8"), "Xplus", "21,086,208"),
+            (("expand", "builtins", "Xplus", "--weight", "8"), "Xplus", "21,086,208"),
+            (("gk-check", "builtins", "Xplus", "--max", "8"), "Xplus", "21,086,208"),
+            # the first of the catalog over the limit
+            (("--max-weight", "8", "verify-paper"), "DendSquareDias", "19,768,320"),
+        ),
+        ids=("dims", "expand", "gk-check", "verify-paper"),
+    )
+    def test_oversized_work_refused_before_elimination(
+        self, capsys, argv, operad, rows
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"{operad} at weight 8 needs {rows} generator rows over "
+            "7,028,736 monomials; the limit is 1,000,000\n"
+        )
+
+    def test_dual_is_checked_too(self, tmp_path, capsys):
+        # one operation and no relations: the free operad has no ideal
+        # rows, but its dual has every relation
+        path = tmp_path / "free.ops"
+        path.write_text(FREE_TEXT, encoding="utf-8")
+        code, _, err = run(capsys, "gk-check", str(path), "Free", "--max", "13")
+        assert code == 2
+        assert err.startswith("Free_dual at weight 13 needs 2,288,132 ")
 
 
 class TestIso:
@@ -494,10 +522,19 @@ class TestVerifyPaper:
         assert code == exit_code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    def test_weight_six_needs_allow_large(self, capsys):
-        code, _, err = run(capsys, "--max-weight", "6", "verify-paper")
+    def test_weight_eight_refused_before_the_battery(self, monkeypatch, capsys):
+        def refuse(cat, config):
+            raise AssertionError("battery reached")
+
+        monkeypatch.setattr(quadops.cli, "verify_all", refuse)
+        code, _, err = run(capsys, "--max-weight", "8", "verify-paper")
         assert code == 2
-        assert "--allow-large" in err
+        assert "the limit is 1,000,000" in err
+
+    def test_negative_scan_grid_rejected(self, capsys):
+        code, _, err = run(capsys, "verify-paper", "--scan-grid", "-1")
+        assert code == 2
+        assert "scan radius" in err
 
     def test_report_file_matches_stdout(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
@@ -582,3 +619,25 @@ class TestFilesAndErrors:
         code, out, _ = run(capsys, "verify-paper", "--scan-grid", "0")
         assert code == 0
         assert "FINDING" in out
+
+
+def parser_flags() -> set[str]:
+    parser = build_parser()
+    (subparsers,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        flag
+        for p in (parser, *subparsers.choices.values())
+        for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+
+
+def test_readme_names_exactly_the_parser_flags():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    section = section.split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named == parser_flags()

@@ -8,7 +8,7 @@ ideal by one-step grafting from the weight below.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 import sympy
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from quadops.catalog import BUILTIN_NAMES, builtin
 from quadops.expansion import (
     TreeMonomial,
+    _context_layouts,
     _ideal_echelon,
     _ideal_generators,
     _ideal_rank,
@@ -29,11 +30,13 @@ from quadops.expansion import (
     ideal_span,
     weight_basis,
     weight_component,
+    weight_work,
 )
 from quadops.linalg import echelon_subspace, reduce_row, span
 from quadops.presentations import (
     GeneratorSet,
     Presentation,
+    dual,
     quotient,
     relation_vector,
 )
@@ -283,6 +286,48 @@ class TestReductionOrder:
     @settings(deadline=None, max_examples=40)
     def test_drawn_presentations(self, p, n):
         assert_order_independent(p.relations, n)
+
+
+def generator_count(p: Presentation, n: int) -> int:
+    return sum(1 for _ in _ideal_generators(p.num_ops, p.relations.rows, n))
+
+
+def assert_work_counted(p: Presentation, n: int) -> None:
+    ambient = len(weight_basis(p.num_ops, n))
+    assert weight_work(p, n) == (generator_count(p, n), ambient)
+
+
+class TestWeightWork:
+    """The closed-form counts the CLI preflight refuses work by."""
+
+    def test_context_count_closed_form(self):
+        for n in range(3, 10):
+            assert comb(2 * n - 3, n) == len(_context_layouts(n))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_and_duals_at_weights_three_to_six(self, name):
+        for p in (builtin(name), dual(builtin(name))):
+            for n in (3, 4, 5, 6):
+                assert weight_work(p, n)[0] == generator_count(p, n)
+
+    @given(small_presentations(), st.sampled_from((3, 4, 5)))
+    @settings(deadline=None, max_examples=40)
+    def test_drawn_presentations(self, p, n):
+        assert_work_counted(p, n)
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_zero_relations(self, k):
+        p = Presentation(GeneratorSet(tuple("ab"[:k])), span([], 2 * k * k))
+        for n in (3, 4, 5):
+            assert_work_counted(p, n)
+        assert weight_work(p, 5)[0] == 0
+
+    def test_no_ideal_below_weight_three(self):
+        p = builtin("Xplus")
+        assert weight_work(p, 1) == (0, 1)
+        assert weight_work(p, 2) == (0, 4)
+        with pytest.raises(ValueError):
+            weight_work(p, 0)
 
 
 def _graft(shape, labels, position: int, inner: TreeMonomial):

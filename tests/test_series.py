@@ -32,13 +32,14 @@ def sympy_inverse(coeffs, order):
     """Oracle: solve f(g(t)) = t for g degree by degree, symbolically."""
     t = sympy.Symbol("t")
     f = sum(sympy.Rational(c) * t**i for i, c in enumerate(coeffs[: order + 1]))
-    g_coeffs = [sympy.Integer(0), sympy.Integer(1) / sympy.Rational(coeffs[1])]
+    f1 = sympy.Rational(coeffs[1])
+    g_coeffs = [sympy.Integer(0), 1 / f1]
     for n in range(2, order + 1):
-        a = sympy.Symbol("a")
-        g = sum(c * t**i for i, c in enumerate(g_coeffs)) + a * t**n
+        # with g = g_<n + a t^n, the t^n coefficient of f(g) is
+        # [t^n] f(g_<n) + f_1 a, which must vanish
+        g = sum(c * t**i for i, c in enumerate(g_coeffs))
         composed = sympy.expand(f.subs(t, g))
-        (sol,) = sympy.solve(sympy.Eq(composed.coeff(t, n), 0), a)
-        g_coeffs.append(sympy.nsimplify(sol))
+        g_coeffs.append(-composed.coeff(t, n) / f1)
     return PowerSeries(
         tuple(Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, g_coeffs))
     )

@@ -103,14 +103,14 @@ class TestRecordAndConfig:
         with pytest.raises(ValueError):
             VerifyConfig(max_weight=2)
 
-    def test_config_rejects_zero_radius(self):
+    def test_config_rejects_negative_radius(self):
         with pytest.raises(ValueError):
-            VerifyConfig(scan_radius=0)
+            VerifyConfig(scan_radius=-1)
 
     def test_quick_config_values(self):
         cfg = VerifyConfig.quick()
         assert cfg.max_weight == 3
-        assert cfg.run_scan is False
+        assert cfg.scan_radius == 0
 
     def test_self_duality_witness_is_applied(self, monkeypatch):
         records = _self_duality_checks(catalog())
