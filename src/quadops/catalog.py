@@ -24,11 +24,10 @@ names are parsed, so the Unicode arrows never need to be typed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
-from .linalg import Matrix, span
+from .linalg import Matrix, _Record, _set, span
 from .presentations import (
     GeneratorMap,
     GeneratorSet,
@@ -233,15 +232,22 @@ def builtin_map(source: str, target: str) -> GeneratorMap:
     )
 
 
-@dataclass(frozen=True)
-class BuiltinCatalog:
+class BuiltinCatalog(_Record):
     """A snapshot of the built-in presentations, their defining relation
     lists, and the standard maps. Verification runs against a catalog, so
     tests can hand in deliberately damaged copies."""
 
-    presentations: dict[str, Presentation]
-    spanning: dict[str, tuple[RelVector, ...]]
-    maps: dict[tuple[str, str], GeneratorMap]
+    __slots__ = ("presentations", "spanning", "maps")
+
+    def __init__(
+        self,
+        presentations: dict[str, Presentation],
+        spanning: dict[str, tuple[RelVector, ...]],
+        maps: dict[tuple[str, str], GeneratorMap],
+    ) -> None:
+        _set(self, "presentations", presentations)
+        _set(self, "spanning", spanning)
+        _set(self, "maps", maps)
 
     def presentation(self, name: str) -> Presentation:
         return self.presentations[name]
@@ -254,7 +260,7 @@ class BuiltinCatalog:
             raise KeyError(name)
         updated = dict(self.presentations)
         updated[name] = p
-        return replace(self, presentations=updated)
+        return BuiltinCatalog(updated, self.spanning, self.maps)
 
     def without_relation(self, name: str, index: int) -> BuiltinCatalog:
         """Copy of the catalog with one defining relation deleted."""
@@ -266,9 +272,7 @@ class BuiltinCatalog:
         updated_spanning[name] = kept
         updated_presentations = dict(self.presentations)
         updated_presentations[name] = _presentation(_GENERATORS[name], kept)
-        return replace(
-            self, presentations=updated_presentations, spanning=updated_spanning
-        )
+        return BuiltinCatalog(updated_presentations, updated_spanning, self.maps)
 
 
 def catalog() -> BuiltinCatalog:

@@ -16,6 +16,7 @@ usage or parse errors and on work over ``WORK_LIMIT`` (see ``_preflight``).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from pathlib import Path
 from .catalog import ASCII_ALIASES, catalog
 from .dsl import format_relation, parse, parse_relation, print_presentation
 from .expansion import (
+    catalan,
     component_dim,
     format_monomial,
     weight_component,
@@ -38,7 +40,7 @@ from .presentations import (
     square,
 )
 from .series import SERIES_LIMITATION_NOTE, dim_series, gk_defect
-from .verify import VerifyConfig, report_to_json, report_to_text, verify_all
+from .verify import VerifyConfig, report_payload, report_to_text, verify_all
 
 __all__ = ["main"]
 
@@ -46,6 +48,9 @@ __all__ = ["main"]
 # command may ask for. Dend at weight 9 (960,960 rows) takes about 28 s and
 # 343 MB on a 2-core machine; Xplus at weight 7 (1,351,680) is refused.
 WORK_LIMIT = 1_000_000
+# From this weight (15) on, even one operation has catalan(n - 1) > WORK_LIMIT
+# monomials: refused uncounted, as the counts grow to thousands of digits.
+_REFUSED_FROM = next(n for n in itertools.count(1) if catalan(n - 1) > WORK_LIMIT)
 
 _GLOBAL_FLAGS = (
     ("--format", dict(choices=("text", "json"), help="output format")),
@@ -217,6 +222,12 @@ def _preflight(
             f"weight {weight} is above the ceiling {ns.max_weight}; "
             "raise --max-weight"
         )
+    if weight >= _REFUSED_FROM:
+        raise UsageError(
+            f"weight {weight} is refused for every operad: from weight "
+            f"{_REFUSED_FROM} on, one operation alone has more monomials "
+            f"than the limit of {WORK_LIMIT:,}"
+        )
     for name, p in operads.items():
         rows, ambient = weight_work(p, weight)
         if max(rows, ambient) > WORK_LIMIT:
@@ -379,7 +390,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str, dict]:
     _preflight(ns, config.max_weight, cat.presentations)
     report = verify_all(cat, config)
     text = report_to_text(report)
-    payload = json.loads(report_to_json(report))
+    payload = report_payload(report)
     if ns.report:
         rendered = (
             json.dumps(payload, indent=2, ensure_ascii=False)

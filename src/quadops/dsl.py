@@ -23,10 +23,9 @@ with spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import span
+from .linalg import _Record, _set, span
 from .presentations import (
     GeneratorSet,
     Presentation,
@@ -53,31 +52,43 @@ PUNCT = "{}();,=+-*/:"
 _IDENT_STOP = set("{}();,=+-/:") | {"#"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class Token(_Record):
+    """One lexeme: its kind, its text and its 1-based position."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "column", column)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     """A positioned message; line and column are 1-based."""
 
-    line: int
-    column: int
-    message: str
-    severity: str = "error"
+    __slots__ = ("line", "column", "message", "severity")
+
+    def __init__(self, line: int, column: int, message: str, severity: str = "error") -> None:
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "message", message)
+        _set(self, "severity", severity)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
-    presentations: dict[str, Presentation]
-    diagnostics: tuple[Diagnostic, ...]
+class ParseResult(_Record):
+    """The presentations parsed, by name, and every diagnostic raised."""
+
+    __slots__ = ("presentations", "diagnostics")
+
+    def __init__(
+        self, presentations: dict[str, Presentation], diagnostics: tuple[Diagnostic, ...]
+    ) -> None:
+        _set(self, "presentations", presentations)
+        _set(self, "diagnostics", diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -130,11 +141,20 @@ def tokenize(text: str) -> tuple[Token, ...]:
     return tuple(tokens)
 
 
-@dataclass
-class _Cursor:
-    tokens: tuple[Token, ...]
-    pos: int = 0
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class _Cursor(_Record):
+    """Parser position and the diagnostics so far: the one mutable record."""
+
+    __slots__ = ("tokens", "pos", "diagnostics")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, tokens: tuple[Token, ...], pos: int = 0, diagnostics: list[Diagnostic] | None = None
+    ) -> None:
+        self.tokens = tokens
+        self.pos = pos
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def peek(self, ahead: int = 0) -> Token:
         index = min(self.pos + ahead, len(self.tokens) - 1)

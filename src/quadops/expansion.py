@@ -62,12 +62,11 @@ rebuild them on each call and free them with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 from typing import Sequence
 
-from .linalg import Echelon, IntRow, Subspace, echelon_subspace, reduce_row
+from .linalg import Echelon, IntRow, Subspace, _Record, _set, echelon_subspace, reduce_row
 from .presentations import Presentation
 
 __all__ = [
@@ -114,18 +113,18 @@ def _leaf_count(shape) -> int:
     return _leaf_count(shape[0]) + _leaf_count(shape[1])
 
 
-@dataclass(frozen=True)
-class TreeMonomial:
+class TreeMonomial(_Record):
     """A tree shape with one operation label per internal node, pre-order."""
 
-    shape: tuple | None
-    labels: tuple[int, ...]
+    __slots__ = ("shape", "labels")
 
-    def __post_init__(self) -> None:
-        if _leaf_count(self.shape) != len(self.labels) + 1:
+    def __init__(self, shape: tuple | None, labels: tuple[int, ...]) -> None:
+        if _leaf_count(shape) != len(labels) + 1:
             raise ValueError("one label per internal node")
-        if any(g < 0 for g in self.labels):
+        if any(g < 0 for g in labels):
             raise ValueError("labels are operation indices")
+        _set(self, "shape", shape)
+        _set(self, "labels", labels)
 
     @property
     def arity(self) -> int:
@@ -307,17 +306,19 @@ def ideal_span(p: Presentation, n: int) -> Subspace:
     return echelon_subspace(_ideal_echelon(p.relations, n), size)
 
 
-@dataclass(frozen=True)
-class WeightComponent:
+class WeightComponent(_Record):
     """One weight-graded piece: monomial basis and the ideal inside it.
 
     ``pivots`` are the lead columns of the ideal's echelon, which are the
     pivot columns of its RREF basis; ``ideal_span`` builds that basis.
     """
 
-    arity: int
-    basis: tuple[TreeMonomial, ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("arity", "basis", "pivots")
+
+    def __init__(self, arity: int, basis: tuple[TreeMonomial, ...], pivots: tuple[int, ...]) -> None:
+        _set(self, "arity", arity)
+        _set(self, "basis", basis)
+        _set(self, "pivots", pivots)
 
     @property
     def dimension(self) -> int:

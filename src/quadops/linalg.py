@@ -28,8 +28,8 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -62,6 +62,48 @@ class DimensionError(ValueError):
     """Raised when operand shapes do not line up."""
 
 
+# sets a field from a record's own __init__, past its frozen __setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's value classes: frozen records over ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` and sets each one with
+    ``_set`` in its own ``__init__``. Instances are equal when they have
+    the same class and equal fields, hash by their fields, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
+    and copy by calling the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # a C getter keeps __eq__ and __hash__ near generated-code speed
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 def _scalar(value) -> Fraction:
     """Coerce an int or Fraction to Fraction; floats are rejected."""
     if isinstance(value, Fraction):
@@ -71,21 +113,19 @@ def _scalar(value) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Record):
     """Immutable dense matrix of rationals, stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
@@ -257,31 +297,28 @@ def _sparse_rows(vectors: Iterable[Sequence], cols: int) -> Iterator[SparseRow]:
 IntRow = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A linear subspace of QQ^n held by its canonical basis.
 
     ``rows`` are the primitive integer RREF rows, by increasing lead
     column: each row lists its nonzero ``(column, entry)`` pairs by
     increasing column, leads with a positive entry, has content 1 and is
     zero at every other row's lead column. Dividing each row by its lead
-    gives the RREF basis over QQ. Because the basis is canonical,
-    dataclass equality coincides with equality of subspaces.
+    gives the RREF basis over QQ. Because the basis is canonical, two
+    instances are equal, field by field, exactly when their subspaces are.
     """
 
-    ambient_dim: int
-    rows: tuple[IntRow, ...]
+    __slots__ = ("ambient_dim", "rows")
 
-    def __post_init__(self) -> None:
-        n = self.ambient_dim
-        if n < 0:
+    def __init__(self, ambient_dim: int, rows: tuple[IntRow, ...]) -> None:
+        if ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
         # One pass per row. Leads increase from row to row and a row's other
         # columns lie after its lead, so only a later row can lead at one of
         # them: each lead is checked against the other columns seen so far.
         others: set[int] = set()
         last_lead = -1
-        for row in self.rows:
+        for row in rows:
             if not row:
                 raise ValueError("zero row in subspace basis")
             entries = iter(row)
@@ -302,10 +339,12 @@ class Subspace:
                     g = math.gcd(g, x)
                 others.add(col)
                 prev = col
-            if prev >= n:
+            if prev >= ambient_dim:
                 raise DimensionError("basis row reaches outside the ambient space")
             if g != 1:
                 raise ValueError("basis row must be primitive with a positive lead")
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "rows", rows)
 
     @property
     def dimension(self) -> int:

@@ -27,7 +27,6 @@ right coefficients multiplied on the right block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -39,7 +38,9 @@ from .linalg import (
     Matrix,
     SparseRow,
     Subspace,
+    _Record,
     _scalar,
+    _set,
     complement_under_form,
     echelon_subspace,
     reduce_row,
@@ -70,37 +71,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Record):
     """Ordered list of binary operation names; order is part of the data."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if not names:
             raise ValueError("a presentation needs at least one operation")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("operation names must be pairwise distinct")
-        if any(not n for n in self.names):
+        if any(not n for n in names):
             raise ValueError("operation names must be nonempty")
+        _set(self, "names", names)
 
     @property
     def size(self) -> int:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class RelVector:
+class RelVector(_Record):
     """A quadratic relation as a coordinate vector of length 2*k^2."""
 
-    coordinates: tuple[Fraction, ...]
+    __slots__ = ("coordinates",)
 
-    def __post_init__(self) -> None:
-        k = isqrt(len(self.coordinates) // 2)
-        if len(self.coordinates) == 0 or 2 * k * k != len(self.coordinates):
-            raise DimensionError(
-                f"relation vector length {len(self.coordinates)} is not 2*k^2"
-            )
+    def __init__(self, coordinates: tuple[Fraction, ...]) -> None:
+        k = isqrt(len(coordinates) // 2)
+        if len(coordinates) == 0 or 2 * k * k != len(coordinates):
+            raise DimensionError(f"relation vector length {len(coordinates)} is not 2*k^2")
+        _set(self, "coordinates", coordinates)
 
     @property
     def num_ops(self) -> int:
@@ -136,20 +135,20 @@ def relation_vector(
     return RelVector(tuple(coords))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Binary quadratic presentation: generators plus a relation subspace."""
 
-    generators: GeneratorSet
-    relations: Subspace
+    __slots__ = ("generators", "relations")
 
-    def __post_init__(self) -> None:
-        k = self.generators.size
-        if self.relations.ambient_dim != 2 * k * k:
+    def __init__(self, generators: GeneratorSet, relations: Subspace) -> None:
+        k = generators.size
+        if relations.ambient_dim != 2 * k * k:
             raise DimensionError(
                 f"relation space must live in dimension {2 * k * k}, "
-                f"got {self.relations.ambient_dim}"
+                f"got {relations.ambient_dim}"
             )
+        _set(self, "generators", generators)
+        _set(self, "relations", relations)
 
     @property
     def num_ops(self) -> int:
@@ -163,36 +162,36 @@ class Presentation:
         return [RelVector(row) for row in self.relations.fraction_rows()]
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(_Record):
     """Linear assignment of source operations to target combinations.
 
     Row i of ``matrix`` gives the coefficients of the image of source
     operation i in the target operations.
     """
 
-    source: GeneratorSet
-    target: GeneratorSet
-    matrix: Matrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.source.size or self.matrix.cols != self.target.size:
+    def __init__(self, source: GeneratorSet, target: GeneratorSet, matrix: Matrix) -> None:
+        if matrix.rows != source.size or matrix.cols != target.size:
             raise DimensionError("map matrix shape does not match its endpoints")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class SignedRelabeling:
+class SignedRelabeling(_Record):
     """A signed permutation of the operations: op_i maps to signs[i] * op_perm[i]."""
 
-    permutation: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("permutation", "signs")
 
-    def __post_init__(self) -> None:
-        k = len(self.permutation)
-        if sorted(self.permutation) != list(range(k)):
+    def __init__(self, permutation: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        k = len(permutation)
+        if sorted(permutation) != list(range(k)):
             raise ValueError("not a permutation")
-        if len(self.signs) != k or any(s not in (1, -1) for s in self.signs):
+        if len(signs) != k or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1, one per operation")
+        _set(self, "permutation", permutation)
+        _set(self, "signs", signs)
 
     @property
     def size(self) -> int:

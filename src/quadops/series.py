@@ -19,11 +19,10 @@ generator scaled by dims[2], and solves each odd degree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import _scalar
+from .linalg import _Record, _scalar, _set
 from .presentations import Presentation
 
 __all__ = [
@@ -44,22 +43,17 @@ SERIES_LIMITATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(_Record):
     """Truncated power series; index = degree, constant term always 0."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
+        if not coefficients:
             raise ValueError("a truncated series stores at least degree 0")
-        if self.coefficients[0] != 0:
+        if coefficients[0] != 0:
             raise ValueError("series must have no constant term")
-        object.__setattr__(
-            self,
-            "coefficients",
-            tuple(_scalar(c) for c in self.coefficients),
-        )
+        _set(self, "coefficients", tuple(_scalar(c) for c in coefficients))
 
     @property
     def order(self) -> int:
@@ -87,19 +81,19 @@ def identity_series(order: int) -> PowerSeries:
     return PowerSeries((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
 
 
-@dataclass(frozen=True)
-class DimSeries:
+class DimSeries(_Record):
     """Component dimensions by weight: dims[0] is the weight-1 dimension."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self) -> None:
-        if not self.dims:
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        if not dims:
             raise ValueError("a dim series covers at least weight 1")
-        if any(not isinstance(d, int) or d < 0 for d in self.dims):
+        if any(not isinstance(d, int) or d < 0 for d in dims):
             raise ValueError("dimensions are nonnegative integers")
-        if self.dims[0] != 1:
+        if dims[0] != 1:
             raise ValueError("the weight-1 component is always one-dimensional")
+        _set(self, "dims", dims)
 
     @property
     def max_weight(self) -> int:
@@ -179,12 +173,14 @@ def gk_defect(p_dims: DimSeries, dual_dims: DimSeries, order: int) -> PowerSerie
     return PowerSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class DimPrediction:
+class DimPrediction(_Record):
     """Solver outcome: the dims found, and why solving stopped if it did."""
 
-    dims: tuple[int, ...]
-    failure: str | None = None
+    __slots__ = ("dims", "failure")
+
+    def __init__(self, dims: tuple[int, ...], failure: str | None = None) -> None:
+        _set(self, "dims", dims)
+        _set(self, "failure", failure)
 
     @property
     def ok(self) -> bool:

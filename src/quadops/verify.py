@@ -13,7 +13,6 @@ test, so a damaged catalog cannot satisfy the checks by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .catalog import (
     BUILTIN_NAMES,
@@ -23,7 +22,7 @@ from .catalog import (
     tableau_vectors,
 )
 from .expansion import binary_ops_dimension, catalan, component_dim
-from .linalg import subspace_contains
+from .linalg import _Record, _set, subspace_contains
 from .presentations import (
     Presentation,
     RelVector,
@@ -57,6 +56,7 @@ __all__ = [
     "sixteenth_relation_scan",
     "verify_all",
     "report_to_text",
+    "report_payload",
     "report_to_json",
 ]
 
@@ -66,24 +66,30 @@ MIDDLE_SWAP = SignedRelabeling((0, 2, 1, 3), (1, 1, 1, 1))
 CONJECTURED_WEIGHT_FOUR = 64
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(_Record):
     """One verified claim: identifier, outcome, and the values compared."""
 
-    check_id: str
-    status: str
-    expected: str
-    actual: str
-    witness: str = ""
+    __slots__ = ("check_id", "status", "expected", "actual", "witness")
 
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "fail", "finding"):
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(
+        self, check_id: str, status: str, expected: str, actual: str, witness: str = ""
+    ) -> None:
+        if status not in ("pass", "fail", "finding"):
+            raise ValueError(f"unknown status {status!r}")
+        _set(self, "check_id", check_id)
+        _set(self, "status", status)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    records: tuple[CheckRecord, ...]
+class CheckReport(_Record):
+    """The battery's records, in the order the checks ran."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[CheckRecord, ...]) -> None:
+        _set(self, "records", records)
 
     @property
     def ok(self) -> bool:
@@ -102,8 +108,7 @@ class CheckReport:
         raise KeyError(check_id)
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(_Record):
     """Depth knobs for the battery.
 
     max_weight bounds the dimension battery (weight 4 reaches the
@@ -111,14 +116,15 @@ class VerifyConfig:
     sets the integer grid for the uniqueness scan; 0 skips the scan.
     """
 
-    max_weight: int = 4
-    scan_radius: int = 2
+    __slots__ = ("max_weight", "scan_radius")
 
-    def __post_init__(self) -> None:
-        if self.max_weight < 3:
+    def __init__(self, max_weight: int = 4, scan_radius: int = 2) -> None:
+        if max_weight < 3:
             raise ValueError("the battery needs at least weight 3")
-        if self.scan_radius < 0:
+        if scan_radius < 0:
             raise ValueError("scan radius is at least 0")
+        _set(self, "max_weight", max_weight)
+        _set(self, "scan_radius", scan_radius)
 
     @classmethod
     def quick(cls) -> "VerifyConfig":
@@ -603,9 +609,10 @@ def report_to_text(report: CheckReport) -> str:
     return "\n".join(lines)
 
 
-def report_to_json(report: CheckReport) -> str:
+def report_payload(report: CheckReport) -> dict:
+    """The report as plain JSON values: summary, records and notes."""
     counts = report.counts()
-    payload = {
+    return {
         "summary": {
             "total": len(report.records),
             "pass": counts["pass"],
@@ -625,4 +632,7 @@ def report_to_json(report: CheckReport) -> str:
         ],
         "notes": [f"series checks are {SERIES_LIMITATION_NOTE}"],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def report_to_json(report: CheckReport) -> str:
+    return json.dumps(report_payload(report), indent=2, ensure_ascii=False)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,33 @@ from quadops.presentations import dual
 
 FREE_TEXT = "operad Free { ops: a; }\n"
 ASSOC_TEXT = "operad My { ops: m; rel: (x m y) m z = x m (y m z); }\n"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
+
+def test_import_generates_no_code():
+    # the value classes are plain __slots__ classes: importing the CLI
+    # loads no dataclasses, nor the inspect, ast and dis it pulls in
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import quadops.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 class TestDims:
@@ -120,6 +142,41 @@ class TestPreflight:
             f"{operad} at weight 8 needs {rows} generator rows over "
             "7,028,736 monomials; the limit is 1,000,000\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,weight",
+        (
+            (("dims", "builtins", "Xplus", "--max", "4000"), 4000),
+            (("dims", "builtins", "As", "--max", "8000"), 8000),
+            (("expand", "builtins", "Dend", "--weight", "6000"), 6000),
+            (("dims", "builtins", "As", "--max", "2000000"), 2000000),
+            (("--max-weight", "4000", "verify-paper"), 4000),
+        ),
+        ids=("dims-Xplus", "dims-As", "expand", "dims-huge", "verify-paper"),
+    )
+    def test_huge_weight_refused_at_once(self, argv, weight):
+        # counting this work exactly would take thousands of digits, or
+        # minutes of math.comb; a cold process must refuse within a second
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadops.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert time.perf_counter() - started < 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"weight {weight} is refused for every operad: from weight 15 on, "
+            "one operation alone has more monomials than the limit of 1,000,000\n"
+        )
+
+    def test_weight_fourteen_is_still_counted(self, capsys):
+        code, _, err = run(capsys, "dims", "builtins", "As", "--max", "14")
+        assert code == 2
+        assert err.startswith("As at weight 14 needs 4,457,400 generator rows over 742,900 ")
 
     def test_dual_is_checked_too(self, tmp_path, capsys):
         # one operation and no relations: the free operad has no ideal
