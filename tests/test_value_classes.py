@@ -134,6 +134,8 @@ def test_value_class_contract(cls, fields, name, other, kind):
     assert value == twin and not value != twin
     assert value != changed and not value == changed
     assert value.__eq__(object()) is NotImplemented
+    # equal fields in another class, even a subclass, are not enough
+    assert value != type("Sub", (cls,), {})(**fields())
     if kind == HASHABLE:
         assert hash(value) == hash(twin)
     else:
