@@ -678,6 +678,48 @@ class TestFilesAndErrors:
         assert "FINDING" in out
 
 
+class TestMalformedInput:
+    # each used to end in a traceback with exit 1
+    @pytest.mark.parametrize(
+        "source,argv,line",
+        [
+            (
+                "operad E { ops: a; rel: ² * (x a y) a z = 0; }\n".encode(),
+                ("dims", "{}", "E"),
+                "{}:1:25: error: malformed monomial: expected variable x",
+            ),
+            (
+                ("operad E { ops: a; rel: " + "7" * 5000 + " * (x a y) a z = 0; }\n").encode(),
+                ("dims", "{}", "E"),
+                "{}:1:25: error: number has too many digits",
+            ),
+            (
+                b"operad E { ops: operad; }\n",
+                ("quotient", "{}", "E", "--rel", "0 = x operad (y operad z)"),
+                "{}:1:17: error: 'operad' cannot name an operation",
+            ),
+            (
+                b"\xffoperad E { ops: a; }\n",
+                ("dims", "{}", "E"),
+                "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte",
+            ),
+        ],
+        ids=["superscript-digit", "long-number", "operad-operation", "not-utf8"],
+    )
+    def test_bad_file_exits_two(self, tmp_path, capsys, source, argv, line):
+        path = tmp_path / "bad.ops"
+        path.write_bytes(source)
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out, err) == (2, "", line.format(path) + "\n")
+
+    def test_superscript_digit_in_rel(self, capsys):
+        rel = "(x dot y) dot z = ² * x dot (y dot z)"
+        code, out, err = run(capsys, "quotient", "builtins", "As", "--rel", rel)
+        assert (code, out) == (2, "")
+        assert err == f"--rel {rel!r}: 1:19: error: malformed monomial: expected variable x\n"
+
+
 def parser_flags() -> set[str]:
     parser = build_parser()
     (subparsers,) = (

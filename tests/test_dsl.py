@@ -1,9 +1,12 @@
 """Tests for the text format: tokenizer, parser, printer, round trips."""
 
+import hashlib
+import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadops.catalog import ASCII_ALIASES, BUILTIN_NAMES, builtin, catalog
@@ -437,3 +440,139 @@ class TestRoundTrip:
         q = result.presentations["R"]
         assert q.relations == p.relations
         assert print_presentation(q, "R") == text
+
+
+# A seeded corpus of near-valid and broken source texts and relations. Its
+# digest pins everything the reader reports: tokens, diagnostics (message
+# and position), the presentations parsed and parse_relation's results.
+
+_NAME_POOLS = (("a", "b", "c"), ("∧", "∨"), ("m",), ("a*", "b*"), ("nw", "ne", "sw", "se"), ("a", "b", "a"))
+_ALIAS_MAPS = (None, dict(ASCII_ALIASES), {"p": "a", "a": "b", "q": "undeclared"})
+_NOISE = (
+    "operad", "ops", "rel", "x", "y", "z", "a", "m", "∧*", "nw", "dot", "E",
+    "0", "1", "12", "007", "3", "1/0", "-", "+", "*", "/", "=", "(", ")", "{", "}",
+    ":", ";", ",", "#note\n", "\n", "é", "?", "",
+)
+_COEFFICIENTS = ("", "", "", "", "2 *", "1/3 *", "0 *", "-5/2 *", "10/4 *")
+
+
+def _relation_pieces(rng, names):
+    def side():
+        if rng.random() < 0.15:
+            return ["0"]
+        pieces = ["-"] if rng.random() < 0.2 else []
+        for t in range(rng.randint(1, 3)):
+            if t:
+                pieces.append(rng.choice("+-"))
+            pieces.extend(rng.choice(_COEFFICIENTS).split())
+            i, j = rng.choice(names), rng.choice(names)
+            if rng.random() < 0.5:
+                pieces.extend(["(", "x", i, "y", ")", j, "z"])
+            else:
+                pieces.extend(["x", i, "(", "y", j, "z", ")"])
+        return pieces
+
+    return side() + ["="] + side()
+
+
+def _mutate(rng, pieces):
+    pieces = list(pieces)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        at = rng.randrange(len(pieces) + 1)
+        move = rng.randrange(3)
+        if move == 0 and at < len(pieces):
+            del pieces[at]
+        elif move == 1 and at < len(pieces):
+            pieces[at] = rng.choice(_NOISE)
+        else:
+            pieces.insert(at, rng.choice(_NOISE))
+    return rng.choice((" ", " ", " ", "\n", "\n", "  ", "\t", "")).join(pieces)
+
+
+def _source_text(rng):
+    blocks = []
+    for _ in range(rng.choice((1, 1, 2))):
+        names = rng.choice(_NAME_POOLS)
+        pieces = ["operad", rng.choice(("E", "F", "My")), "{", "ops", ":"]
+        for i, name in enumerate(names):
+            pieces.extend([","] * bool(i) + [name])
+        pieces.append(";")
+        for _ in range(rng.randint(0, 3)):
+            pieces.extend(["rel", ":", *_relation_pieces(rng, names), ";"])
+        pieces.append("}")
+        blocks.append(_mutate(rng, pieces))
+    return "\n".join(blocks)
+
+
+def reader_corpus(seed: int, count: int):
+    """``count`` (source text, (relation text, names, alias map)) pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = rng.choice(_NAME_POOLS)
+        relation = _mutate(rng, _relation_pieces(rng, names))
+        yield _source_text(rng), (relation, names, rng.choice(_ALIAS_MAPS))
+
+
+def changed_by_the_reader_fixes(text: str) -> bool:
+    """True for the inputs the reader's three fixes change: a non-ASCII
+    digit, a number over Python's 4,300-digit conversion limit, and
+    ``operad`` where an operation list expects a name."""
+    if any(ch.isdigit() and ch not in "0123456789" for ch in text):
+        return True
+    if re.search(r"[0-9]{4301}", text):
+        return True
+    tokens = tokenize(text)
+    return any(
+        tok.kind == "ident" and tok.text == "operad" and prev.kind == "punct" and prev.text in ":,"
+        for prev, tok in zip(tokens, tokens[1:])
+    )
+
+
+def reader_outcome(text, relation) -> tuple:
+    """Everything the reader reports on one corpus entry, as plain values."""
+
+    def diagnostics(diags):
+        return tuple((d.line, d.column, d.message, d.severity) for d in diags)
+
+    def row(vector):
+        return None if vector is None else tuple(str(c) for c in vector.coordinates)
+
+    result = parse(text)
+    vector, relation_diags = parse_relation(*relation)
+    return (
+        tuple((t.kind, t.text, t.line, t.column) for t in tokenize(text)),
+        diagnostics(result.diagnostics),
+        tuple(
+            (name, p.generators.names, tuple(row(r) for r in p.relation_rows()))
+            for name, p in result.presentations.items()
+        ),
+        (row(vector), diagnostics(relation_diags)),
+    )
+
+
+READER_PIN = "ff5001bf4b9c449584e0e4367b87fbfa4744576e5b2a99f2043056aca1451825"
+
+
+def test_reader_corpus_is_pinned():
+    digest = hashlib.sha256()
+    kept = 0
+    for text, relation in reader_corpus(seed=12, count=2500):
+        if changed_by_the_reader_fixes(text) or changed_by_the_reader_fixes(relation[0]):
+            continue
+        kept += 1
+        digest.update(repr(reader_outcome(text, relation)).encode())
+    assert kept >= 2000
+    assert digest.hexdigest() == READER_PIN
+
+
+@given(text=st.text())
+@example(text="operad E { ops: a; rel: ² * (x a y) a z = 0; }")
+@example(text="operad E { ops: a; rel: " + "7" * 5000 + " * (x a y) a z = 0; }")
+@example(text="operad E { ops: operad; }")
+@settings(max_examples=300, deadline=None)
+def test_reader_never_raises(text):
+    tokenize(text)
+    parse_relation(text, ("a", "b"), dict(ASCII_ALIASES))
+    # whatever the reader accepts, the printer can write back
+    for name, p in parse(text).presentations.items():
+        print_presentation(p, name)
