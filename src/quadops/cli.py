@@ -20,7 +20,6 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .catalog import ASCII_ALIASES, catalog
@@ -66,6 +65,10 @@ _GLOBAL_FLAGS = (
 )
 
 
+# a resolved operand: its display name and its presentation
+_Operand = tuple[str, Presentation]
+
+
 class UsageError(Exception):
     """Bad invocation or unparsable input; exits with code 2."""
 
@@ -78,6 +81,21 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
         parser.add_argument(name, default=default, **options)
 
 
+def _subcommand(
+    sub, name: str, handler, help: str, operands: tuple[str, ...] = ()
+) -> argparse.ArgumentParser:
+    """Register a subcommand with the global flags and, when it names
+    operands, the source file they are resolved in."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(handler=handler, operands=operands)
+    _add_global_flags(sp, top=False)
+    if operands:
+        sp.add_argument("file", help="source file or 'builtins'")
+    for operand in operands:
+        sp.add_argument(operand, help="operad name, optionally dual:NAME")
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadops",
@@ -87,26 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("dual", help="print the dual presentation")
-    sp.set_defaults(handler=_cmd_dual)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file", help="source file or 'builtins'")
-    sp.add_argument("op", help="operad name, optionally dual:NAME")
+    _subcommand(sub, "dual", _cmd_dual, "print the dual presentation", ("op",))
+    _subcommand(sub, "square", _cmd_square, "print the square product", ("op1", "op2"))
 
-    sp = sub.add_parser("square", help="print the square product")
-    sp.set_defaults(handler=_cmd_square)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file")
-    sp.add_argument("op1")
-    sp.add_argument("op2")
-
-    sp = sub.add_parser(
-        "quotient", help="add relations and print the quotient"
+    sp = _subcommand(
+        sub, "quotient", _cmd_quotient, "add relations and print the quotient", ("op",)
     )
-    sp.set_defaults(handler=_cmd_quotient)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file")
-    sp.add_argument("op")
     sp.add_argument(
         "--rel",
         action="append",
@@ -114,37 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="relation to add, in the source grammar (repeatable)",
     )
 
-    sp = sub.add_parser(
-        "iso", help="search for a signed relabeling isomorphism"
+    _subcommand(
+        sub, "iso", _cmd_iso, "search for a signed relabeling isomorphism", ("op1", "op2")
     )
-    sp.set_defaults(handler=_cmd_iso)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file")
-    sp.add_argument("op1")
-    sp.add_argument("op2")
 
-    sp = sub.add_parser("dims", help="free-algebra component dimensions")
-    sp.set_defaults(handler=_cmd_dims)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file")
-    sp.add_argument("op")
+    sp = _subcommand(sub, "dims", _cmd_dims, "free-algebra component dimensions", ("op",))
     sp.add_argument("--max", type=int, default=4, help="largest weight")
 
-    sp = sub.add_parser(
-        "gk-check",
-        help="generating-series inverse test against the dual",
+    sp = _subcommand(
+        sub, "gk-check", _cmd_gk, "generating-series inverse test against the dual", ("op",)
     )
-    sp.set_defaults(handler=_cmd_gk)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file")
-    sp.add_argument("op")
     sp.add_argument("--max", type=int, default=4, help="series order")
 
-    sp = sub.add_parser(
-        "verify-paper", help="run the full verification battery"
-    )
-    sp.set_defaults(handler=_cmd_verify)
-    _add_global_flags(sp, top=False)
+    sp = _subcommand(sub, "verify-paper", _cmd_verify, "run the full verification battery")
     sp.add_argument(
         "--report", help="also write the report to this path"
     )
@@ -156,13 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="radius of the uniqueness scan grid, 0 disables the scan",
     )
 
-    sp = sub.add_parser(
-        "expand", help="weight component of the free algebra"
+    sp = _subcommand(
+        sub, "expand", _cmd_expand, "weight component of the free algebra", ("op",)
     )
-    sp.set_defaults(handler=_cmd_expand)
-    _add_global_flags(sp, top=False)
-    sp.add_argument("file")
-    sp.add_argument("op")
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument(
         "--basis",
@@ -173,25 +155,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(file_arg: str) -> tuple[dict[str, Presentation], dict[str, str]]:
+def _load(file_arg: str) -> dict[str, Presentation]:
     if file_arg == "builtins":
-        cat = catalog()
-        return dict(cat.presentations), dict(ASCII_ALIASES)
-    path = Path(file_arg)
+        return catalog().presentations
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(file_arg).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {file_arg}: {exc}") from exc
     result = parse(text)
     if not result.ok:
         lines = [f"{file_arg}:{d}" for d in result.diagnostics]
         raise UsageError("\n".join(lines))
-    return result.presentations, {}
+    return result.presentations
 
 
 def _resolve(
     presentations: dict[str, Presentation], op_arg: str
-) -> tuple[str, Presentation]:
+) -> _Operand:
     name = op_arg
     dual_count = 0
     while name.startswith("dual:"):
@@ -237,47 +217,34 @@ def _preflight(
             )
 
 
-def _presentation_payload(name: str, p: Presentation) -> dict:
+def _presentation_output(command: str, name: str, p: Presentation) -> tuple[int, str, dict]:
     names = p.generators.names
-    return {
+    payload = {
+        "command": command,
         "operad": name,
         "operations": list(names),
         "dimension": p.relations.dimension,
         "relations": [format_relation(r, names) for r in p.relation_rows()],
     }
-
-
-def _presentation_output(
-    command: str, name: str, p: Presentation
-) -> tuple[int, str, dict]:
-    payload = {"command": command, **_presentation_payload(name, p)}
     return 0, print_presentation(p, name).rstrip("\n"), payload
 
 
-def _json_number(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return str(value)
-
-
-def _cmd_dual(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, _ = _load(ns.file)
-    name, p = _resolve(presentations, ns.op)
+def _cmd_dual(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
+    name, p = op
     return _presentation_output("dual", f"{name}_dual", dual(p))
 
 
-def _cmd_square(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, _ = _load(ns.file)
-    name1, p1 = _resolve(presentations, ns.op1)
-    name2, p2 = _resolve(presentations, ns.op2)
+def _cmd_square(ns: argparse.Namespace, op1: _Operand, op2: _Operand) -> tuple[int, str, dict]:
+    (name1, p1), (name2, p2) = op1, op2
     return _presentation_output(
         "square", f"{name1}_square_{name2}", square(p1, p2)
     )
 
 
-def _cmd_quotient(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, aliases = _load(ns.file)
-    name, p = _resolve(presentations, ns.op)
+def _cmd_quotient(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
+    name, p = op
+    # the built-in symbols are unicode; their ASCII aliases are easier to type
+    aliases = ASCII_ALIASES if ns.file == "builtins" else None
     vectors = []
     for text in ns.rel:
         vector, diagnostics = parse_relation(
@@ -292,40 +259,27 @@ def _cmd_quotient(ns: argparse.Namespace) -> tuple[int, str, dict]:
     )
 
 
-def _cmd_iso(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, _ = _load(ns.file)
-    name1, p1 = _resolve(presentations, ns.op1)
-    name2, p2 = _resolve(presentations, ns.op2)
+def _cmd_iso(ns: argparse.Namespace, op1: _Operand, op2: _Operand) -> tuple[int, str, dict]:
+    (name1, p1), (name2, p2) = op1, op2
     payload: dict = {"command": "iso", "from": name1, "to": name2}
-    if p1.num_ops != p2.num_ops:
-        payload["found"] = False
-        return 0, "none", payload
-    sigma = find_relabeling_iso(p1, p2)
+    sigma = find_relabeling_iso(p1, p2) if p1.num_ops == p2.num_ops else None
+    payload["found"] = sigma is not None
     if sigma is None:
-        payload["found"] = False
         return 0, "none", payload
-    src = p1.generators.names
     dst = p2.generators.names
-    assignment = []
-    lines = []
-    for i in range(len(src)):
-        sign = sigma.signs[i]
-        target = dst[sigma.permutation[i]]
-        assignment.append(
-            {"from": src[i], "to": target, "sign": sign}
-        )
-        prefix = "-" if sign < 0 else ""
-        lines.append(f"{src[i]} -> {prefix}{target}")
-    payload["found"] = True
+    assignment = [
+        {"from": src, "to": dst[target], "sign": sign}
+        for src, target, sign in zip(p1.generators.names, sigma.permutation, sigma.signs)
+    ]
     payload["permutation"] = list(sigma.permutation)
     payload["signs"] = list(sigma.signs)
     payload["assignment"] = assignment
+    lines = [f"{a['from']} -> {'-' if a['sign'] < 0 else ''}{a['to']}" for a in assignment]
     return 0, "\n".join(lines), payload
 
 
-def _cmd_dims(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, _ = _load(ns.file)
-    name, p = _resolve(presentations, ns.op)
+def _cmd_dims(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
+    name, p = op
     _preflight(ns, ns.max, {name: p})
     weights = list(range(1, ns.max + 1))
     dims = [component_dim(p, n) for n in weights]
@@ -338,9 +292,8 @@ def _cmd_dims(ns: argparse.Namespace) -> tuple[int, str, dict]:
     return 0, ", ".join(str(d) for d in dims), payload
 
 
-def _cmd_gk(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, _ = _load(ns.file)
-    name, p = _resolve(presentations, ns.op)
+def _cmd_gk(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
+    name, p = op
     p_dual = dual(p)
     _preflight(ns, ns.max, {name: p, f"{name}_dual": p_dual})
     if ns.max < 2:
@@ -356,7 +309,7 @@ def _cmd_gk(ns: argparse.Namespace) -> tuple[int, str, dict]:
         "operad": name,
         "dims": list(p_dims.dims),
         "dual_dims": list(dual_dims.dims),
-        "defect": [_json_number(c) for c in coefficients],
+        "defect": [int(c) if c.denominator == 1 else str(c) for c in coefficients],
         "zero": zero,
         "note": note,
     }
@@ -389,24 +342,11 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str, dict]:
     cat = catalog()
     _preflight(ns, config.max_weight, cat.presentations)
     report = verify_all(cat, config)
-    text = report_to_text(report)
-    payload = report_payload(report)
-    if ns.report:
-        rendered = (
-            json.dumps(payload, indent=2, ensure_ascii=False)
-            if ns.format == "json"
-            else text
-        )
-        try:
-            Path(ns.report).write_text(rendered + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot write {ns.report}: {exc}") from exc
-    return (0 if report.ok else 1), text, payload
+    return (0 if report.ok else 1), report_to_text(report), report_payload(report)
 
 
-def _cmd_expand(ns: argparse.Namespace) -> tuple[int, str, dict]:
-    presentations, _ = _load(ns.file)
-    name, p = _resolve(presentations, ns.op)
+def _cmd_expand(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
+    name, p = op
     _preflight(ns, ns.weight, {name: p})
     component = weight_component(p, ns.weight)
     payload = {
@@ -431,15 +371,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if ns.max_weight is not None and ns.max_weight < 1:
             raise UsageError("--max-weight must be at least 1")
-        code, text, payload = ns.handler(ns)
+        operands = []
+        if ns.operands:
+            presentations = _load(ns.file)
+            operands = [_resolve(presentations, getattr(ns, o)) for o in ns.operands]
+        code, text, payload = ns.handler(ns, *operands)
+        if ns.format == "json":
+            text = json.dumps(payload, indent=2, ensure_ascii=False)
+        if getattr(ns, "report", None):
+            try:
+                Path(ns.report).write_text(text + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise UsageError(f"cannot write {ns.report}: {exc}") from exc
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        if ns.format == "json":
-            print(json.dumps(payload, indent=2, ensure_ascii=False))
-        else:
-            print(text)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (say, `| head`); send what is left to

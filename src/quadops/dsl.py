@@ -10,15 +10,17 @@ A source file is a sequence of blocks:
 Each relation equates two linear combinations of bracketed monomials.
 The variables are literally x, y, z and always appear in that order;
 only the operation symbols vary. A combination is "0" or a signed sum
-of terms, each term an optional rational coefficient, a "*", and a
-monomial of one of the two shapes "(x a y) b z" or "x a (y b z)".
-Comments run from "#" to the end of the line.
+of terms, each term an optional rational coefficient in the ASCII
+digits 0-9 ("3" or "1/2"), a "*", and a monomial of one of the two
+shapes "(x a y) b z" or "x a (y b z)". Comments run from "#" to the end
+of the line.
 
 Operation names may be any run of characters that avoids whitespace
-and the punctuation "{}();,=+-/:" and does not start with a digit or
-"*". The starred names produced by dualization ("a*") are therefore
-valid identifiers, which is why the printer always separates symbols
-with spaces.
+and the punctuation "{}();,=+-/:" and does not start with an ASCII
+digit or "*". The starred names produced by dualization ("a*") are
+therefore valid identifiers, which is why the printer always separates
+symbols with spaces. "operad" cannot name an operation: it opens a
+block.
 """
 
 from __future__ import annotations
@@ -117,44 +119,33 @@ def tokenize(text: str) -> tuple[Token, ...]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_col = column
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        j = i + 1
+        if "0" <= ch <= "9":
+            kind = "int"
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("punct", ch, line, start_col))
-            column += 1
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _IDENT_STOP:
-            j += 1
-        tokens.append(Token("ident", text[i:j], line, start_col))
+        elif ch in PUNCT:
+            kind = "punct"
+        else:
+            kind = "ident"
+            while j < n and not text[j].isspace() and text[j] not in _IDENT_STOP:
+                j += 1
+        tokens.append(Token(kind, text[i:j], line, column))
         column += j - i
         i = j
     tokens.append(Token("eof", "", line, column))
     return tuple(tokens)
 
 
-class _Cursor(_Record):
-    """Parser position and the diagnostics so far: the one mutable record."""
+class _Cursor:
+    """Parser position over the tokens, and the diagnostics so far."""
 
     __slots__ = ("tokens", "pos", "diagnostics")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(
-        self, tokens: tuple[Token, ...], pos: int = 0, diagnostics: list[Diagnostic] | None = None
-    ) -> None:
+    def __init__(self, tokens: tuple[Token, ...]) -> None:
         self.tokens = tokens
-        self.pos = pos
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.pos = 0
+        self.diagnostics: list[Diagnostic] = []
 
     def peek(self, ahead: int = 0) -> Token:
         index = min(self.pos + ahead, len(self.tokens) - 1)
@@ -166,256 +157,209 @@ class _Cursor(_Record):
             self.pos += 1
         return tok
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_ident(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and (text is None or tok.text == text)
+    def at(self, text: str, kind: str = "punct", ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
+        return tok.kind == kind and tok.text == text
 
     def error(self, message: str, tok: Token | None = None) -> None:
         tok = tok or self.peek()
         self.diagnostics.append(Diagnostic(tok.line, tok.column, message))
 
-    def expect_punct(self, text: str) -> bool:
-        if self.at_punct(text):
+    def expect(self, text: str) -> bool:
+        """Consume the punctuation ``text``, or report that it is missing."""
+        if self.at(text):
             self.advance()
             return True
         self.error(f"expected '{text}'")
         return False
 
-    def sync_to_semicolon(self) -> None:
-        """Skip past the next ';', stopping before '}' or end of input."""
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof" or (
-                tok.kind == "punct" and tok.text == "}"
-            ):
+    def skip(self, through: str | None, stop: str) -> None:
+        """Recover from an error: skip tokens up to and including the
+        punctuation ``through``, stopping before the end of input or a
+        token whose text is ``stop``.
+
+        Texts alone tell the kinds apart here: '}' and ';' can only be
+        punctuation, and 'operad' only an identifier.
+        """
+        while self.peek().kind != "eof" and self.peek().text != stop:
+            if self.advance().text == through:
                 return
-            self.advance()
-            if tok.kind == "punct" and tok.text == ";":
-                return
 
 
-class _RelationParser:
-    """Parses one relation into a vector over a fixed operation list."""
+def _relation(
+    cur: _Cursor, names: tuple[str, ...], alias_map: dict[str, str] | None = None
+) -> RelVector | None:
+    """Parse one relation into a vector over the operations ``names``.
 
-    def __init__(
-        self,
-        cursor: _Cursor,
-        names: tuple[str, ...],
-        alias_map: dict[str, str] | None = None,
-    ) -> None:
-        self.cursor = cursor
-        self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
-        self.alias_map = alias_map or {}
+    An alias counts only when its target is declared, and a declared
+    name wins over an alias of the same spelling.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    if alias_map:
+        aliases = {alias: index[t] for alias, t in alias_map.items() if t in index}
+        index = {**aliases, **index}
+    k = len(names)
+    left = _lincomb(cur, index, k)
+    if left is None or not cur.expect("="):
+        return None
+    right = _lincomb(cur, index, k)
+    if right is None:
+        return None
+    coords = [Fraction(0)] * (2 * k * k)
+    for coeff, slot in left:
+        coords[slot] += coeff
+    for coeff, slot in right:
+        coords[slot] -= coeff
+    return RelVector(tuple(coords))
 
-    def parse(self) -> RelVector | None:
-        k = len(self.names)
-        coords = [Fraction(0)] * (2 * k * k)
-        left = self._lincomb()
-        if left is None or not self.cursor.expect_punct("="):
+
+def _lincomb(cur: _Cursor, index: dict[str, int], k: int) -> list[tuple[Fraction, int]] | None:
+    if cur.at("0", "int") and not (cur.at("*", ahead=1) or cur.at("/", ahead=1)):
+        cur.advance()
+        return []
+    # the sign before each term: an optional leading '-', then '+' or '-'
+    sign = cur.advance().text if cur.at("-") else "+"
+    terms: list[tuple[Fraction, int]] = []
+    while True:
+        term = _term(cur, index, k)
+        if term is None:
             return None
-        right = self._lincomb()
-        if right is None:
-            return None
-        for coeff, slot in left:
-            coords[slot] += coeff
-        for coeff, slot in right:
-            coords[slot] -= coeff
-        return RelVector(tuple(coords))
+        coeff, slot = term
+        terms.append((-coeff if sign == "-" else coeff, slot))
+        if not (cur.at("+") or cur.at("-")):
+            return terms
+        sign = cur.advance().text
 
-    def _lincomb(self) -> list[tuple[Fraction, int]] | None:
-        cur = self.cursor
-        if (
-            cur.peek().kind == "int"
-            and cur.peek().text == "0"
-            and not (
-                cur.peek(1).kind == "punct" and cur.peek(1).text in "*/"
-            )
-        ):
+
+def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[Fraction, int] | None:
+    coeff = Fraction(1)
+    negated = cur.at("-")
+    if negated:
+        cur.advance()
+    if cur.peek().kind == "int":
+        num = _number(cur)
+        denom = 1
+        if num is not None and cur.at("/"):
             cur.advance()
-            return []
-        sign = Fraction(1)
-        if cur.at_punct("-"):
-            cur.advance()
-            sign = Fraction(-1)
-        terms: list[tuple[Fraction, int]] = []
-        first = self._term()
-        if first is None:
-            return None
-        terms.append((sign * first[0], first[1]))
-        while cur.at_punct("+") or cur.at_punct("-"):
-            sep = cur.advance()
-            nxt = self._term()
-            if nxt is None:
+            if cur.peek().kind != "int":
+                cur.error("expected a denominator")
                 return None
-            sep_sign = Fraction(-1 if sep.text == "-" else 1)
-            terms.append((sep_sign * nxt[0], nxt[1]))
-        return terms
+            denom = _number(cur)
+            if denom == 0:
+                cur.error("denominator must be positive")
+                return None
+        if num is None or denom is None or not cur.expect("*"):
+            return None
+        coeff = Fraction(-num if negated else num, denom)
+    elif negated:
+        cur.error("expected a number after '-'")
+        return None
+    slot = _monomial(cur, index, k)
+    if slot is None:
+        return None
+    return coeff, slot
 
-    def _term(self) -> tuple[Fraction, int] | None:
-        cur = self.cursor
-        coeff = Fraction(1)
-        negated = False
-        if cur.at_punct("-"):
-            cur.advance()
-            negated = True
-        if cur.peek().kind == "int":
-            num = int(cur.advance().text)
-            if cur.at_punct("/"):
-                cur.advance()
-                if cur.peek().kind != "int":
-                    cur.error("expected a denominator")
-                    return None
-                denom = int(cur.advance().text)
-                if denom == 0:
-                    cur.error("denominator must be positive")
-                    return None
-                coeff = Fraction(num, denom)
-            else:
-                coeff = Fraction(num)
-            if negated:
-                coeff = -coeff
-            if not cur.expect_punct("*"):
-                return None
-        elif negated:
-            cur.error("expected a number after '-'")
-            return None
-        slot = self._monomial()
-        if slot is None:
-            return None
-        return coeff, slot
 
-    def _monomial(self) -> int | None:
-        cur = self.cursor
-        k = len(self.names)
-        if cur.at_punct("("):
-            cur.advance()
-            if not self._variable("x"):
-                return None
-            i = self._operation()
-            if i is None or not self._variable("y"):
-                return None
-            if not cur.expect_punct(")"):
-                return None
-            j = self._operation()
-            if j is None or not self._variable("z"):
-                return None
-            return left_index(k, i, j)
-        if cur.peek().kind == "ident":
-            if not self._variable("x"):
-                return None
-            i = self._operation()
-            if i is None or not cur.expect_punct("("):
-                return None
-            if not self._variable("y"):
-                return None
-            j = self._operation()
-            if j is None or not self._variable("z"):
-                return None
-            if not cur.expect_punct(")"):
-                return None
-            return right_index(k, i, j)
+def _number(cur: _Cursor) -> int | None:
+    tok = cur.advance()
+    try:
+        return int(tok.text)
+    except ValueError:
+        # over Python's limit on converting a decimal string to an int
+        cur.error("number has too many digits", tok)
+        return None
+
+
+def _monomial(cur: _Cursor, index: dict[str, int], k: int) -> int | None:
+    left = cur.at("(")
+    if left:
+        cur.advance()
+    elif cur.peek().kind != "ident":
         cur.error("expected a monomial")
         return None
-
-    def _variable(self, name: str) -> bool:
-        cur = self.cursor
-        tok = cur.peek()
-        if tok.kind == "ident" and tok.text == name:
+    # what follows the opening of "(x a y) b z" or "x a (y b z)":
+    # variables, '.' for an operation, and punctuation
+    ops: list[int] = []
+    for part in "x.y).z" if left else "x.(y.z)":
+        if part == ".":
+            op = _operation(cur, index)
+            if op is None:
+                return None
+            ops.append(op)
+        elif part in "xyz":
+            if not cur.at(part, "ident"):
+                cur.error(f"malformed monomial: expected variable {part}")
+                return None
             cur.advance()
-            return True
-        cur.error(f"malformed monomial: expected variable {name}", tok)
-        return False
-
-    def _operation(self) -> int | None:
-        cur = self.cursor
-        tok = cur.peek()
-        if tok.kind != "ident":
-            cur.error("expected an operation name", tok)
+        elif not cur.expect(part):
             return None
-        cur.advance()
-        name = tok.text
-        if name in self.index:
-            return self.index[name]
-        alias = self.alias_map.get(name)
-        if alias is not None and alias in self.index:
-            return self.index[alias]
-        cur.error(f"undeclared operation {name}", tok)
+    return (left_index if left else right_index)(k, *ops)
+
+
+def _operation(cur: _Cursor, index: dict[str, int]) -> int | None:
+    tok = cur.peek()
+    if tok.kind != "ident":
+        cur.error("expected an operation name")
         return None
+    cur.advance()
+    if tok.text in index:
+        return index[tok.text]
+    cur.error(f"undeclared operation {tok.text}", tok)
+    return None
 
 
-def _parse_operad(
-    cur: _Cursor, result: dict[str, Presentation]
-) -> None:
+def _parse_operad(cur: _Cursor, result: dict[str, Presentation]) -> None:
     cur.advance()
     name_tok = cur.peek()
+    names = None
     if name_tok.kind != "ident":
         cur.error("expected an operad name")
-        _skip_block(cur)
-        return
-    cur.advance()
-    duplicate = name_tok.text in result
-    if duplicate:
-        cur.error(f"duplicate operad name {name_tok.text}", name_tok)
-    if not cur.expect_punct("{"):
-        _skip_block(cur)
-        return
-    if not (cur.at_ident("ops") and _punct_after(cur)):
-        cur.error("expected 'ops:'")
-        _skip_block(cur)
-        return
-    cur.advance()
-    cur.advance()
-    names = _ident_list(cur)
+    else:
+        cur.advance()
+        if name_tok.text in result:
+            cur.error(f"duplicate operad name {name_tok.text}", name_tok)
+        if cur.expect("{"):
+            if cur.at("ops", "ident") and cur.at(":", ahead=1):
+                cur.advance()
+                cur.advance()
+                names = _ident_list(cur)
+            else:
+                cur.error("expected 'ops:'")
     if names is None:
-        _skip_block(cur)
+        cur.skip("}", "operad")
         return
-    cur.expect_punct(";")
+    cur.expect(";")
     k = len(names)
     vectors: list[RelVector] = []
     while True:
-        if cur.at_ident("rel"):
+        if cur.at("rel", "ident"):
             cur.advance()
-            if not cur.expect_punct(":"):
-                cur.sync_to_semicolon()
-                continue
-            vector = _RelationParser(cur, names).parse()
-            if vector is None:
-                cur.sync_to_semicolon()
-                continue
-            if not cur.expect_punct(";"):
-                cur.sync_to_semicolon()
-                continue
-            vectors.append(vector)
+            if cur.expect(":"):
+                vector = _relation(cur, names)
+                if vector is not None and cur.expect(";"):
+                    vectors.append(vector)
+                    continue
+            cur.skip(";", "}")
             continue
-        if cur.at_punct("}"):
+        if cur.at("}"):
             cur.advance()
             break
         if cur.peek().kind == "eof":
             cur.error("unexpected end of input inside an operad block")
             break
         cur.error("expected 'rel:' or '}'")
-        cur.sync_to_semicolon()
+        cur.skip(";", "}")
         if cur.peek().kind == "eof":
             break
-    if duplicate:
-        return
-    result[name_tok.text] = Presentation(
-        GeneratorSet(names),
-        span([v.coordinates for v in vectors], 2 * k * k),
-    )
-
-
-def _punct_after(cur: _Cursor) -> bool:
-    nxt = cur.peek(1)
-    return nxt.kind == "punct" and nxt.text == ":"
+    if name_tok.text not in result:
+        result[name_tok.text] = Presentation(
+            GeneratorSet(names),
+            span([v.coordinates for v in vectors], 2 * k * k),
+        )
 
 
 def _ident_list(cur: _Cursor) -> tuple[str, ...] | None:
+    """Read the operation names; None when there are none to declare."""
     names: list[str] = []
     while True:
         tok = cur.peek()
@@ -423,27 +367,15 @@ def _ident_list(cur: _Cursor) -> tuple[str, ...] | None:
             cur.error("expected an operation name")
             return None
         cur.advance()
-        if tok.text in names:
+        if tok.text == "operad":
+            # the printer refuses it too: "operad" opens a block
+            cur.error("'operad' cannot name an operation", tok)
+        elif tok.text in names:
             cur.error(f"duplicate operation name {tok.text}", tok)
         else:
             names.append(tok.text)
-        if cur.at_punct(","):
-            cur.advance()
-            continue
-        return tuple(names)
-
-
-def _skip_block(cur: _Cursor) -> None:
-    """Recover after a malformed header: skip to the end of the block."""
-    while True:
-        tok = cur.peek()
-        if tok.kind == "eof":
-            return
-        if tok.kind == "punct" and tok.text == "}":
-            cur.advance()
-            return
-        if tok.kind == "ident" and tok.text == "operad":
-            return
+        if not cur.at(","):
+            return tuple(names) or None
         cur.advance()
 
 
@@ -457,26 +389,13 @@ def parse(text: str) -> ParseResult:
     """
     cur = _Cursor(tokenize(text))
     result: dict[str, Presentation] = {}
-    while True:
-        tok = cur.peek()
-        if tok.kind == "eof":
-            break
-        if tok.kind == "ident" and tok.text == "operad":
+    while cur.peek().kind != "eof":
+        if cur.at("operad", "ident"):
             _parse_operad(cur, result)
-            continue
-        cur.error("expected 'operad'")
-        _skip_to_next_block(cur)
+        else:
+            cur.error("expected 'operad'")
+            cur.skip(None, "operad")
     return ParseResult(result, tuple(cur.diagnostics))
-
-
-def _skip_to_next_block(cur: _Cursor) -> None:
-    while True:
-        tok = cur.peek()
-        if tok.kind == "eof":
-            return
-        if tok.kind == "ident" and tok.text == "operad":
-            return
-        cur.advance()
 
 
 def parse_relation(
@@ -491,7 +410,7 @@ def parse_relation(
     when the alias target is among the declared names.
     """
     cur = _Cursor(tokenize(text))
-    vector = _RelationParser(cur, names, alias_map).parse()
+    vector = _relation(cur, names, alias_map)
     if vector is not None and cur.peek().kind != "eof":
         cur.error("unexpected trailing input after the relation")
         vector = None
@@ -533,14 +452,11 @@ def format_relation(vector: RelVector, names: tuple[str, ...]) -> str:
     rhs: list[tuple[Fraction, str]] = []
     for i in range(k):
         for j in range(k):
-            c = coords[left_index(k, i, j)]
-            if c:
-                lhs.append((c, f"(x {names[i]} y) {names[j]} z"))
-    for i in range(k):
-        for j in range(k):
-            c = -coords[right_index(k, i, j)]
-            if c:
-                rhs.append((c, f"x {names[i]} (y {names[j]} z)"))
+            left, right = coords[left_index(k, i, j)], -coords[right_index(k, i, j)]
+            if left:
+                lhs.append((left, f"(x {names[i]} y) {names[j]} z"))
+            if right:
+                rhs.append((right, f"x {names[i]} (y {names[j]} z)"))
     if not lhs and rhs and rhs[0][0] < 0:
         rhs = [(-c, mono) for c, mono in rhs]
     return f"{_side_text(lhs)} = {_side_text(rhs)}"
