@@ -244,7 +244,7 @@ def _cmd_square(ns: argparse.Namespace, op1: _Operand, op2: _Operand) -> tuple[i
 def _cmd_quotient(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
     name, p = op
     # the built-in symbols are unicode; their ASCII aliases are easier to type
-    aliases = ASCII_ALIASES if ns.file == "builtins" else None
+    aliases = dict(ASCII_ALIASES) if ns.file == "builtins" else None
     vectors = []
     for text in ns.rel:
         vector, diagnostics = parse_relation(

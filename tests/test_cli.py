@@ -679,7 +679,7 @@ class TestFilesAndErrors:
 
 
 class TestMalformedInput:
-    # each used to end in a traceback with exit 1
+    # malformed input is a usage error: exit 2 and one line on stderr, never a traceback
     @pytest.mark.parametrize(
         "source,argv,line",
         [
