@@ -7,6 +7,7 @@ that feed the frozen weight-4 values, and a reference construction of the
 ideal by one-step grafting from the weight below.
 """
 
+import random
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -32,7 +33,7 @@ from quadops.expansion import (
     weight_component,
     weight_work,
 )
-from quadops.linalg import echelon_subspace, reduce_row, span
+from quadops.linalg import echelon_subspace, reduce_row, span, span_rows
 from quadops.presentations import (
     GeneratorSet,
     Presentation,
@@ -251,6 +252,53 @@ class TestRankMemo:
             size = catalan(n - 1) * p.num_ops ** (n - 1)
             assert component_dim(p, n) == size - len(_ideal_echelon(p.relations, n))
             assert _ideal_rank.cache_info().misses == 1
+
+
+# Dims of each built-in and of its dual, through weight 6 on two
+# operations or fewer and weight 5 on four; computed by elimination and
+# frozen.
+KEPT_DIMS = {
+    "As": ((1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)),
+    "Dend": ((1, 2, 5, 14, 42, 132), (1, 2, 3, 4, 5, 6)),
+    "Dias": ((1, 2, 3, 4, 5, 6), (1, 2, 5, 14, 42, 132)),
+    "DendSquareDias": ((1, 4, 17, 76, 353), (1, 4, 15, 56, 210)),
+    "Xplus": ((1, 4, 16, 58, 211), (1, 4, 16, 58, 211)),
+    "Xminus": ((1, 4, 16, 56, 210), (1, 4, 16, 56, 210)),
+}
+
+
+def drawn_presentation(rng: random.Random) -> Presentation:
+    """A presentation on one to three operations whose relations have one
+    to three terms with small coefficients; about half of these have a
+    quadratic Gröbner basis under one of the orders the engine tries."""
+    k = rng.choice((1, 2, 2, 3, 3, 3))
+    ambient = 2 * k * k
+    rows = []
+    for _ in range(rng.choice((rng.randint(0, k * k), rng.randint(0, ambient)))):
+        row = {}
+        for _ in range(rng.choice((1, 2, 2, 2, 3))):
+            row[rng.randrange(ambient)] = rng.choice((1, -1, 1, -1, 2, -3))
+        rows.append(row)
+    return Presentation(GeneratorSet(tuple("abc"[:k])), span_rows(rows, ambient))
+
+
+def echelon_dim(p: Presentation, n: int) -> int:
+    """The weight-n dim as the ambient size minus a fresh echelon's rank."""
+    return catalan(n - 1) * p.num_ops ** (n - 1) - len(_ideal_echelon(p.relations, n))
+
+
+class TestDimsKept:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_and_duals(self, name):
+        for p, dims in zip((builtin(name), dual(builtin(name))), KEPT_DIMS[name]):
+            assert tuple(component_dim(p, n) for n in range(1, len(dims) + 1)) == dims
+
+    def test_drawn_presentations_against_the_echelon(self):
+        rng = random.Random(2029)
+        for _ in range(1000):
+            p = drawn_presentation(rng)
+            for n in (5, 6):
+                assert component_dim(p, n) == echelon_dim(p, n)
 
 
 def streaming_echelon(relations, n: int):
