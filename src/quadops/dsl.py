@@ -407,9 +407,18 @@ def parse_relation(
 
     Used for command-line supplied relations, where ASCII aliases for
     the built-in symbols are convenient; alias_map entries apply only
-    when the alias target is among the declared names.
+    when the alias target is among the declared names. An empty or
+    repeated operation list gives no vector and a diagnostic at the
+    first token.
     """
     cur = _Cursor(tokenize(text))
+    if not names:
+        cur.error("no operations to parse the relation against")
+        return None, tuple(cur.diagnostics)
+    if len(set(names)) != len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        cur.error(f"duplicate operation name {repeated}")
+        return None, tuple(cur.diagnostics)
     vector = _relation(cur, names, alias_map)
     if vector is not None and cur.peek().kind != "eof":
         cur.error("unexpected trailing input after the relation")

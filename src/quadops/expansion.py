@@ -44,19 +44,32 @@ descending left-subtree leaf count (recursively), labels are read in
 pre-order, and the monomial basis runs through trees in tree order and
 labels in lexicographic order.
 
+From weight 5 on, ``component_dim`` counts instead of eliminating when the
+relations form a quadratic Gröbner basis under the column order or one of
+its label and mirror variants: the dim is then the number of trees with
+no quadratic leading term as an edge, which a dynamic program over (leaves,
+root label) counts in microseconds at any weight. Its docstring proves the
+criterion; every other dim is a rank, as are all dims up to weight 4.
+
 Two caches are keyed by the weight alone: ``enumerate_trees`` and
 ``_context_layouts`` keep the shapes and the context layouts of each
 weight asked for, and the CLI's preflight (``weight_work``) bounds the
-weights asked for. One memo depends on a presentation: ``_ideal_rank``
-keeps the rank of the weight-n ideal, keyed by the canonical relation
-``Subspace`` and n, so presentations with equal relations share an entry
-whatever their names, and ``component_dim`` asks each (space, weight)
-pair once. It is an LRU of at most 128 entries, each holding one relation
-space and an int: a built-in's space takes about 5 KB and a dense one on
-four operations with small coefficients under 30 KB, so a full memo of
-spaces on at most four operations stays under 4 MB. Monomials, echelons
-and ideal bases are not kept: ``weight_component`` and ``ideal_span``
-rebuild them on each call and free them with it.
+weights asked for. Two memos depend on a presentation, each an LRU of at
+most 128 entries keyed by the canonical relation ``Subspace``, so
+presentations with equal relations share an entry whatever their names.
+``_ideal_rank`` keeps the rank of the weight-n ideal, keyed by the space
+and n, and ``component_dim`` asks each (space, weight) pair once.
+``_normal_edges`` keeps, keyed by the space alone, the leading edges of a
+quadratic Gröbner basis, at most 2k^2 ints, or None when none of the
+2*k! orders it tries has one. An entry of either holds one relation space
+besides: a built-in's space takes about 5 KB and a dense one on four
+operations with small coefficients under 30 KB, so a full memo of spaces
+on at most four operations stays under 4 MB. The search's worst case is a
+space without such a basis: it reduces the at most 2k^2 relation rows
+once per order and counts weight 4 each time, about 1.3 ms for the 48
+orders on four operations, and the orders grow as k! (80,640 for k = 8).
+Monomials, echelons and ideal bases are not kept: ``weight_component``
+and ``ideal_span`` rebuild them on each call and free them with it.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Sequence
+from typing import Container, Sequence
 
 from .linalg import Echelon, IntRow, Subspace, _Record, _set, echelon_subspace, reduce_row
 from .presentations import Presentation
@@ -132,13 +145,22 @@ class TreeMonomial(_Record):
 
 
 def weight_basis(num_ops: int, n: int) -> tuple[TreeMonomial, ...]:
-    """Ordered monomial basis of the weight-n free component."""
+    """Ordered monomial basis of the weight-n free component.
+
+    ``enumerate_trees`` makes only valid n-leaf shapes and every labelling
+    has n - 1 operation indices, so the monomials skip the constructor's
+    checks, which would walk each shape once per labelling.
+    """
     if num_ops < 1:
         raise ValueError("need at least one operation")
     out = []
+    new = object.__new__
     for tree in enumerate_trees(n):
         for labels in itertools.product(range(num_ops), repeat=n - 1):
-            out.append(TreeMonomial(tree, labels))
+            m = new(TreeMonomial)
+            _set(m, "shape", tree)
+            _set(m, "labels", labels)
+            out.append(m)
     return tuple(out)
 
 
@@ -293,6 +315,70 @@ def _ideal_rank(relations: Subspace, n: int) -> int:
     return len(_ideal_echelon(relations, n))
 
 
+def _normal_count(k: int, forbidden: Container[int], n: int) -> int:
+    """Number of n-leaf trees on k labels with no forbidden edge.
+
+    An edge is a vertex labelled a whose child on side s (0 left, 1 right)
+    is a vertex labelled b; it is named by the weight-3 column of the
+    quadratic monomial it forms, s*k^2 + a*k + b.
+    """
+    if n == 1:
+        return 1
+    k2 = k * k
+    allowed = [
+        [[b for b in range(k) if side * k2 + a * k + b not in forbidden] for a in range(k)]
+        for side in (0, 1)
+    ]
+    # subtrees[side][m][a]: the m-leaf trees that may hang on that side
+    # of a vertex labelled a; a leaf always may
+    subtrees = [[None, [1] * k], [None, [1] * k]]
+    for m in range(2, n + 1):
+        left, right = subtrees
+        rooted = [sum(left[i][a] * right[m - i][a] for i in range(1, m)) for a in range(k)]
+        if m == n:
+            return sum(rooted)
+        for side in (0, 1):
+            subtrees[side].append([sum(rooted[b] for b in allowed[side][a]) for a in range(k)])
+
+
+# Bounded LRU keyed by the canonical relation rows, never names.
+@lru_cache(maxsize=128)
+def _normal_edges(relations: Subspace) -> frozenset[int] | None:
+    """The quadratic leading edges of a relation space, if they form a
+    quadratic Gröbner basis under one of 2*k! orders; else None.
+
+    The orders are the engine's column order and its mirror, each under
+    the k! orders of the labels: a variant compares two monomials by the
+    engine columns of their images under a relabeling, and for the mirror
+    also under left-right reflection. The relation rows are re-indexed
+    into the variant's weight-3 columns and reduced into a scratch
+    echelon, whose lead columns are the leading monomials of the relation
+    space; ``component_dim`` says why comparing their weight-4 normal
+    count with dim P(4) decides the question. The edges returned are
+    those leading monomials in the presentation's own labels, as
+    ``_normal_count`` names them.
+    """
+    k = isqrt(relations.ambient_dim // 2)
+    k2 = k * k
+    # relation coordinate i*k + j, (x op_i y) op_j z, is the edge from op_j
+    # to its left child op_i; k*k + i*k + j, x op_i (y op_j z), the edge
+    # from op_i to its right child op_j
+    edges = [(0, c % k, c // k) if c < k2 else (1, (c - k2) // k, c % k) for c in range(2 * k2)]
+    target = catalan(3) * k**3 - _ideal_rank(relations, 4)
+    for mirror in (0, 1):
+        for perm in itertools.permutations(range(k)):
+            cols = [((s ^ mirror) * k + perm[a]) * k + perm[b] for s, a, b in edges]
+            echelon: Echelon = {}
+            for row in relations.rows:
+                reduce_row(echelon, {cols[c]: x for c, x in row})
+            if _normal_count(k, echelon.keys(), 4) == target:
+                coordinate = {col: c for c, col in enumerate(cols)}
+                return frozenset(
+                    (s * k + a) * k + b for s, a, b in (edges[coordinate[col]] for col in echelon)
+                )
+    return None
+
+
 def ideal_span(p: Presentation, n: int) -> Subspace:
     """Weight-n component of the ideal generated by the relations.
 
@@ -342,12 +428,60 @@ def weight_component(p: Presentation, n: int) -> WeightComponent:
 def component_dim(p: Presentation, n: int) -> int:
     """Dimension of the weight-n component of the presented operad.
 
-    The rank of the ideal is read off its echelon, and memoized per
-    relation space and weight (``_ideal_rank``); no basis is built.
+    From weight 5 on, when ``_normal_edges`` finds that the relations form
+    a quadratic Gröbner basis, the dim is the number of n-leaf trees with
+    no quadratic leading term as an edge (``_normal_count``). Otherwise,
+    and at every weight up to 4, it is the size minus the rank of the
+    ideal, read off its echelon and memoized per relation space and weight
+    (``_ideal_rank``); no basis is built.
+
+    Why the count is the dim (Dotsenko and Khoroshkin, "Gröbner bases for
+    operads", arXiv:0812.4069; Hoffbeck, "A Poincaré-Birkhoff-Witt
+    criterion for Koszul operads", arXiv:0812.2815):
+
+    * The column order is admissible: for monomials alpha < beta of one
+      arity, every gamma and every leaf i, gamma o_i alpha < gamma o_i beta
+      and alpha o_i gamma < beta o_i gamma. Shapes come first. Two shapes
+      compare by left leaf count (more first), then by the left subtree,
+      then by the right, which is ``enumerate_trees`` order. By induction
+      on gamma, substituting at the same leaf of gamma changes only the
+      side that holds it, and that side compares as alpha and beta do. By
+      induction on alpha and beta, substituting gamma at the same leaf
+      keeps their first difference: it adds the same leaves to both left
+      subtrees, or to the larger one only, or to neither, and otherwise
+      lands on the same side of both. Within a shape, labels compare
+      lexicographically in pre-order, and substituting a tree places its
+      labels as one contiguous pre-order block, at a place fixed by the
+      outer shape and the leaf. So gamma o_i alpha and gamma o_i beta
+      differ only in that block, and alpha o_i gamma, beta o_i gamma
+      insert the same block at the same place, which keeps the first
+      difference.
+    * Reversing the order, permuting the labels and mirroring each keep
+      it admissible: reversal turns both implications around, and a
+      relabeling or the mirror commutes with composition (the mirror
+      sends leaf i of an arity-a tree to leaf a - 1 - i). The engine's
+      lead is a row's lowest column, the largest monomial in the reversed
+      order. A relabeling is an isomorphism of operads and the mirror one
+      onto the opposite operad, with the same dims, so a count under a
+      variant counts for p.
+    * The criterion: trees with no leading edge of the relations span
+      every component, so at each weight they number at least dim P(n),
+      with equality at all weights exactly when the relations form a
+      Gröbner basis. Every critical pair of two quadratic leading terms is
+      a tree with three vertices, in weight 4. If the weight-4 count is
+      dim P(4) = C(3) * k^3 - rank, each S-polynomial reduces to zero:
+      its remainder lies in the ideal with only normal monomials, while
+      every leading monomial of the weight-4 ideal has a leading edge. So
+      the relations are a Gröbner basis and the count is the dim at every
+      weight.
     """
     _, size = weight_work(p, n)
     if n < 3:
         return size
+    if n >= 5:
+        edges = _normal_edges(p.relations)
+        if edges is not None:
+            return _normal_count(p.num_ops, edges, n)
     return size - _ideal_rank(p.relations, n)
 
 

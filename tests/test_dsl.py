@@ -336,6 +336,19 @@ class TestParseRelationHelper:
             "undeclared operation dot" in d.message for d in diagnostics
         )
 
+    @pytest.mark.parametrize(
+        "text,names,message",
+        (
+            ("0 = 0", (), "1:1: error: no operations to parse the relation against"),
+            ("", (), "1:1: error: no operations to parse the relation against"),
+            ("  (x a y) a z = 0", ("a", "b", "a"), "1:3: error: duplicate operation name a"),
+        ),
+    )
+    def test_operation_list_must_be_nonempty_and_distinct(self, text, names, message):
+        vector, diagnostics = parse_relation(text, names)
+        assert vector is None
+        assert [str(d) for d in diagnostics] == [message]
+
     def test_trailing_input_is_rejected(self):
         vector, diagnostics = parse_relation(
             "0 = 0 extra", builtin("As").generators.names
@@ -555,7 +568,7 @@ def reader_outcome(text, relation) -> tuple:
     )
 
 
-READER_PIN = "ff5001bf4b9c449584e0e4367b87fbfa4744576e5b2a99f2043056aca1451825"
+READER_PIN = "27dd07ab12ff901486dbbe547c6e8e8d71af915610f8704b4e95dfa3f360399d"
 
 
 def test_reader_corpus_is_pinned():
@@ -570,14 +583,16 @@ def test_reader_corpus_is_pinned():
     assert digest.hexdigest() == READER_PIN
 
 
-@given(text=st.text())
-@example(text="operad E { ops: a; rel: ² * (x a y) a z = 0; }")
-@example(text="operad E { ops: a; rel: " + "7" * 5000 + " * (x a y) a z = 0; }")
-@example(text="operad E { ops: operad; }")
+@given(text=st.text(), names=st.lists(st.sampled_from(("a", "b", "∧", "nw", ""))).map(tuple))
+@example(text="operad E { ops: a; rel: ² * (x a y) a z = 0; }", names=("a", "b"))
+@example(text="operad E { ops: a; rel: " + "7" * 5000 + " * (x a y) a z = 0; }", names=("a", "b"))
+@example(text="operad E { ops: operad; }", names=("a", "b"))
+@example(text="0 = 0", names=())
+@example(text="(x a y) a z = 0", names=("a", "b", "a"))
 @settings(max_examples=300, deadline=None)
-def test_reader_never_raises(text):
+def test_reader_never_raises(text, names):
     tokenize(text)
-    parse_relation(text, ("a", "b"), dict(ASCII_ALIASES))
+    parse_relation(text, names, dict(ASCII_ALIASES))
     # whatever the reader accepts, the printer can write back
     for name, p in parse(text).presentations.items():
         print_presentation(p, name)

@@ -7,13 +7,17 @@ that feed the frozen weight-4 values, and a reference construction of the
 ideal by one-step grafting from the weight below.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings
+
+import quadops.expansion as expansion
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadops.catalog import BUILTIN_NAMES, builtin
@@ -23,6 +27,7 @@ from quadops.expansion import (
     _ideal_echelon,
     _ideal_generators,
     _ideal_rank,
+    _normal_edges,
     binary_ops_dimension,
     catalan,
     component_dim,
@@ -117,6 +122,17 @@ class TestWeightBasis:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             weight_basis(0, 3)
+
+    def test_monomials_equal_checked_ones(self):
+        # the basis skips the constructor's checks; a direct construction
+        # still makes them
+        for k, n in ((1, 6), (2, 5), (3, 4)):
+            basis = weight_basis(k, n)
+            assert basis == tuple(TreeMonomial(m.shape, m.labels) for m in basis)
+        with pytest.raises(ValueError, match="^a tree is None"):
+            TreeMonomial((NODE, (LEAF,)), (0, 0))
+        with pytest.raises(ValueError, match="^one label per internal node$"):
+            TreeMonomial((NODE, LEAF), (0,))
 
 
 @st.composite
@@ -249,9 +265,14 @@ class TestRankMemo:
         p = builtin(name)
         for n in (3, 4, 5):
             _ideal_rank.cache_clear()
+            _normal_edges.cache_clear()
             size = catalan(n - 1) * p.num_ops ** (n - 1)
             assert component_dim(p, n) == size - len(_ideal_echelon(p.relations, n))
-            assert _ideal_rank.cache_info().misses == 1
+            # weight 5 asks the Gröbner search, which asks the rank at
+            # weight 4; only a space without a quadratic basis then asks
+            # the rank at weight 5 too
+            counted = n == 5 and name in QUADRATIC_BASIS
+            assert _ideal_rank.cache_info().misses == (1 if n < 5 or counted else 2)
 
 
 # Dims of each built-in and of its dual, through weight 6 on two
@@ -293,12 +314,108 @@ class TestDimsKept:
         for p, dims in zip((builtin(name), dual(builtin(name))), KEPT_DIMS[name]):
             assert tuple(component_dim(p, n) for n in range(1, len(dims) + 1)) == dims
 
+
+
+QUADRATIC_BASIS = ("As", "Dend", "Dias")
+
+
+@lru_cache(maxsize=None)
+def columns(k: int, n: int) -> dict:
+    """The engine's column of each weight-n monomial: its basis index."""
+    return {m: i for i, m in enumerate(weight_basis(k, n))}
+
+
+def mirror(shape, labels):
+    """Left-right reflection; pre-order visits the root, then the mirrored
+    right subtree, then the mirrored left one."""
+    if shape is None:
+        return None, ()
+    left_leaves = leaf_count(shape[0])
+    left, left_labels = mirror(shape[0], labels[1:left_leaves])
+    right, right_labels = mirror(shape[1], labels[left_leaves:])
+    return (right, left), (labels[0],) + right_labels + left_labels
+
+
+class TestNormalTreeCount:
+    """Dims counted as normal trees of a quadratic Gröbner basis."""
+
     def test_drawn_presentations_against_the_echelon(self):
+        # wherever the search finds a basis, the count is the rank
         rng = random.Random(2029)
+        counted = 0
         for _ in range(1000):
             p = drawn_presentation(rng)
+            if _normal_edges(p.relations) is None:
+                continue
+            counted += 1
             for n in (5, 6):
                 assert component_dim(p, n) == echelon_dim(p, n)
+        assert counted >= 400
+
+    @pytest.mark.parametrize(
+        "name,dims", (("Dend", closed_form_catalan), ("Dias", lambda n: n), ("As", lambda n: 1))
+    )
+    def test_no_elimination_from_weight_five(self, monkeypatch, name, dims):
+        echelon = expansion._ideal_echelon
+
+        def below_five(relations, n):
+            if n >= 5:
+                raise AssertionError(f"eliminated at weight {n}")
+            return echelon(relations, n)
+
+        monkeypatch.setattr(expansion, "_ideal_echelon", below_five)
+        _ideal_rank.cache_clear()
+        _normal_edges.cache_clear()
+        p = builtin(name)
+        assert [component_dim(p, n) for n in range(1, 31)] == [dims(n) for n in range(1, 31)]
+
+    @pytest.mark.parametrize("name,dim5", (("Xplus", 211), ("Xminus", 210)))
+    def test_sixteen_relation_pair_still_eliminates(self, monkeypatch, name, dim5):
+        weights = []
+        echelon = expansion._ideal_echelon
+
+        def recorded(relations, n):
+            weights.append(n)
+            return echelon(relations, n)
+
+        monkeypatch.setattr(expansion, "_ideal_echelon", recorded)
+        _ideal_rank.cache_clear()
+        _normal_edges.cache_clear()
+        assert component_dim(builtin(name), 5) == dim5
+        assert weights == [4, 5]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_which_builtins_have_a_basis(self, name):
+        for p in (builtin(name), dual(builtin(name))):
+            found = _normal_edges(p.relations) is not None
+            assert found == (name in QUADRATIC_BASIS)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_orders_are_admissible(self, data):
+        # the column order and its label and mirror variants: for alpha <
+        # beta of one arity, gamma o_i alpha < gamma o_i beta and
+        # alpha o_i gamma < beta o_i gamma at every leaf i
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        a = data.draw(st.integers(min_value=2, max_value=4))
+        b = data.draw(st.integers(min_value=1, max_value=6 - a))
+        perm = data.draw(st.sampled_from(list(itertools.permutations(range(k)))))
+        flip = data.draw(st.booleans())
+
+        def key(m):
+            labels = tuple(perm[g] for g in m.labels)
+            shape, labels = mirror(m.shape, labels) if flip else (m.shape, labels)
+            return columns(k, m.arity)[TreeMonomial(shape, labels)]
+
+        basis = weight_basis(k, a)
+        assume(len(basis) >= 2)
+        i, j = data.draw(st.lists(st.sampled_from(range(len(basis))), min_size=2, max_size=2, unique=True))
+        alpha, beta = sorted((basis[i], basis[j]), key=key)
+        gamma = data.draw(st.sampled_from(weight_basis(k, b)))
+        for leaf in range(b):
+            assert key(graft(gamma, leaf, alpha)) < key(graft(gamma, leaf, beta))
+        for leaf in range(a):
+            assert key(graft(alpha, leaf, gamma)) < key(graft(beta, leaf, gamma))
 
 
 def streaming_echelon(relations, n: int):
