@@ -77,7 +77,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Container, Sequence
+from typing import Collection, Sequence
 
 from .linalg import Echelon, IntRow, Subspace, _Record, _set, echelon_subspace, reduce_row
 from .presentations import Presentation
@@ -315,7 +315,7 @@ def _ideal_rank(relations: Subspace, n: int) -> int:
     return len(_ideal_echelon(relations, n))
 
 
-def _normal_count(k: int, forbidden: Container[int], n: int) -> int:
+def _normal_count(k: int, forbidden: Collection[int], n: int) -> int:
     """Number of n-leaf trees on k labels with no forbidden edge.
 
     An edge is a vertex labelled a whose child on side s (0 left, 1 right)
@@ -339,6 +339,32 @@ def _normal_count(k: int, forbidden: Container[int], n: int) -> int:
             return sum(rooted)
         for side in (0, 1):
             subtrees[side].append([sum(rooted[b] for b in allowed[side][a]) for a in range(k)])
+
+
+def _weight_four_count(k: int, forbidden: Collection[int]) -> int:
+    """``_normal_count(k, forbidden, 4)`` in closed form, for the search.
+
+    With L[a] and R[a] the labels allowed as a's left and right child,
+    three[a] = L[a] + R[a] trees of weight 3 have root a, and the weight-4
+    trees with root a number sum(three[b] for b allowed left of a) +
+    L[a] * R[a] + sum(three[b] for b allowed right of a). Summed over a,
+    each allowed sum is 2 * k * sum(three) less three[b] for each
+    forbidden edge to b.
+    """
+    k2 = k * k
+    left = [k] * k
+    right = [k] * k
+    for col in forbidden:
+        if col < k2:
+            left[col // k] -= 1
+        else:
+            right[col // k - k] -= 1
+    three = [x + y for x, y in zip(left, right)]
+    return (
+        2 * k * sum(three)
+        + sum(x * y for x, y in zip(left, right))
+        - sum(three[col % k] for col in forbidden)
+    )
 
 
 # Bounded LRU keyed by the canonical relation rows, never names.
@@ -368,10 +394,13 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     for mirror in (0, 1):
         for perm in itertools.permutations(range(k)):
             cols = [((s ^ mirror) * k + perm[a]) * k + perm[b] for s, a, b in edges]
+            # the rows are independent, so none reduces to zero; only the
+            # leads are wanted, so the rows are stored as reduced, unscaled
             echelon: Echelon = {}
             for row in relations.rows:
-                reduce_row(echelon, {cols[c]: x for c, x in row})
-            if _normal_count(k, echelon.keys(), 4) == target:
+                row = {cols[c]: x for c, x in row}
+                echelon[reduce_row(echelon, row, insert=False)] = row
+            if _weight_four_count(k, echelon) == target:
                 coordinate = {col: c for c, col in enumerate(cols)}
                 return frozenset(
                     (s * k + a) * k + b for s, a, b in (edges[coordinate[col]] for col in echelon)

@@ -27,7 +27,9 @@ from quadops.expansion import (
     _ideal_echelon,
     _ideal_generators,
     _ideal_rank,
+    _normal_count,
     _normal_edges,
+    _weight_four_count,
     binary_ops_dimension,
     catalan,
     component_dim,
@@ -336,8 +338,36 @@ def mirror(shape, labels):
     return (right, left), (labels[0],) + right_labels + left_labels
 
 
+def edge_columns(m: TreeMonomial, k: int) -> set:
+    """The weight-3 column s*k^2 + a*k + b of each edge of a monomial: a
+    vertex labelled a whose child on side s is a vertex labelled b."""
+    out = set()
+    labels = iter(m.labels)
+
+    def go(t) -> int:
+        a = next(labels)
+        for side, child in enumerate(t):
+            if child is not None:
+                out.add(side * k * k + a * k + go(child))
+        return a
+
+    if m.shape is not None:
+        go(m.shape)
+    return out
+
+
 class TestNormalTreeCount:
     """Dims counted as normal trees of a quadratic Gröbner basis."""
+
+    @given(st.integers(min_value=1, max_value=3), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_counts_against_every_tree(self, k, data):
+        forbidden = frozenset(data.draw(st.sets(st.integers(min_value=0, max_value=2 * k * k - 1))))
+        for n in range(1, 6):
+            normal = sum(1 for m in weight_basis(k, n) if not edge_columns(m, k) & forbidden)
+            assert _normal_count(k, forbidden, n) == normal
+            if n == 4:
+                assert _weight_four_count(k, forbidden) == normal
 
     def test_drawn_presentations_against_the_echelon(self):
         # wherever the search finds a basis, the count is the rank
