@@ -66,7 +66,7 @@ besides: a built-in's space takes about 5 KB and a dense one on four
 operations with small coefficients under 30 KB, so a full memo of spaces
 on at most four operations stays under 4 MB. The search's worst case is a
 space without such a basis: it reduces the at most 2k^2 relation rows
-once per order and counts weight 4 each time, about 1.3 ms for the 48
+once per order and counts weight 4 each time, 0.5 to 1 ms for the 48
 orders on four operations, and the orders grow as k! (80,640 for k = 8).
 Monomials, echelons and ideal bases are not kept: ``weight_component``
 and ``ideal_span`` rebuild them on each call and free them with it.
@@ -348,8 +348,8 @@ def _weight_four_count(k: int, forbidden: Collection[int]) -> int:
     three[a] = L[a] + R[a] trees of weight 3 have root a, and the weight-4
     trees with root a number sum(three[b] for b allowed left of a) +
     L[a] * R[a] + sum(three[b] for b allowed right of a). Summed over a,
-    each allowed sum is 2 * k * sum(three) less three[b] for each
-    forbidden edge to b.
+    the two sums over allowed children give 2 * k * sum(three) less
+    three[b] for each forbidden edge (s, a, b).
     """
     k2 = k * k
     left = [k] * k
@@ -397,8 +397,8 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
             # the rows are independent, so none reduces to zero; only the
             # leads are wanted, so the rows are stored as reduced, unscaled
             echelon: Echelon = {}
-            for row in relations.rows:
-                row = {cols[c]: x for c, x in row}
+            for rel in relations.rows:
+                row = {cols[c]: x for c, x in rel}
                 echelon[reduce_row(echelon, row, insert=False)] = row
             if _weight_four_count(k, echelon) == target:
                 coordinate = {col: c for c, col in enumerate(cols)}
@@ -498,11 +498,11 @@ def component_dim(p: Presentation, n: int) -> int:
       with equality at all weights exactly when the relations form a
       Gröbner basis. Every critical pair of two quadratic leading terms is
       a tree with three vertices, in weight 4. If the weight-4 count is
-      dim P(4) = C(3) * k^3 - rank, each S-polynomial reduces to zero:
-      its remainder lies in the ideal with only normal monomials, while
-      every leading monomial of the weight-4 ideal has a leading edge. So
-      the relations are a Gröbner basis and the count is the dim at every
-      weight.
+      dim P(4) = C(3) * k^3 - rank, every leading monomial of the weight-4
+      ideal has a leading edge of the relations. An S-polynomial reduced
+      by the relations leaves a remainder in that ideal whose monomials
+      have none, so the remainder is zero. So the relations are a Gröbner
+      basis and the count is the dim at every weight.
     """
     _, size = weight_work(p, n)
     if n < 3:

@@ -15,11 +15,10 @@ from math import comb, isqrt
 
 import pytest
 import sympy
-
-import quadops.expansion as expansion
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quadops.expansion as expansion
 from quadops.catalog import BUILTIN_NAMES, builtin
 from quadops.expansion import (
     TreeMonomial,
