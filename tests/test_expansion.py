@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import quadops.expansion as expansion
 from quadops.catalog import BUILTIN_NAMES, builtin
+from quadops.dsl import parse_relation
 from quadops.expansion import (
     TreeMonomial,
     _context_layouts,
@@ -412,6 +413,23 @@ class TestNormalTreeCount:
         _normal_edges.cache_clear()
         assert component_dim(builtin(name), 5) == dim5
         assert weights == [4, 5]
+
+    @pytest.mark.parametrize(
+        "relation",
+        (
+            # a basis only under the mirror of the column order
+            "(x b y) b z = x a (y b z) - x b (y b z)",
+            # a basis only under the column order with the labels swapped
+            "(x a y) a z - (x a y) b z = 3 * x a (y a z)",
+        ),
+    )
+    def test_mirror_and_label_variants_are_tried(self, relation):
+        vector, diagnostics = parse_relation(relation, ("a", "b"))
+        assert diagnostics == ()
+        p = Presentation(GeneratorSet(("a", "b")), span([vector.coordinates], 8))
+        assert _normal_edges(p.relations) is not None
+        for n in (5, 6):
+            assert component_dim(p, n) == echelon_dim(p, n)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_which_builtins_have_a_basis(self, name):
