@@ -317,7 +317,6 @@ class TestDimsKept:
             assert tuple(component_dim(p, n) for n in range(1, len(dims) + 1)) == dims
 
 
-
 QUADRATIC_BASIS = ("As", "Dend", "Dias")
 
 
