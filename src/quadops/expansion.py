@@ -65,9 +65,14 @@ quadratic Gröbner basis, at most 2k^2 ints, or None when none of the
 besides: a built-in's space takes about 5 KB and a dense one on four
 operations with small coefficients under 30 KB, so a full memo of spaces
 on at most four operations stays under 4 MB. The search's worst case is a
-space without such a basis: it reduces the at most 2k^2 relation rows
-once per order and counts weight 4 each time, 0.5 to 1 ms for the 48
-orders on four operations, and the orders grow as k! (80,640 for k = 8).
+space without such a basis: it reduces the dim R relation rows once per
+order and counts weight 4 each time, about 1 ms for the 48 orders on four
+operations. The orders grow as k!, so ``component_dim`` searches only at
+a weight whose C(2n-3, n) * k^(n-3) * dim R generator rows are at least
+the 2 * k! * dim R rows the search reduces: from weight 5 for k <= 5,
+from weight 6 for k = 6 and 7, and from weight 8 for k = 10. A failed
+search thus reduces at most as many rows, each in 2k^2 columns, as the
+elimination after it.
 Monomials, echelons and ideal bases are not kept: ``weight_component``
 and ``ideal_span`` rebuild them on each call and free them with it.
 """
@@ -76,7 +81,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 from typing import Collection, Sequence
 
 from .linalg import Echelon, IntRow, Subspace, _Record, _set, echelon_subspace, reduce_row
@@ -324,47 +329,21 @@ def _normal_count(k: int, forbidden: Collection[int], n: int) -> int:
     """
     if n == 1:
         return 1
-    k2 = k * k
-    allowed = [
-        [[b for b in range(k) if side * k2 + a * k + b not in forbidden] for a in range(k)]
-        for side in (0, 1)
-    ]
+    edges = [(col // (k * k), col // k % k, col % k) for col in forbidden]
     # subtrees[side][m][a]: the m-leaf trees that may hang on that side
     # of a vertex labelled a; a leaf always may
     subtrees = [[None, [1] * k], [None, [1] * k]]
     for m in range(2, n + 1):
         left, right = subtrees
         rooted = [sum(left[i][a] * right[m - i][a] for i in range(1, m)) for a in range(k)]
+        total = sum(rooted)
         if m == n:
-            return sum(rooted)
-        for side in (0, 1):
-            subtrees[side].append([sum(rooted[b] for b in allowed[side][a]) for a in range(k)])
-
-
-def _weight_four_count(k: int, forbidden: Collection[int]) -> int:
-    """``_normal_count(k, forbidden, 4)`` in closed form, for the search.
-
-    With L[a] and R[a] the labels allowed as a's left and right child,
-    three[a] = L[a] + R[a] trees of weight 3 have root a, and the weight-4
-    trees with root a number sum(three[b] for b allowed left of a) +
-    L[a] * R[a] + sum(three[b] for b allowed right of a). Summed over a,
-    the two sums over allowed children give 2 * k * sum(three) less
-    three[b] for each forbidden edge (s, a, b).
-    """
-    k2 = k * k
-    left = [k] * k
-    right = [k] * k
-    for col in forbidden:
-        if col < k2:
-            left[col // k] -= 1
-        else:
-            right[col // k - k] -= 1
-    three = [x + y for x, y in zip(left, right)]
-    return (
-        2 * k * sum(three)
-        + sum(x * y for x, y in zip(left, right))
-        - sum(three[col % k] for col in forbidden)
-    )
+            return total
+        hang = [[total] * k, [total] * k]
+        for side, a, b in edges:
+            hang[side][a] -= rooted[b]
+        subtrees[0].append(hang[0])
+        subtrees[1].append(hang[1])
 
 
 # Bounded LRU keyed by the canonical relation rows, never names.
@@ -400,7 +379,7 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
             for rel in relations.rows:
                 row = {cols[c]: x for c, x in rel}
                 echelon[reduce_row(echelon, row, insert=False)] = row
-            if _weight_four_count(k, echelon) == target:
+            if _normal_count(k, echelon, 4) == target:
                 coordinate = {col: c for c, col in enumerate(cols)}
                 return frozenset(
                     (s * k + a) * k + b for s, a, b in (edges[coordinate[col]] for col in echelon)
@@ -459,7 +438,9 @@ def component_dim(p: Presentation, n: int) -> int:
 
     From weight 5 on, when ``_normal_edges`` finds that the relations form
     a quadratic Gröbner basis, the dim is the number of n-leaf trees with
-    no quadratic leading term as an edge (``_normal_count``). Otherwise,
+    no quadratic leading term as an edge (``_normal_count``). The search
+    is asked only at a weight whose elimination has at least as many rows
+    as it reduces, as the module docstring says. Otherwise,
     and at every weight up to 4, it is the size minus the rank of the
     ideal, read off its echelon and memoized per relation space and weight
     (``_ideal_rank``); no basis is built.
@@ -504,10 +485,12 @@ def component_dim(p: Presentation, n: int) -> int:
       have none, so the remainder is zero. So the relations are a Gröbner
       basis and the count is the dim at every weight.
     """
-    _, size = weight_work(p, n)
+    rows, size = weight_work(p, n)
     if n < 3:
         return size
-    if n >= 5:
+    # the search reduces the relation rows once per order; it runs only
+    # when that is no more rows than the elimination it may replace
+    if n >= 5 and 2 * factorial(p.num_ops) * p.relations.dimension <= rows:
         edges = _normal_edges(p.relations)
         if edges is not None:
             return _normal_count(p.num_ops, edges, n)

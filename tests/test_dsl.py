@@ -592,6 +592,8 @@ def test_reader_corpus_is_pinned():
 @settings(max_examples=300, deadline=None)
 def test_reader_never_raises(text, names):
     tokenize(text)
+    parse_relation(text, ("a", "b"), dict(ASCII_ALIASES))
+    # operation lists may be empty, repeat a name or hold an empty one
     parse_relation(text, names, dict(ASCII_ALIASES))
     # whatever the reader accepts, the printer can write back
     for name, p in parse(text).presentations.items():

@@ -29,7 +29,6 @@ from quadops.expansion import (
     _ideal_rank,
     _normal_count,
     _normal_edges,
-    _weight_four_count,
     binary_ops_dimension,
     catalan,
     component_dim,
@@ -365,8 +364,6 @@ class TestNormalTreeCount:
         for n in range(1, 6):
             normal = sum(1 for m in weight_basis(k, n) if not edge_columns(m, k) & forbidden)
             assert _normal_count(k, forbidden, n) == normal
-            if n == 4:
-                assert _weight_four_count(k, forbidden) == normal
 
     def test_drawn_presentations_against_the_echelon(self):
         # wherever the search finds a basis, the count is the rank
@@ -412,6 +409,46 @@ class TestNormalTreeCount:
         _normal_edges.cache_clear()
         assert component_dim(builtin(name), 5) == dim5
         assert weights == [4, 5]
+
+    def test_many_operations_eliminate_without_searching(self, monkeypatch):
+        # Xplus with six free operations added: 2 * 10! orders of 16 rows
+        # are more rows than the 33,600 generators of weight 5
+        xplus = builtin("Xplus")
+        k = 10
+
+        def moved(c):
+            side, rest = divmod(c, 16)
+            return (side * k + rest // 4) * k + rest % 4
+
+        rows = [{moved(c): x for c, x in row} for row in xplus.relations.rows]
+        names = xplus.generators.names + tuple(f"f{i}" for i in range(6))
+        p = Presentation(GeneratorSet(names), span_rows(rows, 2 * k * k))
+
+        def searched(relations):
+            raise AssertionError("searched for a basis")
+
+        monkeypatch.setattr(expansion, "_normal_edges", searched)
+        assert weight_work(p, 5) == (33_600, 140_000)
+        assert component_dim(p, 5) == echelon_dim(p, 5) == 110_491
+
+    def test_search_waits_for_a_weight_that_outweighs_it(self, monkeypatch):
+        # one monomial relation on six operations: 2 * 6! = 1,440 orders
+        # against 756 generator rows at weight 5 and 18,144 at weight 6
+        names = tuple("abcdef")
+        p = Presentation(GeneratorSet(names), span_rows([{0: 1}], 72))
+        searches = []
+        search = expansion._normal_edges
+
+        def recorded(relations):
+            searches.append(relations)
+            return search(relations)
+
+        monkeypatch.setattr(expansion, "_normal_edges", recorded)
+        assert component_dim(p, 5) == echelon_dim(p, 5)
+        assert searches == []
+        assert component_dim(p, 6) == echelon_dim(p, 6)
+        assert searches == [p.relations]
+        assert search(p.relations) == frozenset({0})
 
     @pytest.mark.parametrize(
         "relation",
