@@ -32,6 +32,7 @@ from .presentations import (
     GeneratorSet,
     Presentation,
     RelVector,
+    _coordinates,
     left_index,
     right_index,
 )
@@ -205,21 +206,23 @@ def _relation(
     right = _lincomb(cur, index, k)
     if right is None:
         return None
-    coords = [Fraction(0)] * (2 * k * k)
+    coords: list[int | Fraction] = [0] * (2 * k * k)
     for coeff, slot in left:
         coords[slot] += coeff
     for coeff, slot in right:
         coords[slot] -= coeff
-    return RelVector(tuple(coords))
+    return RelVector(_coordinates(coords))
 
 
-def _lincomb(cur: _Cursor, index: dict[str, int], k: int) -> list[tuple[Fraction, int]] | None:
+def _lincomb(
+    cur: _Cursor, index: dict[str, int], k: int
+) -> list[tuple[int | Fraction, int]] | None:
     if cur.at("0", "int") and not (cur.at("*", ahead=1) or cur.at("/", ahead=1)):
         cur.advance()
         return []
     # the sign before each term: an optional leading '-', then '+' or '-'
     sign = cur.advance().text if cur.at("-") else "+"
-    terms: list[tuple[Fraction, int]] = []
+    terms: list[tuple[int | Fraction, int]] = []
     while True:
         term = _term(cur, index, k)
         if term is None:
@@ -231,8 +234,8 @@ def _lincomb(cur: _Cursor, index: dict[str, int], k: int) -> list[tuple[Fraction
         sign = cur.advance().text
 
 
-def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[Fraction, int] | None:
-    coeff = Fraction(1)
+def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[int | Fraction, int] | None:
+    coeff: int | Fraction = 1
     negated = cur.at("-")
     if negated:
         cur.advance()
@@ -250,7 +253,9 @@ def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[Fraction, int] |
                 return None
         if num is None or denom is None or not cur.expect("*"):
             return None
-        coeff = Fraction(-num if negated else num, denom)
+        coeff = -num if negated else num
+        if denom != 1:
+            coeff = Fraction(coeff, denom)
     elif negated:
         cur.error("expected a number after '-'")
         return None
@@ -426,13 +431,13 @@ def parse_relation(
     return vector, tuple(cur.diagnostics)
 
 
-def _coefficient_prefix(coeff: Fraction) -> str:
+def _coefficient_prefix(coeff: int | Fraction) -> str:
     if coeff == 1:
         return ""
     return f"{coeff} * "
 
 
-def _side_text(terms: list[tuple[Fraction, str]]) -> str:
+def _side_text(terms: list[tuple[int | Fraction, str]]) -> str:
     if not terms:
         return "0"
     pieces: list[str] = []
@@ -457,15 +462,15 @@ def format_relation(vector: RelVector, names: tuple[str, ...]) -> str:
     """
     k = len(names)
     coords = vector.coordinates
-    lhs: list[tuple[Fraction, str]] = []
-    rhs: list[tuple[Fraction, str]] = []
+    lhs: list[tuple[int | Fraction, str]] = []
+    rhs: list[tuple[int | Fraction, str]] = []
     for i in range(k):
         for j in range(k):
-            left, right = coords[left_index(k, i, j)], -coords[right_index(k, i, j)]
+            left, right = coords[left_index(k, i, j)], coords[right_index(k, i, j)]
             if left:
                 lhs.append((left, f"(x {names[i]} y) {names[j]} z"))
             if right:
-                rhs.append((right, f"x {names[i]} (y {names[j]} z)"))
+                rhs.append((-right, f"x {names[i]} (y {names[j]} z)"))
     if not lhs and rhs and rhs[0][0] < 0:
         rhs = [(-c, mono) for c, mono in rhs]
     return f"{_side_text(lhs)} = {_side_text(rhs)}"

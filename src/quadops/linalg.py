@@ -191,9 +191,11 @@ def sparse_row(values: Iterable[Fraction | int]) -> SparseRow:
 
     The entries are the rational ones times the least common denominator;
     the content is not divided out here (``reduce_row`` does that when it
-    stores a row).
+    stores a row). An ``int`` entry is taken as it is; any other entry
+    goes through ``_scalar``, which rejects what is not an int or a
+    Fraction.
     """
-    nonzero = [(i, _scalar(x)) for i, x in enumerate(values) if x]
+    nonzero = [(i, x if type(x) is int else _scalar(x)) for i, x in enumerate(values) if x]
     den = 1
     for _, x in nonzero:
         d = x.denominator

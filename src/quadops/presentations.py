@@ -22,6 +22,13 @@ The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
 pair of relations, with left coefficients multiplied on the left block and
 right coefficients multiplied on the right block.
+
+A relation vector holds a plain ``int`` at every integral coordinate and
+a ``Fraction`` only at a value that is not integral, such as a parsed
+``1/2 * ...``; every vector the package builds (``relation_vector``,
+``push_relation``, ``Presentation.relation_rows``, the DSL reader) keeps
+to this. The relation space itself is stored as sparse primitive integer
+rows (``linalg.Subspace``), and the pairing value is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -91,14 +98,22 @@ class GeneratorSet(_Record):
 
 
 class RelVector(_Record):
-    """A quadratic relation as a coordinate vector of length 2*k^2."""
+    """A quadratic relation as a coordinate vector of length 2*k^2.
+
+    Each coordinate is an ``int`` or a ``Fraction``; anything else, a float
+    included, raises ``TypeError``. An int and a Fraction of equal value
+    compare and hash alike, so a vector equals its Fraction-typed copy.
+    """
 
     __slots__ = ("coordinates",)
 
-    def __init__(self, coordinates: tuple[Fraction, ...]) -> None:
+    def __init__(self, coordinates: tuple[int | Fraction, ...]) -> None:
         k = isqrt(len(coordinates) // 2)
         if len(coordinates) == 0 or 2 * k * k != len(coordinates):
             raise DimensionError(f"relation vector length {len(coordinates)} is not 2*k^2")
+        for x in coordinates:
+            if type(x) is not int:
+                _scalar(x)  # raises TypeError unless x is an int or a Fraction
         _set(self, "coordinates", coordinates)
 
     @property
@@ -116,6 +131,11 @@ def right_index(k: int, i: int, j: int) -> int:
     return k * k + i * k + j
 
 
+def _coordinates(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
+    """Relation coordinates with every integral Fraction made an int."""
+    return tuple(x if type(x) is int or x.denominator != 1 else x.numerator for x in values)
+
+
 def relation_vector(
     k: int,
     left_terms: Iterable[tuple],
@@ -126,13 +146,15 @@ def relation_vector(
     Each term is a triple ``(coeff, i, j)``; on the left side it stands for
     ``coeff * (x op_i y) op_j z``, on the right side for
     ``coeff * x op_i (y op_j z)``. The result is left side minus right side.
+    A coefficient is an int or a Fraction; integral coordinates come out
+    as ints.
     """
-    coords = [Fraction(0)] * (2 * k * k)
+    coords: list[int | Fraction] = [0] * (2 * k * k)
     for c, i, j in left_terms:
-        coords[left_index(k, i, j)] += _scalar(c)
+        coords[left_index(k, i, j)] += c if type(c) is int else _scalar(c)
     for c, i, j in right_terms:
-        coords[right_index(k, i, j)] -= _scalar(c)
-    return RelVector(tuple(coords))
+        coords[right_index(k, i, j)] -= c if type(c) is int else _scalar(c)
+    return RelVector(_coordinates(coords))
 
 
 class Presentation(_Record):
@@ -159,7 +181,17 @@ class Presentation(_Record):
         return self.relations.ambient_dim
 
     def relation_rows(self) -> list[RelVector]:
-        return [RelVector(row) for row in self.relations.fraction_rows()]
+        """The RREF basis as relation vectors: each stored row divided by
+        its lead, an int wherever the lead divides the entry."""
+        out = []
+        for row in self.relations.rows:
+            coords: list[int | Fraction] = [0] * self.ambient_dim
+            lead = row[0][1]
+            for c, x in row:
+                q, r = divmod(x, lead)
+                coords[c] = Fraction(x, lead) if r else q
+            out.append(RelVector(tuple(coords)))
+        return out
 
 
 class GeneratorMap(_Record):
@@ -203,7 +235,7 @@ def pairing_form(k: int) -> tuple[int, ...]:
     return (1,) * (k * k) + (-1,) * (k * k)
 
 
-def pairing_terms(v: RelVector, w: RelVector) -> Iterator[Fraction]:
+def pairing_terms(v: RelVector, w: RelVector) -> Iterator[int | Fraction]:
     """Signed products of the duality pairing on the common support: x*y on
     the left-comb half of the coordinates, -x*y on the right-comb half."""
     if len(v.coordinates) != len(w.coordinates):
@@ -215,7 +247,7 @@ def pairing_terms(v: RelVector, w: RelVector) -> Iterator[Fraction]:
 
 
 def pairing_value(v: RelVector, w: RelVector) -> Fraction:
-    """Evaluate the duality pairing on two relation vectors."""
+    """Evaluate the duality pairing on two relation vectors, as a Fraction."""
     return sum(pairing_terms(v, w), Fraction(0))
 
 
@@ -316,7 +348,7 @@ def push_relation(phi: GeneratorMap, v: RelVector) -> RelVector:
     coeffs = {i: x for i, x in enumerate(phi.matrix.entries) if x}
     image = _push(phi, coeffs, ((c, x) for c, x in enumerate(v.coordinates) if x))
     kt = phi.target.size
-    return RelVector(tuple(image.get(c, Fraction(0)) for c in range(2 * kt * kt)))
+    return RelVector(_coordinates(image.get(c, 0) for c in range(2 * kt * kt)))
 
 
 def is_morphism(

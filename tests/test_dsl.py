@@ -455,6 +455,41 @@ class TestRoundTrip:
         assert print_presentation(q, "R") == text
 
 
+class TestIntegerCoordinates:
+    def test_parsed_coefficients_are_ints_where_integral(self):
+        vector, diags = parse_relation(
+            "1/2 * (x a y) a z = 3 * x a (y a z) - 4/2 * x b (y a z)", ("a", "b")
+        )
+        assert diags == ()
+        assert vector.coordinates[0] == Fraction(1, 2)
+        assert type(vector.coordinates[0]) is Fraction
+        assert all(type(x) is int for x in vector.coordinates[1:])
+        assert vector.coordinates[4] == -3 and vector.coordinates[6] == 2
+
+    @given(
+        k=st.integers(min_value=1, max_value=2),
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=-4, max_value=4),
+                st.fractions(min_value=-4, max_value=4, max_denominator=4),
+            ),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_relations_print_parse_print(self, k, values):
+        names = ("a", "b")[:k]
+        coords = tuple(x.numerator if x.denominator == 1 else x for x in values[: 2 * k * k])
+        text = format_relation(RelVector(coords), names)
+        vector, diags = parse_relation(text, names)
+        assert diags == ()
+        # a relation on the right block alone may print negated
+        assert vector.coordinates in (coords, tuple(-x for x in coords))
+        assert [type(x) for x in vector.coordinates] == [type(x) for x in coords]
+        assert format_relation(vector, names) == text
+
+
 # A seeded corpus of near-valid and broken source texts and relations. Its
 # digest pins everything the reader reports: tokens, diagnostics (message
 # and position), the presentations parsed and parse_relation's results.

@@ -20,6 +20,7 @@ from quadops.linalg import (
     kernel,
     rref,
     span,
+    sparse_row,
     subspace_contains,
 )
 
@@ -353,3 +354,19 @@ def test_complement_matches_sympy_nullspace(m, data):
     )
     null = [[F(int(x.p), int(x.q)) for x in v] for v in scaled.nullspace()]
     assert complement_under_form(span(m.row_list(), n), signs) == span(null, n)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-9, max_value=9),
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        ),
+        max_size=12,
+    )
+)
+def test_sparse_row_ignores_the_coordinate_type(values):
+    # ints where integral, as the package builds relation vectors
+    mixed = [x.numerator if x.denominator == 1 else x for x in values]
+    assert sparse_row(mixed) == sparse_row([F(x) for x in values])
+

@@ -5,6 +5,8 @@ oracle before being asserted as frozen numbers.
 """
 
 import itertools
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from quadops.catalog import (
     builtin_map,
     builtin_map_pairs,
     dend_relations,
+    spanning_relations,
 )
 from quadops.linalg import DimensionError, Matrix, reduce_row, span
 from quadops.presentations import (
@@ -174,6 +177,18 @@ class TestCoordinates:
             RelVector((Fraction(1),) * 6)
         with pytest.raises(DimensionError):
             RelVector(())
+
+    @pytest.mark.parametrize(
+        "bad", (0.5, -0.5, 0.0, Decimal("0.5"), Decimal(1), "1", None), ids=repr
+    )
+    def test_inexact_coordinates_rejected(self, bad):
+        # the same TypeError linalg raises for a float matrix entry
+        with pytest.raises(TypeError, match=re.escape(f"expected an integer or Fraction, got {bad!r}")):
+            RelVector((1, bad))
+
+    def test_exact_coordinates_accepted(self):
+        assert RelVector((Fraction(1, 2), -1)).coordinates == (Fraction(1, 2), -1)
+        assert RelVector((True, 0)).coordinates == (1, 0)
 
     def test_generator_set_validation(self):
         with pytest.raises(ValueError):
@@ -581,3 +596,52 @@ class TestPairRanks:
             apply_relabeling(sigma, p).relations
             == apply_relabeling(negated, p).relations
         )
+
+
+class TestIntegerCoordinates:
+    """Every relation vector the package builds holds an int at each
+    integral coordinate; a Fraction only where a value is not integral."""
+
+    @staticmethod
+    def ints(v: RelVector) -> bool:
+        return all(type(x) is int for x in v.coordinates)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_relations(self, name):
+        assert all(self.ints(v) for v in spanning_relations(name))
+
+    def test_scan_directions(self):
+        assert all(self.ints(v) for v in extra_relation_directions())
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_basis_rows_of_builtins_and_duals(self, name):
+        for p in (builtin(name), dual(builtin(name))):
+            assert all(self.ints(v) for v in p.relation_rows())
+
+    def test_basis_rows_keep_fractions_where_the_lead_does_not_divide(self):
+        p = Presentation(GeneratorSet(("a",)), span([[2, 1]], 2))
+        (row,) = p.relation_rows()
+        assert row.coordinates == (1, Fraction(1, 2))
+        assert type(row.coordinates[0]) is int
+
+    @pytest.mark.parametrize("pair", builtin_map_pairs())
+    def test_pushed_relations(self, pair):
+        phi = builtin_map(*pair)
+        assert all(self.ints(push_relation(phi, v)) for v in spanning_relations(pair[0]))
+
+    def test_integral_fraction_coefficients_become_ints(self):
+        v = relation_vector(1, [(Fraction(1, 2), 0, 0), (Fraction(1, 2), 0, 0)], [(Fraction(3, 2), 0, 0)])
+        assert v.coordinates == (1, Fraction(-3, 2))
+        assert type(v.coordinates[0]) is int
+
+    def test_int_vector_equals_its_fraction_copy(self):
+        for v in spanning_relations("Xplus"):
+            copy = RelVector(tuple(Fraction(x) for x in v.coordinates))
+            assert v == copy and hash(v) == hash(copy)
+
+    def test_pairing_value_is_a_fraction(self):
+        u, w = extra_relation_directions()
+        for v in (u, w, relation_vector(4, [(1, 1, 3)], [(Fraction(1, 2), 0, 2)])):
+            assert type(pairing_value(v, u)) is Fraction
+            assert type(pairing_value(v, w)) is Fraction
+
