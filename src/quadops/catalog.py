@@ -49,6 +49,7 @@ __all__ = [
     "dend_relations",
     "dias_relations",
     "tableau_vectors",
+    "line_relation",
     "sixteenth_vector",
 ]
 
@@ -59,8 +60,6 @@ ARROW_GENERATORS = ("↖", "↗", "↙", "↘")
 
 # indices of the arrow operations, used in the relation tables below
 NW, NE, SW, SE = 0, 1, 2, 3
-
-BUILTIN_NAMES = ("As", "Dend", "Dias", "DendSquareDias", "Xplus", "Xminus")
 
 ASCII_ALIASES: Mapping[str, str] = {
     "dot": AS_GENERATORS[0],
@@ -145,18 +144,39 @@ def tableau_vectors() -> tuple[RelVector, ...]:
     return tuple(relation_vector(4, left, right) for left, right in rows)
 
 
+def line_relation(a: int, b: int) -> RelVector:
+    """The point (a : b) of the line of sixteenth relations, a*u + b*v.
+
+    u = (x ne y) se z - (x nw y) se z lives in the left block, and
+    v = x nw (y sw z) - x nw (y se z) in the right block. ``a`` and ``b``
+    are ints or Fractions.
+    """
+    return relation_vector(4, [(a, NE, SE), (-a, NW, SE)], [(-b, NW, SW), (b, NW, SE)])
+
+
 def sixteenth_vector(sign: int) -> RelVector:
     """The extra relation of Xplus (sign +1) or Xminus (sign -1).
 
-    (ne)se - (nw)se = sign * (nw(sw) - nw(se)).
+    (ne)se - (nw)se = sign * (nw(sw) - nw(se)), the point (1 : -sign) of
+    ``line_relation``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return relation_vector(
-        4,
-        [(1, NE, SE), (-1, NW, SE)],
-        [(sign, NW, SW), (-sign, NW, SE)],
-    )
+    return line_relation(1, -sign)
+
+
+# Each built-in once, in catalog order: its operations and the builder of
+# its literal relation list.
+_BUILTINS = {
+    "As": (AS_GENERATORS, as_relations),
+    "Dend": (DEND_GENERATORS, dend_relations),
+    "Dias": (DIAS_GENERATORS, dias_relations),
+    "DendSquareDias": (ARROW_GENERATORS, tableau_vectors),
+    "Xplus": (ARROW_GENERATORS, lambda: tableau_vectors() + (sixteenth_vector(1),)),
+    "Xminus": (ARROW_GENERATORS, lambda: tableau_vectors() + (sixteenth_vector(-1),)),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _presentation(names: tuple[str, ...], rels: tuple[RelVector, ...]) -> Presentation:
@@ -170,36 +190,14 @@ def _presentation(names: tuple[str, ...], rels: tuple[RelVector, ...]) -> Presen
 @lru_cache(maxsize=None)
 def spanning_relations(name: str) -> tuple[RelVector, ...]:
     """The literal defining relation list of a built-in, in source order."""
-    if name == "As":
-        return as_relations()
-    if name == "Dend":
-        return dend_relations()
-    if name == "Dias":
-        return dias_relations()
-    if name == "DendSquareDias":
-        return tableau_vectors()
-    if name == "Xplus":
-        return tableau_vectors() + (sixteenth_vector(1),)
-    if name == "Xminus":
-        return tableau_vectors() + (sixteenth_vector(-1),)
-    raise KeyError(name)
-
-
-_GENERATORS = {
-    "As": AS_GENERATORS,
-    "Dend": DEND_GENERATORS,
-    "Dias": DIAS_GENERATORS,
-    "DendSquareDias": ARROW_GENERATORS,
-    "Xplus": ARROW_GENERATORS,
-    "Xminus": ARROW_GENERATORS,
-}
+    return _BUILTINS[name][1]()
 
 
 # Cached per built-in name: at most six entries.
 @lru_cache(maxsize=None)
 def builtin(name: str) -> Presentation:
     """Look up a built-in presentation by name; raises KeyError if unknown."""
-    return _presentation(_GENERATORS[name], spanning_relations(name))
+    return _presentation(_BUILTINS[name][0], spanning_relations(name))
 
 
 # Generator maps witnessing the arrows between the built-ins. Row i of the
@@ -271,7 +269,7 @@ class BuiltinCatalog(_Record):
         updated_spanning = dict(self.spanning)
         updated_spanning[name] = kept
         updated_presentations = dict(self.presentations)
-        updated_presentations[name] = _presentation(_GENERATORS[name], kept)
+        updated_presentations[name] = _presentation(_BUILTINS[name][0], kept)
         return BuiltinCatalog(updated_presentations, updated_spanning, self.maps)
 
 

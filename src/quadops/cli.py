@@ -44,8 +44,9 @@ from .verify import VerifyConfig, report_payload, report_to_text, verify_all
 __all__ = ["main"]
 
 # Largest number of weight-n generator rows, or of ambient monomials, a
-# command may ask for. Dend at weight 9 (960,960 rows) takes about 28 s and
-# 343 MB on a 2-core machine; Xplus at weight 7 (1,351,680) is refused.
+# command may ask for. `expand` of Dend at weight 9 (960,960 rows) takes 10
+# to 28 s and 401 MB on a 2-core machine, though `dims` counts that weight
+# in 0.06 s and 15 MB; Xplus at weight 7 (1,351,680) is refused.
 WORK_LIMIT = 1_000_000
 # From this weight (15) on, even one operation has catalan(n - 1) > WORK_LIMIT
 # monomials: refused uncounted, as the counts grow to thousands of digits.

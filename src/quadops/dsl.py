@@ -32,7 +32,6 @@ from .presentations import (
     GeneratorSet,
     Presentation,
     RelVector,
-    _coordinates,
     left_index,
     right_index,
 )
@@ -211,7 +210,7 @@ def _relation(
         coords[slot] += coeff
     for coeff, slot in right:
         coords[slot] -= coeff
-    return RelVector(_coordinates(coords))
+    return RelVector(tuple(coords))
 
 
 def _lincomb(

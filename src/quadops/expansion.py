@@ -8,20 +8,21 @@ presented operad is that space modulo the weight-n part of the ideal the
 relations generate, so its dimension is basis size minus ideal rank.
 
 A tree has one encoding, a nested tuple: ``None`` is a leaf and
-``(left, right)`` a binary vertex; a context adds one ``(a, b, c)``
-ternary vertex, which holds a relation. A ``TreeMonomial`` pairs such a
-shape with its labels in pre-order.
+``(left, right)`` a binary vertex. A ``TreeMonomial`` pairs such a shape
+with its labels in pre-order.
 
-The ideal's weight-n part is spanned by the relations placed at tree
-contexts, as in the tree-monomial set-up of Bremner and Dotsenko: a
-context is an n-leaf planar tree with one ternary vertex and labelled
-binary vertices elsewhere, and filling the ternary vertex with a relation
-(a combination of the 2k^2 quadratic combs) gives one generator with at
-most 2k^2 nonzeros. The generators feed the sparse integer echelon of
-``linalg``; the rank, and the pivot columns that pick the surviving
-monomials, are read off the echelon without building any rational basis.
-``ideal_span`` back-substitutes the same echelon when the canonical basis
-itself is wanted.
+The ideal's weight-n part is spanned by the relations placed in n-leaf
+trees, as in the tree-monomial set-up of Bremner and Dotsenko. A relation
+combines the 2k^2 quadratic combs, left ones (x op_i y) op_j z and right
+ones x op_i (y op_j z). A left comb sits at a vertex whose left child is
+a vertex, ((a, b), c); rotating the tree there to (a, (b, c)) puts the
+right comb in its place. So a relation is placed at a rotation of an
+n-leaf tree; with labels on the other vertices it gives one generator
+with at most 2k^2 nonzeros. The generators feed the sparse integer
+echelon of ``linalg``; the rank, and the pivot columns that pick the
+surviving monomials, are read off the echelon without building any
+rational basis. ``ideal_span`` back-substitutes the same echelon when the
+canonical basis itself is wanted.
 
 The generator rows of one weight are built into one list, so they are all
 held at once, and reduced highest lead (lowest nonzero) column first; among
@@ -33,9 +34,9 @@ ideal basis are those of any other order, and only the cost changes. Every
 earlier row leads at the same column or a later one, so a row is stored
 untouched unless an earlier row shares its lead, and then the sparsest of
 those is the one it is reduced by, which adds the fewest new nonzeros.
-For Xplus at weight 6 the echelon holds 108,806 nonzeros this way against
-447,870 in the order of generation, and the weight takes about a seventh
-of the time. Each row is dropped once reduced; holding the 86,016 rows of
+For Xplus at weight 6 the echelon holds 108,643 nonzeros this way against
+437,911 in the order of generation, and the weight takes about a fifth of
+the time. Each row is dropped once reduced; holding the 86,016 rows of
 that weight peaks at about 42 MB, the 205,920 of Dias at weight 8 at about
 75 MB.
 
@@ -52,7 +53,7 @@ root label) counts in microseconds at any weight. Its docstring proves the
 criterion; every other dim is a rank, as are all dims up to weight 4.
 
 Two caches are keyed by the weight alone: ``enumerate_trees`` and
-``_context_layouts`` keep the shapes and the context layouts of each
+``_context_layouts`` keep the shapes and the rotation layouts of each
 weight asked for, and the CLI's preflight (``weight_work``) bounds the
 weights asked for. Two memos depend on a presentation, each an LRU of at
 most 128 entries keyed by the canonical relation ``Subspace``, so
@@ -169,105 +170,72 @@ def weight_basis(num_ops: int, n: int) -> tuple[TreeMonomial, ...]:
     return tuple(out)
 
 
-def _context_trees(n: int):
-    """Every n-leaf tree with one ternary vertex, all others binary."""
-    for la in range(1, n - 1):
-        for lb in range(1, n - la):
-            for a in enumerate_trees(la):
-                for b in enumerate_trees(lb):
-                    for c in enumerate_trees(n - la - lb):
-                        yield (a, b, c)
-    for left_leaves in range(n - 1, 0, -1):
-        right_leaves = n - left_leaves
-        if left_leaves >= 3:
-            for left in _context_trees(left_leaves):
-                for right in enumerate_trees(right_leaves):
-                    yield (left, right)
-        if right_leaves >= 3:
-            for left in enumerate_trees(left_leaves):
-                for right in _context_trees(right_leaves):
-                    yield (left, right)
-
-
-def _substitute(t, right: bool) -> tuple[tuple, list]:
-    """Fill the ternary vertex of a context with a quadratic comb.
-
-    The left comb (x op_i y) op_j z has pre-order labels (j, i); the right
-    comb x op_i (y op_j z), chosen by ``right``, has labels (i, j). Returns
-    the binary tree and its vertices in pre-order: "i" and "j" for the
-    comb's two, the index in context pre-order for every other vertex.
-    """
-    order: list = []
-    count = [0]
-
-    def go(t):
-        if t is None:
-            return None
-        if len(t) == 2:
-            order.append(count[0])
-            count[0] += 1
-            return (go(t[0]), go(t[1]))
-        a, b, c = t
-        if not right:
-            order.extend(("j", "i"))
-            return ((go(a), go(b)), go(c))
-        order.append("i")
-        left = go(a)
-        order.append("j")
-        return (left, (go(b), go(c)))
-
-    return go(t), order
+def _rotations(t, p: int):
+    """Yield (q, s, rotated) for each vertex ((a, b), c) of the subtree t,
+    whose root sits at pre-order position p: q is the vertex's position,
+    s the number of vertices of a, and rotated is t turned there into
+    (a, (b, c))."""
+    if t is None:
+        return
+    left, right = t
+    if left is not None:
+        a, b = left
+        yield p, _leaf_count(a) - 1, (a, (b, right))
+    for q, s, r in _rotations(left, p + 1):
+        yield q, s, (r, right)
+    for q, s, r in _rotations(right, p + _leaf_count(left)):
+        yield q, s, (left, r)
 
 
 # Cached by weight alone, like enumerate_trees.
 @lru_cache(maxsize=None)
 def _context_layouts(n: int) -> tuple:
-    """Per context: for the left and the right comb, the index of the
-    filled tree in ``enumerate_trees(n)`` and its pre-order layout."""
-    index = {t: i for i, t in enumerate(enumerate_trees(n))}
-    out = []
-    for t in _context_trees(n):
-        combs = []
-        for right in (False, True):
-            tree, order = _substitute(t, right)
-            combs.append((index[tree], tuple(order)))
-        out.append(tuple(combs))
-    return tuple(out)
+    """Per rotation of an n-leaf tree, which turns the left comb's tree
+    into the right comb's: for each comb, its tree's index in
+    ``enumerate_trees(n)`` and the pre-order positions of op_i and op_j.
+
+    A rotation keeps the relative pre-order of every other vertex, so both
+    trees list those vertices in the same order.
+    """
+    trees = enumerate_trees(n)
+    index = {t: i for i, t in enumerate(trees)}
+    return tuple(
+        ((i, p + 1, p), (index[rotated], p, p + 1 + s))
+        for i, t in enumerate(trees)
+        for p, s, rotated in _rotations(t, 0)
+    )
 
 
 def _ideal_generators(k: int, relations: Sequence[IntRow], n: int):
     """Sparse rows spanning the weight-n ideal, straight from the relations.
 
     ``relations`` are the integer rows of a relation space on k operations.
-    Each row is one relation placed at the ternary vertex of one labelled
-    context. Relation coordinate i*k + j, (x op_i y) op_j z, becomes the
-    left comb there, coordinate k*k + i*k + j, x op_i (y op_j z), the right
-    comb; a monomial's column is its shape index times k^(n-1) plus its
-    labels read in pre-order as a base-k number. The column of each of the
-    2k^2 coordinates is worked out once per labelled context.
+    Each row is one relation placed at one labelled rotation. Relation
+    coordinate i*k + j, (x op_i y) op_j z, becomes the left comb there,
+    coordinate k*k + i*k + j, x op_i (y op_j z), the right comb; a
+    monomial's column is its shape index times k^(n-1) plus its labels
+    read in pre-order as a base-k number. The column of each of the 2k^2
+    coordinates is worked out once per labelled rotation.
     """
     k2 = k * k
     if not relations:
         return
     block = k ** (n - 1)
     coords = range(2 * k2)
+    # place value of each pre-order position: k ** (labels after it)
+    place = [k ** (n - 2 - pos) for pos in range(n - 1)]
     for combs in _context_layouts(n):
-        # place value of each vertex: k ** (labels after it in pre-order)
-        places = [
-            {v: k ** (n - 2 - pos) for pos, v in enumerate(order)}
-            for _, order in combs
-        ]
-        offset = [
-            places[c // k2]["i"] * ((c % k2) // k) + places[c // k2]["j"] * (c % k)
-            for c in coords
-        ]
-        # per comb, the column of its tree under every labelling of the
-        # context's other vertices, the first vertex's label varying slowest
+        offset = []
         bases = []
-        for (shape, _), place in zip(combs, places):
+        for shape, i, j in combs:
+            # the comb's coordinate a*k + b puts op_a at i and op_b at j
+            offset += [place[i] * a + place[j] * b for a in range(k) for b in range(k)]
+            # the column of its tree under every labelling of the other
+            # vertices, the first in pre-order varying slowest
             starts = [shape * block]
-            for v in range(n - 3):
-                starts = [start + x * place[v] for start in starts for x in range(k)]
+            for pos in range(n - 1):
+                if pos != i and pos != j:
+                    starts = [start + x * place[pos] for start in starts for x in range(k)]
             bases.append(starts)
         for left, right in zip(*bases):
             cols = [(right if c >= k2 else left) + offset[c] for c in coords]
@@ -278,8 +246,9 @@ def _ideal_generators(k: int, relations: Sequence[IntRow], n: int):
 def weight_work(p: Presentation, n: int) -> tuple[int, int]:
     """Generator rows and ambient size of the weight-n elimination.
 
-    An n-leaf context has n - 3 binary vertices, and there are C(2n-3, n)
-    contexts (1, 5, 21, 84, ... for n = 3, 4, 5, 6, ...), so
+    A relation is placed at a rotation of an n-leaf tree and the other
+    n - 3 vertices are labelled. The C(2n-3, n) rotations (1, 5, 21, 84,
+    ... for n = 3, 4, 5, 6, ...) are the edges of the associahedron, so
     ``_ideal_generators`` yields C(2n-3, n) * k^(n-3) * dim R rows, in
     C(n-1) * k^(n-1) columns. Below weight 3 there is no ideal.
     """
@@ -390,9 +359,9 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
 def ideal_span(p: Presentation, n: int) -> Subspace:
     """Weight-n component of the ideal generated by the relations.
 
-    It is spanned by every relation placed at the ternary vertex of every
-    labelled tree context with n leaves; weight 3 is the relation space
-    itself, re-coordinatized to the monomial basis. The canonical RREF
+    It is spanned by every relation placed at every labelled rotation of
+    an n-leaf tree; weight 3 is the relation space itself,
+    re-coordinatized to the monomial basis. The canonical RREF
     basis is back-substituted from the same echelon ``component_dim``
     counts.
     """

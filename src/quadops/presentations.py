@@ -25,10 +25,11 @@ right coefficients multiplied on the right block.
 
 A relation vector holds a plain ``int`` at every integral coordinate and
 a ``Fraction`` only at a value that is not integral, such as a parsed
-``1/2 * ...``; every vector the package builds (``relation_vector``,
-``push_relation``, ``Presentation.relation_rows``, the DSL reader) keeps
-to this. The relation space itself is stored as sparse primitive integer
-rows (``linalg.Subspace``), and the pairing value is a ``Fraction``.
+``1/2 * ...``. ``RelVector`` stores an integral ``Fraction`` as its
+``int`` itself, so the builders (``relation_vector``, ``push_relation``,
+the DSL reader) hand it their sums as they come. The relation space
+itself is stored as sparse primitive integer rows (``linalg.Subspace``),
+and the pairing value is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ class RelVector(_Record):
     """A quadratic relation as a coordinate vector of length 2*k^2.
 
     Each coordinate is an ``int`` or a ``Fraction``; anything else, a float
-    included, raises ``TypeError``. An int and a Fraction of equal value
-    compare and hash alike, so a vector equals its Fraction-typed copy.
+    included, raises ``TypeError``. An integral ``Fraction`` is stored as
+    its ``int``, so a ``Fraction`` stays only at a value that is not
+    integral. An int and a Fraction of equal value compare and hash alike,
+    so a vector equals its Fraction-typed copy.
     """
 
     __slots__ = ("coordinates",)
@@ -111,9 +114,10 @@ class RelVector(_Record):
         k = isqrt(len(coordinates) // 2)
         if len(coordinates) == 0 or 2 * k * k != len(coordinates):
             raise DimensionError(f"relation vector length {len(coordinates)} is not 2*k^2")
-        for x in coordinates:
-            if type(x) is not int:
-                _scalar(x)  # raises TypeError unless x is an int or a Fraction
+        # all ints, the common case, take this one pass
+        if not all(type(x) is int for x in coordinates):
+            exact = [_scalar(x) for x in coordinates]  # TypeError unless int or Fraction
+            coordinates = tuple(x.numerator if x.denominator == 1 else x for x in exact)
         _set(self, "coordinates", coordinates)
 
     @property
@@ -129,11 +133,6 @@ def left_index(k: int, i: int, j: int) -> int:
 def right_index(k: int, i: int, j: int) -> int:
     """Coordinate of the monomial x op_i (y op_j z)."""
     return k * k + i * k + j
-
-
-def _coordinates(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
-    """Relation coordinates with every integral Fraction made an int."""
-    return tuple(x if type(x) is int or x.denominator != 1 else x.numerator for x in values)
 
 
 def relation_vector(
@@ -154,7 +153,7 @@ def relation_vector(
         coords[left_index(k, i, j)] += c if type(c) is int else _scalar(c)
     for c, i, j in right_terms:
         coords[right_index(k, i, j)] -= c if type(c) is int else _scalar(c)
-    return RelVector(_coordinates(coords))
+    return RelVector(tuple(coords))
 
 
 class Presentation(_Record):
@@ -348,7 +347,7 @@ def push_relation(phi: GeneratorMap, v: RelVector) -> RelVector:
     coeffs = {i: x for i, x in enumerate(phi.matrix.entries) if x}
     image = _push(phi, coeffs, ((c, x) for c, x in enumerate(v.coordinates) if x))
     kt = phi.target.size
-    return RelVector(_coordinates(image.get(c, 0) for c in range(2 * kt * kt)))
+    return RelVector(tuple(image.get(c, 0) for c in range(2 * kt * kt)))
 
 
 def is_morphism(

@@ -18,6 +18,7 @@ from .catalog import (
     BUILTIN_NAMES,
     BuiltinCatalog,
     catalog,
+    line_relation,
     sixteenth_vector,
     tableau_vectors,
 )
@@ -132,18 +133,9 @@ class VerifyConfig(_Record):
 
 
 def extra_relation_directions() -> tuple[RelVector, RelVector]:
-    """The two directions spanning candidate sixteenth relations.
-
-    The first lives in the left-parenthesized block: (x ne y) se z minus
-    (x nw y) se z. The second lives in the right-parenthesized block:
-    x nw (y sw z) minus x nw (y se z).
-    """
-    return _candidate(1, 0), _candidate(0, 1)
-
-
-def _candidate(a: int, b: int) -> RelVector:
-    """a times the first direction plus b times the second."""
-    return relation_vector(4, [(a, 1, 3), (-a, 0, 3)], [(-b, 0, 2), (b, 0, 3)])
+    """The two directions spanning candidate sixteenth relations: u and v
+    of ``line_relation``, its points (1 : 0) and (0 : 1)."""
+    return line_relation(1, 0), line_relation(0, 1)
 
 
 def scan_grid(radius: int) -> tuple[tuple[int, int], ...]:
@@ -167,7 +159,7 @@ def sixteenth_relation_scan(
     base = cat.presentation("DendSquareDias")
     passing = []
     for a, b in pairs:
-        q = quotient(base, [_candidate(a, b)])
+        q = quotient(base, [line_relation(a, b)])
         if find_relabeling_iso(q, dual(q)) is not None:
             passing.append((a, b))
     return frozenset(passing)

@@ -19,6 +19,7 @@ from quadops.catalog import (
     builtin_map,
     builtin_map_pairs,
     catalog,
+    line_relation,
     sixteenth_vector,
     spanning_relations,
     tableau_vectors,
@@ -90,6 +91,20 @@ class TestGoldenCoordinates:
     def test_sixteenth_vector_rejects_other_signs(self):
         with pytest.raises(ValueError):
             sixteenth_vector(0)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_sixteenth_vector_is_a_point_of_the_line(self, sign):
+        assert sixteenth_vector(sign) == line_relation(1, -sign)
+
+    def test_line_points_are_combinations_of_the_directions(self):
+        # u and v written out: (x ne y) se z - (x nw y) se z at 7 and 3,
+        # x nw (y sw z) - x nw (y se z) at 18 and 19
+        u = {7: 1, 3: -1}
+        v = {18: 1, 19: -1}
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                expected = tuple(a * u.get(c, 0) + b * v.get(c, 0) for c in range(32))
+                assert line_relation(a, b).coordinates == expected
 
     def test_tableau_has_fifteen_rows(self):
         assert len(tableau_vectors()) == 15

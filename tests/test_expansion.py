@@ -9,6 +9,7 @@ ideal by one-step grafting from the weight below.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -576,6 +577,99 @@ class TestWeightWork:
         assert weight_work(p, 2) == (0, 4)
         with pytest.raises(ValueError):
             weight_work(p, 0)
+
+
+def vertex_paths(t, path=()):
+    """Root-to-vertex paths (0 left, 1 right) of every vertex, pre-order."""
+    if t is None:
+        return []
+    return [path] + vertex_paths(t[0], path + (0,)) + vertex_paths(t[1], path + (1,))
+
+
+def replaced(t, path, new):
+    if not path:
+        return new
+    children = list(t)
+    children[path[0]] = replaced(t[path[0]], path[1:], new)
+    return tuple(children)
+
+
+def rotation_oracle(n: int) -> list:
+    """Brute force: every n-leaf tree rotated at every vertex with a left
+    child, ((a, b), c) to (a, (b, c)), as (tree, rotated tree) pairs."""
+    pairs = []
+    for t in enumerate_trees(n):
+        for path in vertex_paths(t):
+            vertex = t
+            for side in path:
+                vertex = vertex[side]
+            left, c = vertex
+            if left is not None:
+                a, b = left
+                pairs.append((t, replaced(t, path, (a, (b, c)))))
+    return pairs
+
+
+def labelled(shape, marks):
+    """The tree with its vertices labelled by ``marks`` in pre-order and
+    its leaves numbered left to right: (label, left, right) or a number."""
+    marks, leaves = iter(marks), itertools.count()
+
+    def go(t):
+        if t is None:
+            return next(leaves)
+        mark = next(marks)
+        return (mark, go(t[0]), go(t[1]))
+
+    return go(shape)
+
+
+def comb_at(t, mark):
+    """The tree with the vertex labelled ``mark`` cut out as "comb", and
+    that vertex's subtree."""
+    if not isinstance(t, tuple):
+        return t, None
+    if t[0] == mark:
+        return "comb", t
+    label, left, right = t
+    left, found = comb_at(left, mark)
+    right, other = comb_at(right, mark)
+    return (label, left, right), found or other
+
+
+class TestRotations:
+    """``_context_layouts`` pairs each tree with its rotations and places
+    op_i and op_j where the two combs have them."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_pairs_are_every_rotation_once(self, n):
+        trees = enumerate_trees(n)
+        pairs = [(trees[left[0]], trees[right[0]]) for left, right in _context_layouts(n)]
+        oracle = rotation_oracle(n)
+        assert len(set(oracle)) == len(oracle) == comb(2 * n - 3, n)
+        assert Counter(pairs) == Counter(oracle)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_combs_sit_at_the_same_leaves(self, n):
+        trees = enumerate_trees(n)
+        for layouts in _context_layouts(n):
+            cut = []
+            # the left comb's top vertex is op_j, the right comb's op_i
+            for (shape, i, j), top in zip(layouts, "ji"):
+                # op_i and op_j get marks, the other vertices 0, 1, ... in
+                # pre-order
+                others = iter(range(n))
+                marks = [
+                    "i" if pos == i else "j" if pos == j else next(others)
+                    for pos in range(n - 1)
+                ]
+                cut.append(comb_at(labelled(trees[shape], marks), top))
+            (left_rest, left_comb), (right_rest, right_comb) = cut
+            # (x i y) j z on the left, x i (y j z) on the right
+            _, (inner, x, y), z = left_comb
+            assert left_comb[0] == "j" and inner == "i"
+            assert right_comb == ("i", x, ("j", y, z))
+            assert left_rest == right_rest
 
 
 def _graft(shape, labels, position: int, inner: TreeMonomial):

@@ -7,6 +7,8 @@ each ``__all__`` is checked against the module it belongs to.
 
 import importlib
 import pkgutil
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +39,16 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names; one renamed or deleted in
+    # the package would otherwise show only when the benchmark runs
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+    targets = tracer["TARGETS"]
+    assert len(targets) == 24
+    for module, attr in targets:
+        owner = importlib.import_module(f"quadops.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"

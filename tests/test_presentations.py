@@ -186,6 +186,12 @@ class TestCoordinates:
         with pytest.raises(TypeError, match=re.escape(f"expected an integer or Fraction, got {bad!r}")):
             RelVector((1, bad))
 
+    def test_integral_fractions_stored_as_ints(self):
+        coords = RelVector((Fraction(2), Fraction(1, 2))).coordinates
+        assert coords == (2, Fraction(1, 2))
+        assert type(coords[0]) is int
+        assert type(coords[1]) is Fraction
+
     def test_exact_coordinates_accepted(self):
         assert RelVector((Fraction(1, 2), -1)).coordinates == (Fraction(1, 2), -1)
         assert RelVector((True, 0)).coordinates == (1, 0)
