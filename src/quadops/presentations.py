@@ -35,9 +35,10 @@ and the pairing value is a ``Fraction``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -400,31 +401,83 @@ def _relabel(
         yield {imap[c]: x * pair_signs[c % k2] for c, x in row}
 
 
-def _pair_ranks(p: Presentation) -> tuple[int, ...]:
-    """Rank of the relation space projected onto each coordinate pair.
+def _pair_projections(p: Presentation) -> tuple[int | tuple[int, int], ...]:
+    """The relation space projected onto each coordinate pair.
 
-    Entry i*k + j is the rank (0, 1 or 2) of the projection onto the two
-    coordinates ``left_index(k, i, j)`` and ``right_index(k, i, j)``. The
+    Entry i*k + j describes the projection onto the two coordinates
+    ``left_index(k, i, j)`` and ``right_index(k, i, j)``: 0 when it is
+    zero, 2 when it is the whole plane, and for a line its primitive
+    integer spanning vector with the first nonzero entry positive. The
     projected basis rows span the projection, so one pass over them
-    decides it: rank 2 as soon as two projected rows are not proportional.
+    decides it: the plane as soon as two projected rows are not
+    proportional.
     """
     k2 = p.num_ops ** 2
-    ranks = [0] * k2
-    first: list[tuple[int, int]] = [(0, 0)] * k2
+    proj: list[int | tuple[int, int]] = [0] * k2
     for row in p.relations.rows:
-        projected: dict[int, list[int]] = {}
+        # a row lists its left-block columns before its right-block ones
+        projected: dict[int, tuple[int, int]] = {}
         for c, x in row:
-            block, pair = divmod(c, k2)
-            projected.setdefault(pair, [0, 0])[block] = x
+            if c < k2:
+                projected[c] = (x, 0)
+            else:
+                c -= k2
+                projected[c] = (projected[c][0], x) if c in projected else (0, x)
         for pair, (a, b) in projected.items():
-            if ranks[pair] == 0:
-                ranks[pair] = 1
-                first[pair] = (a, b)
-            elif ranks[pair] == 1:
-                a0, b0 = first[pair]
-                if a0 * b != a * b0:
-                    ranks[pair] = 2
-    return tuple(ranks)
+            line = proj[pair]
+            if line == 0:
+                g = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
+                proj[pair] = (a // g, b // g)
+            elif line != 2 and line[0] * b != a * line[1]:
+                proj[pair] = 2
+    return tuple(proj)
+
+
+def _matching_permutations(
+    p_proj: Sequence, q_proj: Sequence, k: int
+) -> Iterator[tuple[int, ...]]:
+    """Permutations carrying each pair's projection of p onto q's, in
+    lexicographic order.
+
+    perm[0], perm[1], ... are assigned in turn, each trying the free
+    values in increasing order. Placing position i at v checks pair
+    (i, i) and, for each j < i already placed, pairs (i, j) and (j, i),
+    so a prefix that cannot extend to a match is dropped with all its
+    completions.
+    """
+    perm: list[int] = []
+    free = [True] * k
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(perm)
+            return
+        row = i * k
+        for v in range(k):
+            if not free[v] or q_proj[v * k + v] != p_proj[row + i]:
+                continue
+            for j, w in enumerate(perm):
+                if (
+                    q_proj[v * k + w] != p_proj[row + j]
+                    or q_proj[w * k + v] != p_proj[j * k + i]
+                ):
+                    break
+            else:
+                free[v] = False
+                perm.append(v)
+                yield from extend(i + 1)
+                perm.pop()
+                free[v] = True
+
+    return extend(0)
+
+
+# Sign patterns with signs[0] = +1 and their _pair_signs tables, in
+# lexicographic order (all +1 first), built once per number of operations.
+@lru_cache(maxsize=8)
+def _sign_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    patterns = [(1,) + rest for rest in itertools.product((1, -1), repeat=k - 1)]
+    return tuple((signs, _pair_signs(signs, k)) for signs in patterns)
 
 
 def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
@@ -443,7 +496,7 @@ def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
 def find_relabeling_iso(
     p: Presentation, q: Presentation
 ) -> SignedRelabeling | None:
-    """Exhaustive search for a signed relabeling carrying p onto q.
+    """Search for a signed relabeling carrying p onto q.
 
     Candidates are tried in lexicographic order: permutations first, then
     sign patterns with all +1 first. Returns the first match, or None.
@@ -454,33 +507,40 @@ def find_relabeling_iso(
       the coordinates of pair (i, j) by signs[i]*signs[j], so negating
       every sign gives the same relabeling. Within one permutation the
       patterns with signs[0] = +1 come first, so the first match always
-      has one.
+      has one. These patterns and their scale tables are built once per
+      number of operations (``_sign_tables``).
     * A signed relabeling carries the coordinate pair (i, j) onto
-      (perm[i], perm[j]) and scales both of its coordinates by one sign,
-      so it preserves the rank of the relation space projected onto each
-      pair (``_pair_ranks``). If the sorted ranks of p and q differ there
-      is no match; otherwise a permutation that does not carry p's ranks
-      onto q's is skipped with all its sign patterns.
+      (perm[i], perm[j]) and scales both of its coordinates by the one
+      sign signs[i]*signs[j]. A line scaled by -1 is the same line, so
+      the relabeling preserves the relation space projected onto each
+      pair: zero, a line or the whole plane (``_pair_projections``). If
+      the projections of p and q differ as multisets there is no match.
+      Otherwise the permutations are built by backtracking, position by
+      position in lexicographic order, and a prefix that carries some
+      projection of p onto a different one of q is dropped with all its
+      completions (``_matching_permutations``). The permutations that
+      remain are exactly those the full lexicographic sweep would keep,
+      in the same order, so the first match is the same.
+
+    A permutation is turned into a coordinate map only when it survives.
+    When every pair's projection agrees, nothing is pruned and the search
+    still tries up to k!*2^(k-1) candidates.
     """
     k = p.num_ops
     if q.num_ops != k:
         raise DimensionError("presentations have different numbers of operations")
     if p.relations.dimension != q.relations.dimension:
         return None
-    p_ranks = _pair_ranks(p)
-    q_ranks = _pair_ranks(q)
-    if sorted(p_ranks) != sorted(q_ranks):
+    p_proj = _pair_projections(p)
+    q_proj = _pair_projections(q)
+    # Counter, not sorted: a line is a tuple and the other values are ints
+    if Counter(p_proj) != Counter(q_proj):
         return None
-    patterns = [(1,) + rest for rest in itertools.product((1, -1), repeat=k - 1)]
-    sign_tables = [(signs, _pair_signs(signs, k)) for signs in patterns]
     target = q.relations.echelon()
     rows = p.relations.rows
-    for perm in itertools.permutations(range(k)):
+    for perm in _matching_permutations(p_proj, q_proj, k):
         imap = _index_map(perm, k)
-        # the first k*k entries of imap are the image pairs
-        if any(q_ranks[imap[c]] != r for c, r in enumerate(p_ranks)):
-            continue
-        for signs, pair_signs in sign_tables:
+        for signs, pair_signs in _sign_tables(k):
             if all(
                 reduce_row(target, row, insert=False) is None
                 for row in _relabel(rows, imap, pair_signs, k)

@@ -14,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadops.presentations
 from quadops.catalog import (
     BUILTIN_NAMES,
     as_relations,
@@ -21,6 +22,7 @@ from quadops.catalog import (
     builtin_map,
     builtin_map_pairs,
     dend_relations,
+    line_relation,
     spanning_relations,
 )
 from quadops.linalg import DimensionError, Matrix, reduce_row, span
@@ -45,7 +47,7 @@ from quadops.presentations import (
     right_index,
     square,
     _dual_relations,
-    _pair_ranks,
+    _pair_projections,
 )
 from quadops.verify import extra_relation_directions, scan_grid
 
@@ -101,12 +103,13 @@ def exhaustive_relabeling_iso(p: Presentation, q: Presentation):
     return None
 
 
-def sympy_pair_ranks(p: Presentation) -> tuple[int, ...]:
-    """Oracle: sympy's rank of the relation rows restricted to the two
-    coordinates of each pair (i, j)."""
+def sympy_pair_projections(p: Presentation) -> tuple:
+    """Oracle: sympy's RREF of the relation rows restricted to the two
+    coordinates of each pair (i, j): 0 for rank 0, 2 for rank 2, and for
+    rank 1 the RREF row scaled to a primitive integer vector."""
     k = p.num_ops
     rows = p.relation_rows()
-    ranks = []
+    out = []
     for i in range(k):
         for j in range(k):
             cols = (left_index(k, i, j), right_index(k, i, j))
@@ -115,8 +118,29 @@ def sympy_pair_ranks(p: Presentation) -> tuple[int, ...]:
                 for r in rows
                 for c in cols
             ]
-            ranks.append(sympy.Matrix(len(rows), 2, entries).rank() if rows else 0)
-    return tuple(ranks)
+            reduced, pivots = sympy.Matrix(len(rows), 2, entries).rref() if rows else (None, ())
+            if len(pivots) != 1:
+                out.append(len(pivots))
+                continue
+            line = reduced.row(0)
+            scale = sympy.ilcm(*(x.q for x in line))
+            ints = [int(x * scale) for x in line]
+            g = sympy.igcd(*ints)
+            out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+def all_pairs_associative(k: int, lead: int = 1) -> Presentation:
+    """The k-operation presentation with all k^2 relations
+    (x i y) j z = x i (y j z), the one for pair (0, 0) with coefficient
+    ``lead`` on its left side. Every pair projects to a rank-one line,
+    so ranks cannot tell two values of ``lead`` apart."""
+    vectors = [
+        relation_vector(k, [(lead if (i, j) == (0, 0) else 1, i, j)], [(1, i, j)]).coordinates
+        for i in range(k)
+        for j in range(k)
+    ]
+    return Presentation(GeneratorSet(tuple(f"o{i}" for i in range(k))), span(vectors, 2 * k * k))
 
 
 def scan_quotients(radius: int):
@@ -138,6 +162,23 @@ def signed_relabelings(draw, k: int):
     perm = tuple(draw(st.permutations(range(k))))
     signs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k)))
     return SignedRelabeling(perm, signs)
+
+
+@st.composite
+def relabeled_four_operation_pairs(draw):
+    """A signed relabeling q of p, a 4-operation built-in, its dual or a
+    scan-line quotient, paired with p or with p's dual in either order:
+    against p a hit, against its dual a hit only when p is self-dual."""
+    family = draw(st.sampled_from(("builtin", "dual", "scan")))
+    if family == "scan":
+        a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        p = quotient(builtin("DendSquareDias"), [line_relation(a, b)])
+    else:
+        p = builtin(draw(st.sampled_from(("DendSquareDias", "Xplus", "Xminus"))))
+        p = dual(p) if family == "dual" else p
+    q = apply_relabeling(draw(signed_relabelings(4)), p)
+    other = draw(st.sampled_from((p, dual(p))))
+    return (q, other) if draw(st.booleans()) else (other, q)
 
 
 @st.composite
@@ -566,18 +607,123 @@ class TestPrunedSearchMatchesExhaustiveSearch:
         q = data.draw(presentations(min_ops=k, max_ops=k))
         assert find_relabeling_iso(p, q) == exhaustive_relabeling_iso(p, q)
 
+    @given(relabeled_four_operation_pairs())
+    @settings(deadline=None, max_examples=60)
+    def test_relabeled_four_operation_draws(self, pair):
+        left, right = pair
+        assert find_relabeling_iso(left, right) == exhaustive_relabeling_iso(left, right)
+
+
+class TestOnlySurvivorsAreMapped:
+    """A permutation becomes a coordinate map only when it carries every
+    pair's projection of p onto q's, in lexicographic order, and the
+    search stops at the first match; spaces of different dimensions are
+    rejected before any."""
+
+    @staticmethod
+    def mapped_permutations(monkeypatch, p, q):
+        mapped = []
+        index_map = quadops.presentations._index_map
+
+        def recording_index_map(perm, k):
+            mapped.append(tuple(perm))
+            return index_map(perm, k)
+
+        monkeypatch.setattr(quadops.presentations, "_index_map", recording_index_map)
+        witness = find_relabeling_iso(p, q)
+        monkeypatch.undo()
+        k = p.num_ops
+        before, after = sympy_pair_projections(p), sympy_pair_projections(q)
+        survivors = [
+            perm
+            for perm in itertools.permutations(range(k))
+            if all(
+                after[perm[i] * k + perm[j]] == before[i * k + j]
+                for i in range(k)
+                for j in range(k)
+            )
+        ]
+        if p.relations.dimension != q.relations.dimension:
+            survivors = []
+        elif witness is not None:
+            survivors = survivors[: survivors.index(witness.permutation) + 1]
+        return mapped, survivors
+
+    def test_scan_quotients_against_their_duals(self, monkeypatch):
+        for q in scan_quotients(4):
+            mapped, survivors = self.mapped_permutations(monkeypatch, q, dual(q))
+            assert mapped == survivors
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_against_dual_and_itself(self, monkeypatch, name):
+        p = builtin(name)
+        d = dual(p)
+        for left, right in ((p, d), (d, p), (p, p)):
+            mapped, survivors = self.mapped_permutations(monkeypatch, left, right)
+            assert mapped == survivors
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_drawn_pairs(self, data):
+        p = data.draw(presentations(max_ops=3))
+        k = p.num_ops
+        if data.draw(st.booleans()):
+            q = apply_relabeling(data.draw(signed_relabelings(k)), p)
+        else:
+            q = data.draw(presentations(min_ops=k, max_ops=k))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            mapped, survivors = self.mapped_permutations(monkeypatch, p, q)
+        assert mapped == survivors
+
+    @given(relabeled_four_operation_pairs())
+    @settings(deadline=None, max_examples=40)
+    def test_relabeled_four_operation_draws(self, pair):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            mapped, survivors = self.mapped_permutations(monkeypatch, *pair)
+        assert mapped == survivors
+
+
+class TestProjectionsSeparateEqualRanks:
+    """Two presentations whose pairs all project to lines, one of them a
+    different line: the ranks agree everywhere, the projections do not."""
+
+    def test_seven_operations_rejected_without_elimination(self, monkeypatch):
+        p, q = all_pairs_associative(7, lead=2), all_pairs_associative(7)
+        calls = []
+
+        def counting_reduce_row(*args, **kwargs):
+            calls.append(args)
+            return reduce_row(*args, **kwargs)
+
+        monkeypatch.setattr(quadops.presentations, "reduce_row", counting_reduce_row)
+        assert find_relabeling_iso(p, q) is None
+        assert find_relabeling_iso(q, p) is None
+        assert calls == []
+
+    def test_five_operations_match_the_exhaustive_search(self):
+        p, q = all_pairs_associative(5, lead=2), all_pairs_associative(5)
+        for left, right in ((p, q), (q, p), (p, p)):
+            assert find_relabeling_iso(left, right) == exhaustive_relabeling_iso(
+                left, right
+            )
+
 
 class TestPairRanks:
+    """The relation space projected onto each coordinate pair
+    (``_pair_projections``). The search once compared only the rank of
+    each projection; the projection itself is a finer invariant, and the
+    oracle pins it whole."""
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_sympy_for_builtins(self, name):
         p = builtin(name)
-        assert _pair_ranks(p) == sympy_pair_ranks(p)
-        assert _pair_ranks(dual(p)) == sympy_pair_ranks(dual(p))
+        assert _pair_projections(p) == sympy_pair_projections(p)
+        assert _pair_projections(dual(p)) == sympy_pair_projections(dual(p))
 
     @given(presentations(max_ops=3))
     @settings(deadline=None, max_examples=40)
     def test_matches_sympy(self, p):
-        assert _pair_ranks(p) == sympy_pair_ranks(p)
+        assert _pair_projections(p) == sympy_pair_projections(p)
 
     @given(st.data())
     @settings(deadline=None, max_examples=40)
@@ -585,8 +731,8 @@ class TestPairRanks:
         p = data.draw(presentations(max_ops=3))
         k = p.num_ops
         sigma = data.draw(signed_relabelings(k))
-        before = _pair_ranks(p)
-        after = _pair_ranks(apply_relabeling(sigma, p))
+        before = _pair_projections(p)
+        after = _pair_projections(apply_relabeling(sigma, p))
         perm = sigma.permutation
         for i in range(k):
             for j in range(k):
@@ -598,10 +744,10 @@ class TestPairRanks:
         p = data.draw(presentations(max_ops=3))
         sigma = data.draw(signed_relabelings(p.num_ops))
         negated = SignedRelabeling(sigma.permutation, tuple(-s for s in sigma.signs))
-        assert (
-            apply_relabeling(sigma, p).relations
-            == apply_relabeling(negated, p).relations
-        )
+        image = apply_relabeling(sigma, p)
+        assert image.relations == apply_relabeling(negated, p).relations
+        flipped = SignedRelabeling(tuple(range(p.num_ops)), sigma.signs)
+        assert _pair_projections(apply_relabeling(flipped, p)) == _pair_projections(p)
 
 
 class TestIntegerCoordinates:
