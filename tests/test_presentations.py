@@ -710,9 +710,8 @@ class TestProjectionsSeparateEqualRanks:
 
 class TestPairRanks:
     """The relation space projected onto each coordinate pair
-    (``_pair_projections``). The search once compared only the rank of
-    each projection; the projection itself is a finer invariant, and the
-    oracle pins it whole."""
+    (``_pair_projections``): its rank and, for rank one, the line
+    itself, which the oracle pins whole."""
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_sympy_for_builtins(self, name):
