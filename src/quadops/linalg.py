@@ -28,6 +28,7 @@ exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
@@ -384,6 +385,41 @@ def echelon_subspace(echelon: Echelon, ambient_dim: int) -> Subspace:
     """The subspace spanned by the rows of an echelon."""
     rows = tuple(tuple(sorted(row.items())) for _, row in back_substitute(echelon))
     return Subspace(ambient_dim, rows)
+
+
+def _extend(s: Subspace, rows: Iterable[SparseRow]) -> Subspace:
+    """Subspace spanned by ``s`` and sparse integer rows; the rows are consumed.
+
+    Each row goes straight into the canonical basis, with no back
+    substitution of the rows already there. The basis rows are zero at
+    each other's leads, so one pass over the lead columns a row holds
+    clears them all. A nonzero residue is made primitive with a positive
+    lead, and its lead is cleared from only the basis rows nonzero there;
+    every other row is kept as the same tuple. When no row adds anything,
+    ``s`` itself is returned.
+    """
+    basis = {row[0][0]: row for row in s.rows}
+    for row in rows:
+        for col in [c for c in row if c in basis]:
+            _eliminate(row, col, dict(basis[col]))
+        if not row:
+            continue
+        lead = min(row)
+        _normalize(row, lead)
+        for other, brow in basis.items():
+            # a basis row is nonzero only from its lead on
+            if other > lead:
+                continue
+            i = bisect_left(brow, (lead,))
+            if i < len(brow) and brow[i][0] == lead:
+                changed = dict(brow)
+                _eliminate(changed, lead, row)
+                _normalize(changed, other)
+                basis[other] = tuple(sorted(changed.items()))
+        basis[lead] = tuple(sorted(row.items()))
+    if len(basis) == s.dimension:
+        return s
+    return Subspace(s.ambient_dim, tuple(basis[lead] for lead in sorted(basis)))
 
 
 def span_rows(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:

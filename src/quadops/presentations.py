@@ -17,6 +17,10 @@ original relation space. The complement of each relation space is
 memoized in an LRU of at most 128 entries, keyed by the canonical
 relation rows alone; only the complement computed is stored, never the
 reverse pair, so a double dual still takes two kernel computations.
+The signed-relabeling search is memoized the same way: an LRU of at most
+128 entries keyed by the ordered pair of canonical relation spaces, each
+entry holding the two spaces and the witness or None. A quotient inserts
+its extra relations into the canonical basis it starts from.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
@@ -48,10 +52,10 @@ from .linalg import (
     SparseRow,
     Subspace,
     _Record,
+    _extend,
     _scalar,
     _set,
     complement_under_form,
-    echelon_subspace,
     reduce_row,
     span_rows,
     sparse_row,
@@ -302,13 +306,17 @@ def square(p: Presentation, q: Presentation) -> Presentation:
 
 
 def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
-    """Presentation with extra relations added to the span."""
-    echelon = p.relations.echelon()
+    """Presentation with extra relations added to the span.
+
+    Each extra relation is inserted into p's canonical basis (``_extend``);
+    when none adds anything, the result holds p's own relation space.
+    """
+    rows = []
     for rv in extra:
         if len(rv.coordinates) != p.ambient_dim:
             raise DimensionError("extra relation has the wrong ambient dimension")
-        reduce_row(echelon, sparse_row(rv.coordinates))
-    return Presentation(p.generators, echelon_subspace(echelon, p.ambient_dim))
+        rows.append(sparse_row(rv.coordinates))
+    return Presentation(p.generators, _extend(p.relations, rows))
 
 
 def _push(
@@ -401,8 +409,8 @@ def _relabel(
         yield {imap[c]: x * pair_signs[c % k2] for c, x in row}
 
 
-def _pair_projections(p: Presentation) -> tuple[int | tuple[int, int], ...]:
-    """The relation space projected onto each coordinate pair.
+def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
+    """A relation space projected onto each coordinate pair.
 
     Entry i*k + j describes the projection onto the two coordinates
     ``left_index(k, i, j)`` and ``right_index(k, i, j)``: 0 when it is
@@ -412,9 +420,9 @@ def _pair_projections(p: Presentation) -> tuple[int | tuple[int, int], ...]:
     decides it: the plane as soon as two projected rows are not
     proportional.
     """
-    k2 = p.num_ops ** 2
+    k2 = relations.ambient_dim // 2
     proj: list[int | tuple[int, int]] = [0] * k2
-    for row in p.relations.rows:
+    for row in relations.rows:
         # a row lists its left-block columns before its right-block ones
         projected: dict[int, tuple[int, int]] = {}
         for c, x in row:
@@ -525,24 +533,43 @@ def find_relabeling_iso(
     A permutation is turned into a coordinate map only when it survives.
     When every pair's projection agrees, nothing is pruned and the search
     still tries up to k!*2^(k-1) candidates.
+
+    Spaces of different dimensions are rejected at once. Otherwise the
+    search runs on the two relation spaces alone and is memoized in an
+    LRU of at most 128 entries (``_relabeling_iso``), keyed by the two
+    canonical spaces, never by names. An entry holds the two spaces and
+    the witness or None, so the same question asked again, under any
+    names, costs one lookup and returns the same witness.
+
+    Raises:
+        DimensionError: if p and q have different numbers of operations;
+            this is checked before the memo is asked.
     """
-    k = p.num_ops
-    if q.num_ops != k:
+    if q.num_ops != p.num_ops:
         raise DimensionError("presentations have different numbers of operations")
     if p.relations.dimension != q.relations.dimension:
         return None
-    p_proj = _pair_projections(p)
-    q_proj = _pair_projections(q)
+    return _relabeling_iso(p.relations, q.relations)
+
+
+# Bounded LRU keyed by the two canonical relation spaces alone, never names.
+@lru_cache(maxsize=128)
+def _relabeling_iso(source: Subspace, target: Subspace) -> SignedRelabeling | None:
+    """The search of ``find_relabeling_iso`` on two relation spaces of
+    equal dimension in one ambient space of dimension 2*k^2."""
+    k = isqrt(source.ambient_dim // 2)
+    p_proj = _pair_projections(source)
+    q_proj = _pair_projections(target)
     # Counter, not sorted: a line is a tuple and the other values are ints
     if Counter(p_proj) != Counter(q_proj):
         return None
-    target = q.relations.echelon()
-    rows = p.relations.rows
+    echelon = target.echelon()
+    rows = source.rows
     for perm in _matching_permutations(p_proj, q_proj, k):
         imap = _index_map(perm, k)
         for signs, pair_signs in _sign_tables(k):
             if all(
-                reduce_row(target, row, insert=False) is None
+                reduce_row(echelon, row, insert=False) is None
                 for row in _relabel(rows, imap, pair_signs, k)
             ):
                 return SignedRelabeling(perm, signs)

@@ -2,7 +2,9 @@
 
 A name left in an ``__all__`` after its definition is gone breaks
 ``from quadops.<module> import *`` and misleads a reader of the API, so
-each ``__all__`` is checked against the module it belongs to.
+each ``__all__`` is checked against the module it belongs to. The
+modules' memos are checked here too: one keyed by a presentation must be
+bounded.
 """
 
 import importlib
@@ -52,3 +54,28 @@ def test_benchmark_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
+
+
+# Memos keyed by a built-in name or a weight: their keys are few by
+# construction, so they may be unbounded.
+UNBOUNDED_MEMOS = {
+    "catalog.builtin",
+    "catalog.spanning_relations",
+    "catalog.builtin_map",
+    "expansion.enumerate_trees",
+    "expansion._context_layouts",
+}
+
+
+def test_memos_keyed_by_presentations_are_bounded():
+    # an unbounded memo keyed by relation spaces would pin every
+    # presentation a long-lived process has asked about
+    unbounded = set()
+    for name in MODULES:
+        module = importlib.import_module(f"quadops.{name}")
+        for attr, value in vars(module).items():
+            info = getattr(value, "cache_info", None)
+            if info is not None and value.__module__ == module.__name__:
+                if info().maxsize is None:
+                    unbounded.add(f"{name}.{attr}")
+    assert unbounded == UNBOUNDED_MEMOS

@@ -25,7 +25,7 @@ from quadops.catalog import (
     line_relation,
     spanning_relations,
 )
-from quadops.linalg import DimensionError, Matrix, reduce_row, span
+from quadops.linalg import DimensionError, Matrix, reduce_row, span, span_rows, sparse_row
 from quadops.presentations import (
     GeneratorMap,
     GeneratorSet,
@@ -48,6 +48,7 @@ from quadops.presentations import (
     square,
     _dual_relations,
     _pair_projections,
+    _relabeling_iso,
 )
 from quadops.verify import extra_relation_directions, scan_grid
 
@@ -356,6 +357,65 @@ class TestDualMemo:
         assert (info.misses, info.hits) == (1, 1)
 
 
+class TestRelabelingMemo:
+    """``find_relabeling_iso`` memoizes its search per ordered pair of
+    canonical relation spaces (``_relabeling_iso``)."""
+
+    def test_memo_is_bounded(self):
+        maxsize = _relabeling_iso.cache_info().maxsize
+        assert maxsize == 128
+        _relabeling_iso.cache_clear()
+        # distinct one-operation presentations: the lines through (1, b)
+        for b in range(maxsize + 1):
+            p = Presentation(GeneratorSet(("a",)), span([[1, b]], 2))
+            assert find_relabeling_iso(p, p) == SignedRelabeling((0,), (1,))
+        info = _relabeling_iso.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
+
+    def test_names_are_not_part_of_the_key(self):
+        p, target = dual(builtin("Xplus")), builtin("Xplus")
+        renamed = Presentation(GeneratorSet(("a", "b", "c", "d")), p.relations)
+        _relabeling_iso.cache_clear()
+        witness = find_relabeling_iso(p, target)
+        assert witness is not None
+        assert find_relabeling_iso(renamed, target) == witness
+        info = _relabeling_iso.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_warm_and_cleared_searches_agree(self):
+        def questions():
+            for q in scan_quotients(4):
+                yield q, dual(q)
+            for name in BUILTIN_NAMES:
+                p = builtin(name)
+                yield p, dual(p)
+                yield p, p
+
+        cleared = []
+        for p, q in questions():
+            _relabeling_iso.cache_clear()
+            cleared.append(find_relabeling_iso(p, q))
+        # 16 self-dual scan points; As, Xplus and Xminus against their
+        # duals; every built-in against itself
+        assert sum(w is not None for w in cleared) == 16 + 3 + 6
+        _relabeling_iso.cache_clear()
+        assert [find_relabeling_iso(p, q) for p, q in questions()] == cleared
+        filled = _relabeling_iso.cache_info()
+        # the quotients and duals are built anew, so every hit matches
+        # equal spaces held by other objects
+        assert [find_relabeling_iso(p, q) for p, q in questions()] == cleared
+        info = _relabeling_iso.cache_info()
+        assert info.misses == filled.misses
+        assert info.hits - filled.hits == filled.hits + filled.misses
+
+    def test_size_mismatch_raises_before_the_memo_is_asked(self):
+        _relabeling_iso.cache_clear()
+        with pytest.raises(DimensionError):
+            find_relabeling_iso(builtin("Dend"), builtin("Xplus"))
+        info = _relabeling_iso.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
 class TestSquare:
     def test_one_operation_identity_relations(self):
         left = square(builtin("As"), builtin("Dend"))
@@ -405,6 +465,53 @@ class TestQuotient:
     def test_quotient_wrong_ambient(self):
         with pytest.raises(DimensionError):
             quotient(builtin("Dend"), [relation_vector(1, [(1, 0, 0)], [])])
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_the_span_of_all_rows(self, data):
+        p = data.draw(presentations(max_ops=3))
+        n = p.ambient_dim
+        basis = [r.coordinates for r in p.relation_rows()]
+        coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        extras: list[RelVector] = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(("zero", "in span", "free", "repeat")))
+            if kind == "zero" or (kind == "in span" and not basis):
+                coords = (0,) * n
+            elif kind == "in span":
+                scales = data.draw(st.lists(coefficient, min_size=len(basis), max_size=len(basis)))
+                coords = tuple(sum(c * row[i] for c, row in zip(scales, basis)) for i in range(n))
+            elif kind == "free" or not extras:
+                coords = tuple(data.draw(st.lists(coefficient, min_size=n, max_size=n)))
+            else:
+                coords = data.draw(st.sampled_from(extras)).coordinates
+            extras.append(RelVector(coords))
+        rows = [dict(row) for row in p.relations.rows]
+        rows += [sparse_row(rv.coordinates) for rv in extras]
+        expected = span_rows(rows, n)
+        q = quotient(p, extras)
+        assert q.relations == expected
+        assert q.generators == p.generators
+        if expected == p.relations:
+            # nothing added: p's own relation space comes back
+            assert q.relations is p.relations
+
+    def test_rows_cleared_at_a_new_lead_stay_primitive(self):
+        # (2, 0, 0, 1, 0, 1, 0, 0) minus the extra (0, 0, 0, 1, 0, -1, 0, 0)
+        # is (2, 0, 0, 0, 0, 2, 0, 0), which must be divided by 2 again
+        p = Presentation(GeneratorSet(("a", "b")), span([[2, 0, 0, 1, 0, 1, 0, 0]], 8))
+        extra = RelVector((0, 0, 0, 1, 0, -1, 0, 0))
+        assert quotient(p, [extra]).relations.rows == (((0, 1), (5, 1)), ((3, 1), (5, -1)))
+
+    @given(presentations(max_ops=3))
+    @settings(deadline=None, max_examples=20)
+    def test_wrong_length_extra_leaves_p_unchanged(self, p):
+        before = (p.generators, p.relations.rows)
+        good = RelVector((1,) + (0,) * (p.ambient_dim - 1))
+        wrong = RelVector((1,) * (2 * (p.num_ops + 1) ** 2))
+        with pytest.raises(DimensionError):
+            quotient(p, [good, wrong])
+        assert (p.generators, p.relations.rows) == before
 
 
 class TestMaps:
@@ -630,6 +737,8 @@ class TestOnlySurvivorsAreMapped:
             return index_map(perm, k)
 
         monkeypatch.setattr(quadops.presentations, "_index_map", recording_index_map)
+        # a warm memo would answer without mapping anything
+        _relabeling_iso.cache_clear()
         witness = find_relabeling_iso(p, q)
         monkeypatch.undo()
         k = p.num_ops
@@ -696,6 +805,7 @@ class TestProjectionsSeparateEqualRanks:
             return reduce_row(*args, **kwargs)
 
         monkeypatch.setattr(quadops.presentations, "reduce_row", counting_reduce_row)
+        _relabeling_iso.cache_clear()
         assert find_relabeling_iso(p, q) is None
         assert find_relabeling_iso(q, p) is None
         assert calls == []
@@ -716,13 +826,13 @@ class TestPairRanks:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_sympy_for_builtins(self, name):
         p = builtin(name)
-        assert _pair_projections(p) == sympy_pair_projections(p)
-        assert _pair_projections(dual(p)) == sympy_pair_projections(dual(p))
+        assert _pair_projections(p.relations) == sympy_pair_projections(p)
+        assert _pair_projections(dual(p).relations) == sympy_pair_projections(dual(p))
 
     @given(presentations(max_ops=3))
     @settings(deadline=None, max_examples=40)
     def test_matches_sympy(self, p):
-        assert _pair_projections(p) == sympy_pair_projections(p)
+        assert _pair_projections(p.relations) == sympy_pair_projections(p)
 
     @given(st.data())
     @settings(deadline=None, max_examples=40)
@@ -730,8 +840,8 @@ class TestPairRanks:
         p = data.draw(presentations(max_ops=3))
         k = p.num_ops
         sigma = data.draw(signed_relabelings(k))
-        before = _pair_projections(p)
-        after = _pair_projections(apply_relabeling(sigma, p))
+        before = _pair_projections(p.relations)
+        after = _pair_projections(apply_relabeling(sigma, p).relations)
         perm = sigma.permutation
         for i in range(k):
             for j in range(k):
@@ -746,7 +856,8 @@ class TestPairRanks:
         image = apply_relabeling(sigma, p)
         assert image.relations == apply_relabeling(negated, p).relations
         flipped = SignedRelabeling(tuple(range(p.num_ops)), sigma.signs)
-        assert _pair_projections(apply_relabeling(flipped, p)) == _pair_projections(p)
+        flipped_relations = apply_relabeling(flipped, p).relations
+        assert _pair_projections(flipped_relations) == _pair_projections(p.relations)
 
 
 class TestIntegerCoordinates:
