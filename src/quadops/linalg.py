@@ -14,12 +14,16 @@ giving the canonical RREF rows.
 A ``Subspace`` stores exactly those rows, primitive integers with a
 positive lead, in a hashable form. They are canonical, so two subspaces
 are equal exactly when their stored rows are equal. Membership tests
-reduce against them, ``kernel`` and ``complement_under_form`` (the
-kernel of the rows with each column multiplied by a sign) read them
-directly, and ``Fraction`` rows are built only on request, by
+reduce against them, and ``Fraction`` rows are built only on request, by
 ``Subspace.fraction_rows``. The small dense ``Matrix`` type is kept for
 input: ``rref`` and ``kernel`` take one, and ``span`` takes dense
 coordinate vectors.
+
+A kernel takes the same engine once. ``kernel`` and
+``complement_under_form`` (the kernel of a subspace's rows with each
+column multiplied by a sign) reduce their rows on mirrored columns, so
+each reduced row pivots at its last nonzero column, and read the
+kernel's canonical basis off those trailing pivots in one pass.
 
 No floating point and no modular arithmetic is used; every result is
 exact.
@@ -304,7 +308,8 @@ class Subspace(_Record):
     """A linear subspace of QQ^n held by its canonical basis.
 
     ``rows`` are the primitive integer RREF rows, by increasing lead
-    column: each row lists its nonzero ``(column, entry)`` pairs by
+    column: each row lists its nonzero ``(column, entry)`` pairs, every
+    entry of type ``int`` (anything else, ``bool`` too, is a TypeError), by
     increasing column, leads with a positive entry, has content 1 and is
     zero at every other row's lead column. Dividing each row by its lead
     gives the RREF basis over QQ. Because the basis is canonical, two
@@ -328,6 +333,8 @@ class Subspace(_Record):
             col, g = next(entries)
             if col < 0:
                 raise DimensionError("basis row reaches outside the ambient space")
+            if type(g) is not int:
+                raise TypeError(f"basis entries must be int, got {g!r}")
             if g <= 0:
                 raise ValueError("basis row must be primitive with a positive lead")
             if col <= last_lead:
@@ -336,6 +343,8 @@ class Subspace(_Record):
                 raise ValueError("basis row is nonzero at another row's lead column")
             last_lead = prev = col
             for col, x in entries:
+                if type(x) is not int:
+                    raise TypeError(f"basis entries must be int, got {x!r}")
                 if col <= prev or not x:
                     raise ValueError("basis row must list nonzero entries by increasing column")
                 if g != 1:
@@ -450,33 +459,56 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix(m.rows, m.cols, tuple(entries)), s.dimension
 
 
-def _kernel(rows: Iterable[IntRow], cols: int) -> Subspace:
-    """Right kernel of reduced integer rows.
+def _kernel(mirrored: Iterable[SparseRow], cols: int) -> Subspace:
+    """Right kernel of sparse integer rows given on mirrored columns.
 
-    Each row lists its lead first (of either sign) and is zero at every
-    other row's lead column. The kernel has one vector per free column f:
-    ``den`` at f and ``-x * den / d`` at the lead of each row with entry
-    ``x`` at f and lead entry ``d``, where ``den`` is the lcm of those
-    leads, so the vector is integral.
+    A row holds its entry at column c under the key cols-1-c; the rows
+    are consumed. ``reduce_row`` and ``back_substitute`` on those keys
+    give the rows' RREF with each row pivoting at its last nonzero column,
+    its trailing pivot p, with entry d > 0, where every other row is zero.
+
+    The kernel's pivots are the columns that are no trailing pivot. For
+    each such column f the kernel row is ``den`` at f and ``-x * den / d``
+    at the trailing pivot p of each reduced row with entry x at f, where
+    ``den`` is the lcm of those rows' d, divided by its content. Every such
+    p lies after f (p is its row's last nonzero column), and the row is
+    zero at every other kernel pivot, so these rows are already the
+    canonical basis: no second elimination follows. Reading them off is
+    one pass over the nonzeros of the reduced rows.
     """
-    reduced = [(row[0][0], row[0][1], dict(row)) for row in rows]
-    pivots = {lead for lead, _, _ in reduced}
+    last = cols - 1
     echelon: Echelon = {}
-    for f in range(cols):
-        if f in pivots:
-            continue
-        hits = [(lead, d, row[f]) for lead, d, row in reduced if f in row]
-        den = math.lcm(*(d for _, d, _ in hits))
-        v = {f: den}
-        for lead, d, x in hits:
-            v[lead] = -x * den // d
-        reduce_row(echelon, v)
-    return echelon_subspace(echelon, cols)
+    for row in mirrored:
+        reduce_row(echelon, row)
+    reduced = back_substitute(echelon)
+    # per kernel pivot f: den at f, then (p, -x) for each reduced row with
+    # entry x at f, by increasing p; den is 1 until a row has d != 1
+    basis = {f: [(f, 1)] for f in range(cols) if last - f not in echelon}
+    trailing: dict[int, int] = {}
+    scaled: set[int] = set()
+    for lead, row in reversed(reduced):
+        p = last - lead
+        d = trailing[p] = row.pop(lead)
+        for c, x in row.items():
+            basis[last - c].append((p, -x))
+        if d != 1:
+            scaled.update(last - c for c in row)
+    for f in scaled:
+        tail = basis[f][1:]
+        den = math.lcm(*[trailing[p] for p, _ in tail])
+        v = [(p, x * den // trailing[p]) for p, x in tail]
+        g = math.gcd(den, *[x for _, x in v])
+        basis[f] = [(f, den // g), *[(p, x // g) for p, x in v]]
+    return Subspace(cols, tuple(map(tuple, basis.values())))
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v = 0} as a canonical subspace."""
-    return _kernel(span_rows(_sparse_rows(m.row_list(), m.cols), m.cols).rows, m.cols)
+    """Right kernel {v : m v = 0} as a canonical subspace.
+
+    Each dense row goes into ``_kernel`` as a sparse row read backwards,
+    which mirrors its columns; no elimination precedes the kernel's own.
+    """
+    return _kernel((sparse_row(reversed(v)) for v in m.row_list()), m.cols)
 
 
 def complement_under_form(s: Subspace, signs: Sequence[int]) -> Subspace:
@@ -484,20 +516,25 @@ def complement_under_form(s: Subspace, signs: Sequence[int]) -> Subspace:
 
     A vector v pairs to zero with a basis row b exactly when
     sum_c b_c signs_c v_c = 0, so the complement is the kernel of the basis
-    with each column multiplied by its sign, {v : B D v = 0}. Flipping
-    signs keeps the basis reduced, so no elimination precedes the kernel.
+    with each column multiplied by its sign, {v : B D v = 0}. ``_kernel``
+    reduces those rows once on mirrored columns and reads the canonical
+    basis off their trailing pivots: each kernel row is nonzero only at one
+    column f that is no trailing pivot and at trailing pivots after f, so
+    it leads at f and is zero at the other kernel leads. The cost is one
+    elimination of the dim s rows and one pass over its nonzeros.
 
     Raises:
         DimensionError: if there is not one sign per ambient coordinate.
-        ValueError: if a sign is not +1 or -1; a zero would make the
-            form degenerate.
+        ValueError: if a sign is not the int +1 or -1; a zero would make
+            the form degenerate.
     """
     n = s.ambient_dim
     if len(signs) != n:
         raise DimensionError("form size does not match the ambient dimension")
-    if any(x not in (1, -1) for x in signs):
+    if not (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):
         raise ValueError("form signs must be +1 or -1; a zero sign makes the form degenerate")
-    return _kernel([tuple((c, x * signs[c]) for c, x in row) for row in s.rows], n)
+    last = n - 1
+    return _kernel(({last - c: x * signs[c] for c, x in row} for row in s.rows), n)
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
