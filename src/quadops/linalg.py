@@ -481,8 +481,9 @@ def _kernel(mirrored: Iterable[SparseRow], cols: int) -> Subspace:
     for row in mirrored:
         reduce_row(echelon, row)
     reduced = back_substitute(echelon)
-    # per kernel pivot f: den at f, then (p, -x) for each reduced row with
-    # entry x at f, by increasing p; den is 1 until a row has d != 1
+    # per kernel pivot f: 1 at f, then (p, -x) for each reduced row with
+    # entry x at f, by increasing p. That is the kernel row when every such
+    # d is 1; the columns met by a row with d != 1 are rescaled afterwards.
     basis = {f: [(f, 1)] for f in range(cols) if last - f not in echelon}
     trailing: dict[int, int] = {}
     scaled: set[int] = set()

@@ -11,18 +11,26 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
+from quadops.catalog import BUILTIN_NAMES, builtin, line_relation
+from quadops.expansion import ideal_span
 from quadops.linalg import (
     DimensionError,
     Matrix,
     Subspace,
     complement_under_form,
+    echelon_subspace,
     kernel,
+    reduce_row,
     rref,
     span,
+    span_rows,
     sparse_row,
     subspace_contains,
 )
+from quadops.presentations import dual, pairing_form, quotient
+from quadops.verify import scan_grid
 
 F = Fraction
 
@@ -176,8 +184,9 @@ def test_complement_dimension_example():
 def test_complement_degenerate_form_raises():
     with pytest.raises(ValueError, match="degenerate"):
         complement_under_form(Subspace.zero(2), (0, 0))
-    with pytest.raises(ValueError):
-        complement_under_form(Subspace.zero(2), (1, 2))
+    for signs in ((1, 2), (1.0, -1.0), (True, -1)):
+        with pytest.raises(ValueError):
+            complement_under_form(Subspace.zero(2), signs)
 
 
 def test_complement_shape_mismatch_raises():
@@ -237,6 +246,16 @@ def test_subspace_rejects_non_canonical_basis():
             Subspace(2, rows)
     with pytest.raises(DimensionError):
         Subspace(2, (((2, 1),),))
+    not_int = [
+        (((0, 1.0), (1, 2.5)),),  # float lead
+        (((0, 1), (1, 2.5)),),  # float entry after the lead
+        (((0, True),),),  # bool lead
+        (((0, 1), (1, True)),),  # bool entry after the lead
+        (((0, F(1)),),),  # an integral Fraction is not an int either
+    ]
+    for rows in not_int:
+        with pytest.raises(TypeError):
+            Subspace(2, rows)
 
 
 def is_canonical(n: int, rows) -> bool:
@@ -370,3 +389,121 @@ def test_sparse_row_ignores_the_coordinate_type(values):
     mixed = [x.numerator if x.denominator == 1 else x for x in values]
     assert sparse_row(mixed) == sparse_row([F(x) for x in values])
 
+
+# Two oracles for the kernel: a second construction from the package's
+# own engine (a vector per free column of the forward RREF, reduced again)
+# and sympy's exact nullspace.
+
+
+def build_and_reduce_kernel(rows, cols: int) -> Subspace:
+    """Right kernel of reduced integer rows (each zero at every other row's
+    lead column): one vector per free column, built by scanning every row,
+    then reduced and back-substituted."""
+    reduced = [(row[0][0], row[0][1], dict(row)) for row in rows]
+    pivots = {lead for lead, _, _ in reduced}
+    echelon = {}
+    for f in range(cols):
+        if f in pivots:
+            continue
+        hits = [(lead, d, row[f]) for lead, d, row in reduced if f in row]
+        den = math.lcm(*(d for _, d, _ in hits))
+        v = {f: den}
+        for lead, d, x in hits:
+            v[lead] = -x * den // d
+        reduce_row(echelon, v)
+    return echelon_subspace(echelon, cols)
+
+
+def oracle_complement(s: Subspace, signs) -> Subspace:
+    flipped = [tuple((c, x * signs[c]) for c, x in row) for row in s.rows]
+    return build_and_reduce_kernel(flipped, s.ambient_dim)
+
+
+def sympy_kernel(rows, cols: int) -> Subspace:
+    """Kernel of dense rational rows by sympy's exact nullspace over QQ."""
+    qq = [[sympy.QQ(F(x).numerator, F(x).denominator) for x in row] for row in rows]
+    m = DomainMatrix(qq, (len(qq), cols), sympy.QQ) if qq else DomainMatrix.zeros((0, cols), sympy.QQ)
+    null = m.nullspace().to_Matrix()
+    return span([[F(int(x.p), int(x.q)) for x in null.row(i)] for i in range(null.rows)], cols)
+
+
+def assert_complement_matches_oracles(s: Subspace, signs) -> None:
+    c = complement_under_form(s, signs)
+    assert c == oracle_complement(s, signs)
+    signed = [[x * sign for x, sign in zip(row, signs)] for row in s.fraction_rows()]
+    assert c == sympy_kernel(signed, s.ambient_dim)
+
+
+def scan_and_builtin_spaces():
+    """The 81 scan_grid(4) quotients of DendSquareDias, then each built-in
+    and its dual, as (relation space, number of operations)."""
+    base = builtin("DendSquareDias")
+    for a, b in scan_grid(4):
+        yield quotient(base, [line_relation(a, b)]).relations, 4
+    for name in BUILTIN_NAMES:
+        p = builtin(name)
+        k = len(p.generators.names)
+        yield p.relations, k
+        yield dual(p).relations, k
+
+
+def test_complement_matches_oracles_on_scan_and_builtins():
+    spaces = list(scan_and_builtin_spaces())
+    assert len(spaces) == 81 + 2 * len(BUILTIN_NAMES)
+    for s, k in spaces:
+        assert_complement_matches_oracles(s, pairing_form(k))
+
+
+@pytest.mark.parametrize("name", ["Dend", "Dias", "Xplus", "Xminus"])
+@pytest.mark.parametrize("weight", [3, 4])
+def test_ideal_annihilator_matches_oracles(name, weight):
+    s = ideal_span(builtin(name), weight)
+    assert_complement_matches_oracles(s, (1,) * s.ambient_dim)
+
+
+sparse_entries = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def wide_sparse_matrices(draw, max_rows=12, max_cols=40):
+    """Mostly-zero matrices up to max_rows x max_cols, a few rows of them
+    combinations of others, so that rows reduce to zero and trailing
+    entries other than 1 occur."""
+    r = draw(st.integers(min_value=0, max_value=max_rows))
+    c = draw(st.integers(min_value=1, max_value=max_cols))
+    rows = [[0] * c for _ in range(r)]
+    if r:
+        cells = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
+                sparse_entries,
+                max_size=max(1, r * c // 4),
+            )
+        )
+        for (i, j), x in cells.items():
+            rows[i][j] = x
+        pairs = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), sparse_entries)
+        for i, j, a in draw(st.lists(pairs, max_size=3)):
+            rows.append([x + a * y for x, y in zip(rows[i], rows[j])])
+    return Matrix.from_rows(rows, c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_sparse_matrices())
+@example(Matrix.from_rows([[2, 1, 4]]))  # trailing entry 4: lcm 4, then content 2
+@example(Matrix.from_rows([[1, 2, 0], [1, 0, 3]]))  # column 0 meets trailing entries 2 and 3: lcm 6
+def test_kernel_matches_oracles(m):
+    k = kernel(m)
+    reduced = span_rows((sparse_row(v) for v in m.row_list()), m.cols)
+    assert k == build_and_reduce_kernel(reduced.rows, m.cols)
+    assert k == sympy_kernel(m.row_list(), m.cols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_sparse_matrices(), st.data())
+def test_wide_complement_matches_oracles(m, data):
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=m.cols, max_size=m.cols))
+    assert_complement_matches_oracles(span(m.row_list(), m.cols), signs)
