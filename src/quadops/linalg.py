@@ -309,11 +309,12 @@ class Subspace(_Record):
 
     ``rows`` are the primitive integer RREF rows, by increasing lead
     column: each row lists its nonzero ``(column, entry)`` pairs, every
-    entry of type ``int`` (anything else, ``bool`` too, is a TypeError), by
-    increasing column, leads with a positive entry, has content 1 and is
-    zero at every other row's lead column. Dividing each row by its lead
-    gives the RREF basis over QQ. Because the basis is canonical, two
-    instances are equal, field by field, exactly when their subspaces are.
+    column and entry of type ``int`` (anything else, ``bool`` too, is a
+    TypeError), by increasing column, leads with a positive entry, has
+    content 1 and is zero at every other row's lead column. Dividing
+    each row by its lead gives the RREF basis over QQ. Because the basis
+    is canonical, two instances are equal, field by field, exactly when
+    their subspaces are.
     """
 
     __slots__ = ("ambient_dim", "rows")
@@ -331,10 +332,10 @@ class Subspace(_Record):
                 raise ValueError("zero row in subspace basis")
             entries = iter(row)
             col, g = next(entries)
+            if type(col) is not int or type(g) is not int:
+                raise TypeError(f"basis columns and entries must be int, got {(col, g)!r}")
             if col < 0:
                 raise DimensionError("basis row reaches outside the ambient space")
-            if type(g) is not int:
-                raise TypeError(f"basis entries must be int, got {g!r}")
             if g <= 0:
                 raise ValueError("basis row must be primitive with a positive lead")
             if col <= last_lead:
@@ -343,8 +344,8 @@ class Subspace(_Record):
                 raise ValueError("basis row is nonzero at another row's lead column")
             last_lead = prev = col
             for col, x in entries:
-                if type(x) is not int:
-                    raise TypeError(f"basis entries must be int, got {x!r}")
+                if type(x) is not int or type(col) is not int:
+                    raise TypeError(f"basis columns and entries must be int, got {(col, x)!r}")
                 if col <= prev or not x:
                     raise ValueError("basis row must list nonzero entries by increasing column")
                 if g != 1:

@@ -13,14 +13,35 @@ the vector "left side minus right side". The duality pairing is +1 on the
 left block and -1 on the right block; the dual presentation carries the
 orthogonal complement of the relation space under this pairing, with a
 star appended to each generator name. Complementing twice restores the
-original relation space. The complement of each relation space is
-memoized in an LRU of at most 128 entries, keyed by the canonical
-relation rows alone; only the complement computed is stored, never the
-reverse pair, so a double dual still takes two kernel computations.
-The signed-relabeling search is memoized the same way: an LRU of at most
-128 entries keyed by the ordered pair of canonical relation spaces, each
-entry holding the two spaces and the witness or None. A quotient inserts
-its extra relations into the canonical basis it starts from.
+original relation space. A quotient inserts its extra relations into
+the canonical basis it starts from.
+
+Each primitive on relation spaces keeps an LRU of at most 128 entries,
+keyed by canonical relation spaces (and integer coefficients), never by
+operation names; the names are attached on each call:
+
+* ``_dual_relations``: the complement, keyed by the relation space;
+* ``_relabeling_iso``: the iso witness or None, keyed by the ordered
+  pair of spaces;
+* ``_square_relations``: the square's relation space, keyed by the
+  ordered pair of spaces;
+* ``_relabeled_relations``: the moved space, keyed by the signed
+  relabeling and the space;
+* ``_is_morphism``: the verdict, keyed by the map's nonzero entries
+  scaled to integers (``sparse_row``) and the source and target spaces.
+
+``compose_maps`` keeps one more, ``_compose_maps``, keyed by the two maps
+themselves, names included, since the composite carries them. Only what
+was computed is stored, never a derived reverse entry: the complement of
+R is stored under R alone, so a double dual still takes two kernel
+computations and no check holds by construction.
+
+An entry holds its key's spaces besides its value. A built-in's space
+takes about 5 KB, and a moved space is as large as the one it moves. A
+square holds at most dim R_p * dim R_q rows on k_p * k_q operations:
+about 4 KB for Dend and Dias, about 100 KB for the square of two
+four-operation built-ins, so even a memo full of those stays under
+13 MB. A map and its composite take about 1.5 KB each.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
@@ -295,14 +316,26 @@ def _square_row(u: IntRow, kp: int, v: IntRow, kq: int) -> SparseRow:
 
 
 def square(p: Presentation, q: Presentation) -> Presentation:
-    """Square product: pairs of generators, products of relations."""
+    """Square product: pairs of generators, products of relations.
+
+    The relation space is memoized per pair of relation spaces
+    (``_square_relations``); the pair names are attached on each call.
+    """
     names = tuple(f"{a}.{b}" for a in p.generators.names for b in q.generators.names)
-    kp, kq = p.num_ops, q.num_ops
+    return Presentation(GeneratorSet(names), _square_relations(p.relations, q.relations))
+
+
+# Bounded LRU keyed by the two canonical relation spaces alone, never names.
+@lru_cache(maxsize=128)
+def _square_relations(p_relations: Subspace, q_relations: Subspace) -> Subspace:
+    """Relation space of the square of two presentations."""
+    kp = isqrt(p_relations.ambient_dim // 2)
+    kq = isqrt(q_relations.ambient_dim // 2)
     k = kp * kq
     rows = (
-        _square_row(u, kp, v, kq) for u in p.relations.rows for v in q.relations.rows
+        _square_row(u, kp, v, kq) for u in p_relations.rows for v in q_relations.rows
     )
-    return Presentation(GeneratorSet(names), span_rows(rows, 2 * k * k))
+    return span_rows(rows, 2 * k * k)
 
 
 def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
@@ -320,17 +353,16 @@ def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
 
 
 def _push(
-    phi: GeneratorMap,
+    ks: int,
+    kt: int,
     coeffs: dict[int, Fraction | int],
     row: Iterable[tuple[int, Fraction | int]],
 ) -> dict[int, Fraction | int]:
     """Image of a sparse relation row, block by block.
 
-    ``coeffs`` holds the map's matrix entries by flat index ``i*kt + a``.
-    Returns the nonzero image coordinates.
+    ``coeffs`` holds the entries of a map from ``ks`` to ``kt`` operations
+    by flat index ``i*kt + a``. Returns the nonzero image coordinates.
     """
-    ks = phi.source.size
-    kt = phi.target.size
     ks2 = ks * ks
     kt2 = kt * kt
     images = [
@@ -354,8 +386,9 @@ def push_relation(phi: GeneratorMap, v: RelVector) -> RelVector:
     if v.num_ops != phi.source.size:
         raise DimensionError("relation vector does not match the map source")
     coeffs = {i: x for i, x in enumerate(phi.matrix.entries) if x}
-    image = _push(phi, coeffs, ((c, x) for c, x in enumerate(v.coordinates) if x))
     kt = phi.target.size
+    row = ((c, x) for c, x in enumerate(v.coordinates) if x)
+    image = _push(phi.source.size, kt, coeffs, row)
     return RelVector(tuple(image.get(c, 0) for c in range(2 * kt * kt)))
 
 
@@ -366,6 +399,14 @@ def is_morphism(
 
     True means every algebra over ``to_ops_of`` becomes an algebra over
     ``from_ops_of`` by reading each source operation through the map.
+
+    The answer is memoized (``_is_morphism``) per integer coefficient row
+    of the map and pair of canonical relation spaces, never per name.
+
+    Raises:
+        DimensionError: if the map's source or target is not the
+            generator set of the matching presentation; both are checked
+            before the memo is asked.
     """
     if phi.source != from_ops_of.generators:
         raise DimensionError("map source does not match the source presentation")
@@ -373,18 +414,41 @@ def is_morphism(
         raise DimensionError("map target does not match the target presentation")
     # the map's entries scaled to integers: every image is scaled alike,
     # which membership does not see
-    coeffs = sparse_row(phi.matrix.entries)
-    target = to_ops_of.relations.echelon()
+    coeffs = tuple(sparse_row(phi.matrix.entries).items())
+    return _is_morphism(coeffs, from_ops_of.relations, to_ops_of.relations)
+
+
+# Bounded LRU keyed by integer coefficients and canonical relation spaces.
+@lru_cache(maxsize=128)
+def _is_morphism(
+    coeffs: tuple[tuple[int, int], ...], source: Subspace, target: Subspace
+) -> bool:
+    """The test of ``is_morphism`` on the map's nonzero entries by flat
+    index, scaled to integers, and the two relation spaces."""
+    ks = isqrt(source.ambient_dim // 2)
+    kt = isqrt(target.ambient_dim // 2)
+    entries = dict(coeffs)
+    echelon = target.echelon()
     return all(
-        reduce_row(target, _push(phi, coeffs, row), insert=False) is None
-        for row in from_ops_of.relations.rows
+        reduce_row(echelon, _push(ks, kt, entries, row), insert=False) is None
+        for row in source.rows
     )
 
 
 def compose_maps(f: GeneratorMap, g: GeneratorMap) -> GeneratorMap:
-    """Composite map: first f, then g."""
+    """Composite map: first f, then g.
+
+    Memoized per pair of maps (``_compose_maps``), names included, since
+    the composite carries f's source and g's target.
+    """
     if f.target != g.source:
         raise DimensionError("maps do not compose: target and source differ")
+    return _compose_maps(f, g)
+
+
+# Bounded LRU keyed by the two maps; the composite carries their names.
+@lru_cache(maxsize=128)
+def _compose_maps(f: GeneratorMap, g: GeneratorMap) -> GeneratorMap:
     return GeneratorMap(f.source, g.target, f.matrix.matmul(g.matrix))
 
 
@@ -489,16 +553,28 @@ def _sign_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 
 
 def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
-    """Rename operation i to position perm[i] with sign signs[i]."""
+    """Rename operation i to position perm[i] with sign signs[i].
+
+    The moved relation space is memoized per relabeling and relation
+    space (``_relabeled_relations``); the names are attached on each call.
+    """
     k = p.num_ops
     if sigma.size != k:
         raise DimensionError("relabeling size does not match the presentation")
     names: list[str] = [""] * k
     for i, name in enumerate(p.generators.names):
         names[sigma.permutation[i]] = name
+    return Presentation(GeneratorSet(tuple(names)), _relabeled_relations(sigma, p.relations))
+
+
+# Bounded LRU keyed by the relabeling and the canonical relation space.
+@lru_cache(maxsize=128)
+def _relabeled_relations(sigma: SignedRelabeling, relations: Subspace) -> Subspace:
+    """A relation space moved by a signed relabeling of its k operations."""
+    k = sigma.size
     imap = _index_map(sigma.permutation, k)
-    rows = _relabel(p.relations.rows, imap, _pair_signs(sigma.signs, k), k)
-    return Presentation(GeneratorSet(tuple(names)), span_rows(rows, 2 * k * k))
+    rows = _relabel(relations.rows, imap, _pair_signs(sigma.signs, k), k)
+    return span_rows(rows, 2 * k * k)
 
 
 def find_relabeling_iso(

@@ -20,6 +20,7 @@ generator scaled by dims[2], and solves each odd degree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .linalg import _Record, _scalar, _set
@@ -192,6 +193,8 @@ class DimPrediction(_Record):
         return DimSeries(self.dims)
 
 
+# Bounded LRU; typed, so an int and an equal float or bool never share an entry.
+@lru_cache(maxsize=128, typed=True)
 def predicted_dims(x2: int, order: int) -> DimPrediction:
     """Dim series making the self-dual defect vanish through the order.
 
@@ -199,7 +202,8 @@ def predicted_dims(x2: int, order: int) -> DimPrediction:
     by the functional equation; even-degree ones cancel out of it, so they
     are fixed by geometric continuation (see the module docstring). A
     solution step landing outside the nonnegative integers is reported in
-    the ``failure`` field rather than raised.
+    the ``failure`` field rather than raised. The result is memoized in an
+    LRU of at most 128 entries keyed by the two arguments.
     """
     if x2 < 1:
         raise ValueError("the weight-2 dimension is at least 1")

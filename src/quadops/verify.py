@@ -8,11 +8,20 @@ battery. Structural constants used as expectations (the fifteen-row
 tableau, the sixteenth-relation coordinates, the middle swap) are built
 fresh from canonical constructors rather than read from the catalog under
 test, so a damaged catalog cannot satisfy the checks by construction.
+
+The primitives the checks call (duals, squares, relabelings, morphism
+tests, iso searches, ranks) memoize their results keyed by value: by
+canonical relation spaces and integer coefficients, never by names. A
+damaged presentation has another relation space, so it misses every
+memo and is checked afresh, while the unchanged built-ins of a damaged
+catalog are answered from the memos. The two pairing spot checks read
+no catalog at all and are built once per process.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .catalog import (
     BUILTIN_NAMES,
@@ -298,7 +307,9 @@ def _pairing_text(v: RelVector, w: RelVector) -> str:
     return " ".join(terms) if terms else "no common support"
 
 
-def _spot_checks() -> list[CheckRecord]:
+# reads no catalog, so its two records are built once
+@lru_cache(maxsize=1)
+def _spot_checks() -> tuple[CheckRecord, ...]:
     rows = tableau_vectors()
     # each candidate dual direction shares support with exactly one tableau
     # row; the two overlapping products are unit terms of opposite sign
@@ -308,7 +319,7 @@ def _spot_checks() -> list[CheckRecord]:
     right_dual = relation_vector(4, [], [(-1, 0, 1), (1, 0, 3)])
     right_row = rows[3]
     value_right = pairing_value(right_dual, right_row)
-    return [
+    return (
         _record(
             "pairing-spot-check-left-comb-terms",
             value_left == 0,
@@ -321,7 +332,7 @@ def _spot_checks() -> list[CheckRecord]:
             "two unit terms cancel to 0",
             f"{_pairing_text(right_dual, right_row)} = {value_right}",
         ),
-    ]
+    )
 
 
 def _self_duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:

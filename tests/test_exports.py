@@ -4,7 +4,7 @@ A name left in an ``__all__`` after its definition is gone breaks
 ``from quadops.<module> import *`` and misleads a reader of the API, so
 each ``__all__`` is checked against the module it belongs to. The
 modules' memos are checked here too: one keyed by a presentation must be
-bounded.
+bounded, and every bound is pinned.
 """
 
 import importlib
@@ -67,15 +67,31 @@ UNBOUNDED_MEMOS = {
 }
 
 
+# Every other memo, with its bound: adding or resizing one shows here.
+BOUNDED_MEMOS = {
+    "expansion._ideal_rank": 128,
+    "expansion._normal_edges": 128,
+    "presentations._dual_relations": 128,
+    "presentations._square_relations": 128,
+    "presentations._is_morphism": 128,
+    "presentations._compose_maps": 128,
+    "presentations._sign_tables": 8,
+    "presentations._relabeled_relations": 128,
+    "presentations._relabeling_iso": 128,
+    "series.predicted_dims": 128,
+    "verify._spot_checks": 1,
+}
+
+
 def test_memos_keyed_by_presentations_are_bounded():
     # an unbounded memo keyed by relation spaces would pin every
     # presentation a long-lived process has asked about
-    unbounded = set()
+    bounds = {}
     for name in MODULES:
         module = importlib.import_module(f"quadops.{name}")
         for attr, value in vars(module).items():
             info = getattr(value, "cache_info", None)
             if info is not None and value.__module__ == module.__name__:
-                if info().maxsize is None:
-                    unbounded.add(f"{name}.{attr}")
-    assert unbounded == UNBOUNDED_MEMOS
+                bounds[f"{name}.{attr}"] = info().maxsize
+    assert {memo for memo, size in bounds.items() if size is None} == UNBOUNDED_MEMOS
+    assert {memo: size for memo, size in bounds.items() if size is not None} == BOUNDED_MEMOS

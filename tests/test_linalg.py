@@ -252,6 +252,10 @@ def test_subspace_rejects_non_canonical_basis():
         (((0, True),),),  # bool lead
         (((0, 1), (1, True)),),  # bool entry after the lead
         (((0, F(1)),),),  # an integral Fraction is not an int either
+        (((0.0, 1),),),  # float lead column
+        (((0, 1), (1.0, 2)),),  # float column after the lead
+        (((False, 1),),),  # bool lead column
+        (((0, 1), (True, 2)),),  # bool column after the lead
     ]
     for rows in not_int:
         with pytest.raises(TypeError):

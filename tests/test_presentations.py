@@ -21,6 +21,7 @@ from quadops.catalog import (
     builtin,
     builtin_map,
     builtin_map_pairs,
+    catalog,
     dend_relations,
     line_relation,
     spanning_relations,
@@ -46,11 +47,15 @@ from quadops.presentations import (
     relation_vector,
     right_index,
     square,
+    _compose_maps,
     _dual_relations,
+    _is_morphism,
     _pair_projections,
+    _relabeled_relations,
     _relabeling_iso,
+    _square_relations,
 )
-from quadops.verify import extra_relation_directions, scan_grid
+from quadops.verify import MIDDLE_SWAP, extra_relation_directions, scan_grid
 
 
 def sympy_dual_relations(p: Presentation):
@@ -413,6 +418,236 @@ class TestRelabelingMemo:
         with pytest.raises(DimensionError):
             find_relabeling_iso(builtin("Dend"), builtin("Xplus"))
         info = _relabeling_iso.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def one_operation_lines(count: int):
+    """Distinct one-operation presentations: the lines through (1, b)."""
+    return [Presentation(GeneratorSet(("a",)), span([[1, b]], 2)) for b in range(count)]
+
+
+def renamed(p: Presentation) -> Presentation:
+    """p with its operations renamed a, b, c, ..."""
+    return Presentation(GeneratorSet(tuple("abcd"[: p.num_ops])), p.relations)
+
+
+def damaged(name: str) -> Presentation:
+    """A built-in with its first spanning relation deleted."""
+    return catalog().without_relation(name, 0).presentation(name)
+
+
+def scaled(phi: GeneratorMap, c: Fraction) -> GeneratorMap:
+    """The map phi with every entry multiplied by c."""
+    m = phi.matrix
+    return GeneratorMap(
+        phi.source, phi.target, Matrix(m.rows, m.cols, tuple(c * x for x in m.entries))
+    )
+
+
+class TestSquareMemo:
+    """``square`` memoizes its relation space per ordered pair of
+    canonical relation spaces (``_square_relations``)."""
+
+    def test_memo_is_bounded(self):
+        maxsize = _square_relations.cache_info().maxsize
+        assert maxsize == 128
+        _square_relations.cache_clear()
+        for p in one_operation_lines(maxsize + 1):
+            assert square(p, builtin("As")).relations == p.relations
+        info = _square_relations.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
+
+    def test_names_are_not_part_of_the_key(self):
+        p, q = builtin("Dend"), builtin("Dias")
+        _square_relations.cache_clear()
+        original = square(p, q)
+        copy = square(renamed(p), renamed(q))
+        assert original.generators.names == ("∧.⊣", "∧.⊢", "∨.⊣", "∨.⊢")
+        assert copy.generators.names == ("a.a", "a.b", "b.a", "b.b")
+        assert copy.relations == original.relations == builtin("DendSquareDias").relations
+        info = _square_relations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_damaged_space_misses(self):
+        p = builtin("Dend")
+        _square_relations.cache_clear()
+        whole = square(p, builtin("Dias")).relations
+        part = square(p, damaged("Dias")).relations
+        info = _square_relations.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        assert whole == builtin("DendSquareDias").relations
+        assert part.dimension < whole.dimension
+
+
+class TestApplyRelabelingMemo:
+    """``apply_relabeling`` memoizes the moved relation space per
+    relabeling and canonical relation space (``_relabeled_relations``)."""
+
+    def test_memo_is_bounded(self):
+        maxsize = _relabeled_relations.cache_info().maxsize
+        assert maxsize == 128
+        _relabeled_relations.cache_clear()
+        identity = SignedRelabeling((0,), (1,))
+        for p in one_operation_lines(maxsize + 1):
+            assert apply_relabeling(identity, p).relations == p.relations
+        info = _relabeled_relations.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
+
+    def test_names_are_not_part_of_the_key(self):
+        p = builtin("Dend")
+        swap = SignedRelabeling((1, 0), (1, -1))
+        _relabeled_relations.cache_clear()
+        original = apply_relabeling(swap, p)
+        copy = apply_relabeling(swap, renamed(p))
+        assert original.generators.names == ("∨", "∧")
+        assert copy.generators.names == ("b", "a")
+        assert copy.relations == original.relations != p.relations
+        info = _relabeled_relations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_damaged_space_misses(self):
+        p = builtin("Xplus")
+        _relabeled_relations.cache_clear()
+        whole = apply_relabeling(MIDDLE_SWAP, p).relations
+        part = apply_relabeling(MIDDLE_SWAP, damaged("Xplus")).relations
+        info = _relabeled_relations.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        assert part.dimension == whole.dimension - 1
+        # the self-duality witness: the memo hands back the dual's space
+        assert whole == dual(p).relations
+
+    def test_size_mismatch_raises_before_the_memo_is_asked(self):
+        _relabeled_relations.cache_clear()
+        with pytest.raises(DimensionError):
+            apply_relabeling(MIDDLE_SWAP, builtin("Dend"))
+        info = _relabeled_relations.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+class TestMorphismMemo:
+    """``is_morphism`` memoizes its answer per integer coefficient row of
+    the map and pair of canonical relation spaces (``_is_morphism``)."""
+
+    def test_memo_is_bounded(self):
+        maxsize = _is_morphism.cache_info().maxsize
+        assert maxsize == 128
+        p = builtin("As")
+        _is_morphism.cache_clear()
+        # x -> c*x scales the associator by c^2, inside its own span
+        for c in range(1, maxsize + 2):
+            phi = GeneratorMap(p.generators, p.generators, Matrix.from_rows([[c]]))
+            assert is_morphism(phi, p, p)
+        info = _is_morphism.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
+
+    def test_names_are_not_part_of_the_key(self):
+        source, target = builtin("Dias"), builtin("Xplus")
+        phi = builtin_map("Dias", "Xplus")
+        a, b = renamed(source), renamed(target)
+        copy = GeneratorMap(a.generators, b.generators, phi.matrix)
+        _is_morphism.cache_clear()
+        assert is_morphism(phi, source, target)
+        assert is_morphism(copy, a, b)
+        info = _is_morphism.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_damaged_space_misses(self):
+        phi = builtin_map("Xplus", "Dend")
+        target = damaged("Dend")
+        _is_morphism.cache_clear()
+        assert is_morphism(phi, builtin("Xplus"), builtin("Dend"))
+        answer = is_morphism(phi, builtin("Xplus"), target)
+        info = _is_morphism.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        rows = target.relations.fraction_rows()
+        assert answer == all(
+            sympy_in_span(rows, push_relation(phi, rel).coordinates)
+            for rel in builtin("Xplus").relation_rows()
+        )
+        assert not answer
+
+    def test_endpoint_mismatch_raises_before_the_memo_is_asked(self):
+        phi = builtin_map("As", "Dend")
+        _is_morphism.cache_clear()
+        with pytest.raises(DimensionError):
+            is_morphism(phi, builtin("Dias"), builtin("Dend"))
+        with pytest.raises(DimensionError):
+            is_morphism(phi, builtin("As"), builtin("Dias"))
+        info = _is_morphism.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_a_multiple_of_the_map_shares_the_entry(self):
+        # scaling the map by c scales every pushed relation by c^2
+        phi = builtin_map("Dias", "Xplus")
+        half = scaled(phi, Fraction(1, 2))
+        assert half != phi
+        _is_morphism.cache_clear()
+        assert is_morphism(phi, builtin("Dias"), builtin("Xplus"))
+        assert is_morphism(half, builtin("Dias"), builtin("Xplus"))
+        info = _is_morphism.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_different_maps_never_share_an_answer(self):
+        source, target = builtin("Dias"), builtin("Xplus")
+        top_row = GeneratorMap(
+            source.generators,
+            target.generators,
+            Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]]),
+        )
+        _is_morphism.cache_clear()
+        assert is_morphism(builtin_map("Dias", "Xplus"), source, target)
+        assert not is_morphism(top_row, source, target)
+        assert is_morphism(builtin_map("Dias", "Xplus"), source, target)
+        info = _is_morphism.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+class TestComposeMemo:
+    """``compose_maps`` memoizes the composite per pair of maps
+    (``_compose_maps``); the names are part of the key, since the
+    composite carries them."""
+
+    def test_memo_is_bounded(self):
+        maxsize = _compose_maps.cache_info().maxsize
+        assert maxsize == 128
+        ops = builtin("As").generators
+        one = GeneratorMap(ops, ops, Matrix.from_rows([[1]]))
+        _compose_maps.cache_clear()
+        for c in range(1, maxsize + 2):
+            f = GeneratorMap(ops, ops, Matrix.from_rows([[c]]))
+            assert compose_maps(f, one).matrix == f.matrix
+        info = _compose_maps.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
+
+    def test_renamed_maps_get_their_own_names(self):
+        f, g = builtin_map("Dias", "Xplus"), builtin_map("Xplus", "Dend")
+        a, b, c = (renamed(builtin(n)).generators for n in ("Dias", "Xplus", "Dend"))
+        f2 = GeneratorMap(a, b, f.matrix)
+        g2 = GeneratorMap(b, c, g.matrix)
+        _compose_maps.cache_clear()
+        original = compose_maps(f, g)
+        copy = compose_maps(f2, g2)
+        assert (original.source, original.target) == (f.source, g.target)
+        assert (copy.source, copy.target) == (a, c)
+        assert copy.matrix == original.matrix
+        assert compose_maps(f, g) is original
+        info = _compose_maps.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_changed_map_misses(self):
+        f, g = builtin_map("Dias", "Xplus"), builtin_map("Xplus", "Dend")
+        _compose_maps.cache_clear()
+        once = compose_maps(f, g).matrix
+        twice = compose_maps(scaled(f, Fraction(2)), g).matrix
+        assert twice.entries == tuple(2 * x for x in once.entries)
+        info = _compose_maps.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
+    def test_mismatch_raises_before_the_memo_is_asked(self):
+        _compose_maps.cache_clear()
+        with pytest.raises(DimensionError):
+            compose_maps(builtin_map("As", "Dend"), builtin_map("Dias", "As"))
+        info = _compose_maps.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 

@@ -12,8 +12,17 @@ import pytest
 
 import quadops.verify
 from quadops.catalog import BUILTIN_NAMES, catalog
-from quadops.expansion import _ideal_rank
-from quadops.presentations import _dual_relations, relation_vector
+from quadops.expansion import _ideal_rank, _normal_edges
+from quadops.presentations import (
+    _compose_maps,
+    _dual_relations,
+    _is_morphism,
+    _relabeled_relations,
+    _relabeling_iso,
+    _square_relations,
+    relation_vector,
+)
+from quadops.series import predicted_dims
 from quadops.verify import (
     CheckRecord,
     MIDDLE_SWAP,
@@ -185,6 +194,15 @@ class TestQuickBattery:
         assert quick_ids <= full_ids
 
 
+def test_spot_checks_are_built_once():
+    quadops.verify._spot_checks.cache_clear()
+    first = quadops.verify._spot_checks()
+    assert [r.status for r in first] == ["pass", "pass"]
+    assert quadops.verify._spot_checks() is first
+    info = quadops.verify._spot_checks.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
+
 class TestScan:
     def test_grid_rejects_zero_radius(self):
         with pytest.raises(ValueError):
@@ -315,6 +333,21 @@ class TestReports:
         assert any("necessary condition" in note for note in payload["notes"])
 
 
+# every memo that the quick battery asks
+MEMOS = (
+    _dual_relations,
+    _ideal_rank,
+    _normal_edges,
+    _relabeling_iso,
+    _square_relations,
+    _relabeled_relations,
+    _is_morphism,
+    _compose_maps,
+    quadops.verify._spot_checks,
+    predicted_dims,
+)
+
+
 def _deletion_cases():
     cat = catalog()
     cases = []
@@ -337,25 +370,26 @@ class TestSensitivity:
         assert len(_deletion_cases()) == 56
 
     def test_verdicts_do_not_depend_on_the_memos(self):
-        # the dual and rank memos must give what a fresh computation gives:
-        # each deletion once on cleared memos, once on memos warmed by the
-        # full battery (which asks about every unchanged built-in)
+        # the memos must give what a fresh computation gives: each deletion
+        # once on cleared memos, once on memos warmed by the full battery
+        # (which asks about every unchanged built-in)
         def sweep(clear):
             reports = []
             for name, index in _deletion_cases():
                 if clear:
-                    _dual_relations.cache_clear()
-                    _ideal_rank.cache_clear()
+                    for memo in MEMOS:
+                        memo.cache_clear()
                 mutant = catalog().without_relation(name, index)
                 reports.append(verify_all(mutant, VerifyConfig.quick()))
             return reports
 
         cold = sweep(clear=True)
         assert verify_all().ok
-        hits = (_dual_relations.cache_info().hits, _ideal_rank.cache_info().hits)
+        hits = [memo.cache_info().hits for memo in MEMOS]
         warm = sweep(clear=False)
-        assert _dual_relations.cache_info().hits > hits[0]
-        assert _ideal_rank.cache_info().hits > hits[1]
+        # every memo the battery asks is hit at least once
+        gained = [memo.cache_info().hits - before for memo, before in zip(MEMOS, hits)]
+        assert all(n > 0 for n in gained), {m.__name__: n for m, n in zip(MEMOS, gained)}
         assert warm == cold
         assert not any(report.ok for report in cold)
 
