@@ -310,7 +310,7 @@ def _cmd_gk(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
         "operad": name,
         "dims": list(p_dims.dims),
         "dual_dims": list(dual_dims.dims),
-        "defect": [int(c) if c.denominator == 1 else str(c) for c in coefficients],
+        "defect": [c if type(c) is int else str(c) for c in coefficients],
         "zero": zero,
         "note": note,
     }

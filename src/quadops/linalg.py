@@ -14,10 +14,12 @@ giving the canonical RREF rows.
 A ``Subspace`` stores exactly those rows, primitive integers with a
 positive lead, in a hashable form. They are canonical, so two subspaces
 are equal exactly when their stored rows are equal. Membership tests
-reduce against them, and ``Fraction`` rows are built only on request, by
-``Subspace.fraction_rows``. The small dense ``Matrix`` type is kept for
-input: ``rref`` and ``kernel`` take one, and ``span`` takes dense
-coordinate vectors.
+reduce against them, and dense rows over QQ are built only on request, by
+``Subspace.rational_rows``. The small dense ``Matrix`` type holds the
+generator maps and the input of ``rref`` and ``kernel``; ``span`` takes
+dense coordinate vectors. Every number held outside the rows follows one
+rule, ``_exact``: an ``int`` at every integral value, a ``Fraction`` only
+where a value is not integral.
 
 A kernel takes the same engine once. ``kernel`` and
 ``complement_under_form`` (the kernel of a subspace's rows with each
@@ -37,13 +39,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-Scalar = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 __all__ = [
-    "Scalar",
     "DimensionError",
     "Matrix",
     "Subspace",
@@ -109,25 +105,33 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def _scalar(value) -> Fraction:
-    """Coerce an int or Fraction to Fraction; floats are rejected."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {value!r}")
+def _exact(x) -> int | Fraction:
+    """The package's one number rule: an int stays, an integral Fraction or
+    a bool becomes its int, any other Fraction stays; anything else, a
+    float included, is a TypeError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an integer or Fraction, got {x!r}")
 
 
 class Matrix(_Record):
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable dense matrix of rationals, stored row-major; entries
+    follow ``_exact``."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: tuple[int | Fraction, ...]) -> None:
         if rows < 0 or cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
+        # all ints, the common case, take this one pass
+        if not all(type(x) is int for x in entries):
+            entries = tuple(map(_exact, entries))  # TypeError unless int or Fraction
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "entries", entries)
@@ -145,28 +149,25 @@ class Matrix(_Record):
             if not rows:
                 raise DimensionError("cols is required for a matrix with no rows")
             cols = len(rows[0])
-        entries: list[Fraction] = []
-        for r in rows:
-            if len(r) != cols:
-                raise DimensionError("rows have inconsistent lengths")
-            entries.extend(_scalar(x) for x in r)
-        return cls(len(rows), cols, tuple(entries))
+        if any(len(r) != cols for r in rows):
+            raise DimensionError("rows have inconsistent lengths")
+        return cls(len(rows), cols, tuple(x for r in rows for x in r))
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> Matrix:
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols))
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> int | Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_list(self) -> list[tuple[Fraction, ...]]:
+    def row_list(self) -> list[tuple[int | Fraction, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
     def matmul(self, other: Matrix) -> Matrix:
@@ -174,17 +175,17 @@ class Matrix(_Record):
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out: list[Fraction] = []
+        b, m = other.entries, other.cols
+        out: list = []
         for i in range(self.rows):
             row = self.row(i)
-            for j in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    x = row[k]
+            for j in range(m):
+                acc = 0
+                for k, x in enumerate(row):
                     if x:
-                        acc += x * other.at(k, j)
+                        acc += x * b[k * m + j]
                 out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix(self.rows, m, tuple(out))
 
 
 SparseRow = dict[int, int]
@@ -197,10 +198,10 @@ def sparse_row(values: Iterable[Fraction | int]) -> SparseRow:
     The entries are the rational ones times the least common denominator;
     the content is not divided out here (``reduce_row`` does that when it
     stores a row). An ``int`` entry is taken as it is; any other entry
-    goes through ``_scalar``, which rejects what is not an int or a
+    goes through ``_exact``, which rejects what is not an int or a
     Fraction.
     """
-    nonzero = [(i, x if type(x) is int else _scalar(x)) for i, x in enumerate(values) if x]
+    nonzero = [(i, x if type(x) is int else _exact(x)) for i, x in enumerate(values) if x]
     den = 1
     for _, x in nonzero:
         d = x.denominator
@@ -374,14 +375,16 @@ class Subspace(_Record):
         """A fresh echelon of the basis rows, for ``reduce_row``."""
         return {row[0][0]: dict(row) for row in self.rows}
 
-    def fraction_rows(self) -> list[tuple[Fraction, ...]]:
-        """The dense RREF basis over QQ: each row divided by its lead."""
+    def rational_rows(self) -> list[tuple[int | Fraction, ...]]:
+        """The dense RREF basis over QQ: each row divided by its lead, an
+        ``int`` wherever the lead divides the entry."""
         out = []
         for row in self.rows:
-            dense = [_ZERO] * self.ambient_dim
+            dense: list[int | Fraction] = [0] * self.ambient_dim
             lead = row[0][1]
             for c, x in row:
-                dense[c] = Fraction(x, lead)
+                q, r = divmod(x, lead)
+                dense[c] = Fraction(x, lead) if r else q
             out.append(tuple(dense))
         return out
 
@@ -455,8 +458,8 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
         remaining rows are zero.
     """
     s = span_rows(_sparse_rows(m.row_list(), m.cols), m.cols)
-    entries = [x for row in s.fraction_rows() for x in row]
-    entries.extend([_ZERO] * ((m.rows - s.dimension) * m.cols))
+    entries = [x for row in s.rational_rows() for x in row]
+    entries.extend([0] * ((m.rows - s.dimension) * m.cols))
     return Matrix(m.rows, m.cols, tuple(entries)), s.dimension
 
 

@@ -30,31 +30,29 @@ operation names; the names are attached on each call:
 * ``_is_morphism``: the verdict, keyed by the map's nonzero entries
   scaled to integers (``sparse_row``) and the source and target spaces.
 
-``compose_maps`` keeps one more, ``_compose_maps``, keyed by the two maps
-themselves, names included, since the composite carries them. Only what
-was computed is stored, never a derived reverse entry: the complement of
-R is stored under R alone, so a double dual still takes two kernel
-computations and no check holds by construction.
+Only what was computed is stored, never a derived reverse entry: the
+complement of R is stored under R alone, so a double dual still takes two
+kernel computations and no check holds by construction.
 
 An entry holds its key's spaces besides its value. A built-in's space
 takes about 5 KB, and a moved space is as large as the one it moves. A
 square holds at most dim R_p * dim R_q rows on k_p * k_q operations:
 about 4 KB for Dend and Dias, about 100 KB for the square of two
 four-operation built-ins, so even a memo full of those stays under
-13 MB. A map and its composite take about 1.5 KB each.
+13 MB.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
 pair of relations, with left coefficients multiplied on the left block and
 right coefficients multiplied on the right block.
 
-A relation vector holds a plain ``int`` at every integral coordinate and
-a ``Fraction`` only at a value that is not integral, such as a parsed
-``1/2 * ...``. ``RelVector`` stores an integral ``Fraction`` as its
-``int`` itself, so the builders (``relation_vector``, ``push_relation``,
-the DSL reader) hand it their sums as they come. The relation space
-itself is stored as sparse primitive integer rows (``linalg.Subspace``),
-and the pairing value is a ``Fraction``.
+Every number here follows ``linalg._exact``: a plain ``int`` at every
+integral value and a ``Fraction`` only at a value that is not integral,
+such as a parsed ``1/2 * ...``. ``RelVector`` and the map's ``Matrix``
+apply it themselves, so the builders (``relation_vector``,
+``push_relation``, ``compose_maps``, the DSL reader) hand them their sums
+as they come; ``pairing_value`` applies it to its sum. The relation space
+itself is stored as sparse primitive integer rows (``linalg.Subspace``).
 """
 
 from __future__ import annotations
@@ -73,8 +71,8 @@ from .linalg import (
     SparseRow,
     Subspace,
     _Record,
+    _exact,
     _extend,
-    _scalar,
     _set,
     complement_under_form,
     reduce_row,
@@ -113,6 +111,8 @@ class GeneratorSet(_Record):
     def __init__(self, names: tuple[str, ...]) -> None:
         if not names:
             raise ValueError("a presentation needs at least one operation")
+        if not all(isinstance(n, str) for n in names):
+            raise TypeError(f"operation names must be strings, got {names!r}")
         if len(set(names)) != len(names):
             raise ValueError("operation names must be pairwise distinct")
         if any(not n for n in names):
@@ -128,10 +128,10 @@ class RelVector(_Record):
     """A quadratic relation as a coordinate vector of length 2*k^2.
 
     Each coordinate is an ``int`` or a ``Fraction``; anything else, a float
-    included, raises ``TypeError``. An integral ``Fraction`` is stored as
-    its ``int``, so a ``Fraction`` stays only at a value that is not
-    integral. An int and a Fraction of equal value compare and hash alike,
-    so a vector equals its Fraction-typed copy.
+    included, raises ``TypeError``. Coordinates follow ``_exact``, so a
+    ``Fraction`` stays only at a value that is not integral. An int and a
+    Fraction of equal value compare and hash alike, so a vector equals its
+    Fraction-typed copy.
     """
 
     __slots__ = ("coordinates",)
@@ -142,8 +142,7 @@ class RelVector(_Record):
             raise DimensionError(f"relation vector length {len(coordinates)} is not 2*k^2")
         # all ints, the common case, take this one pass
         if not all(type(x) is int for x in coordinates):
-            exact = [_scalar(x) for x in coordinates]  # TypeError unless int or Fraction
-            coordinates = tuple(x.numerator if x.denominator == 1 else x for x in exact)
+            coordinates = tuple(map(_exact, coordinates))  # TypeError unless int or Fraction
         _set(self, "coordinates", coordinates)
 
     @property
@@ -176,9 +175,9 @@ def relation_vector(
     """
     coords: list[int | Fraction] = [0] * (2 * k * k)
     for c, i, j in left_terms:
-        coords[left_index(k, i, j)] += c if type(c) is int else _scalar(c)
+        coords[left_index(k, i, j)] += c if type(c) is int else _exact(c)
     for c, i, j in right_terms:
-        coords[right_index(k, i, j)] -= c if type(c) is int else _scalar(c)
+        coords[right_index(k, i, j)] -= c if type(c) is int else _exact(c)
     return RelVector(tuple(coords))
 
 
@@ -208,15 +207,7 @@ class Presentation(_Record):
     def relation_rows(self) -> list[RelVector]:
         """The RREF basis as relation vectors: each stored row divided by
         its lead, an int wherever the lead divides the entry."""
-        out = []
-        for row in self.relations.rows:
-            coords: list[int | Fraction] = [0] * self.ambient_dim
-            lead = row[0][1]
-            for c, x in row:
-                q, r = divmod(x, lead)
-                coords[c] = Fraction(x, lead) if r else q
-            out.append(RelVector(tuple(coords)))
-        return out
+        return [RelVector(r) for r in self.relations.rational_rows()]
 
 
 class GeneratorMap(_Record):
@@ -243,6 +234,8 @@ class SignedRelabeling(_Record):
 
     def __init__(self, permutation: tuple[int, ...], signs: tuple[int, ...]) -> None:
         k = len(permutation)
+        if not all(type(x) is int for x in (*permutation, *signs)):
+            raise TypeError("permutation entries and signs must be int")
         if sorted(permutation) != list(range(k)):
             raise ValueError("not a permutation")
         if len(signs) != k or any(s not in (1, -1) for s in signs):
@@ -271,9 +264,10 @@ def pairing_terms(v: RelVector, w: RelVector) -> Iterator[int | Fraction]:
             yield x * y if idx < half else -x * y
 
 
-def pairing_value(v: RelVector, w: RelVector) -> Fraction:
-    """Evaluate the duality pairing on two relation vectors, as a Fraction."""
-    return sum(pairing_terms(v, w), Fraction(0))
+def pairing_value(v: RelVector, w: RelVector) -> int | Fraction:
+    """Evaluate the duality pairing on two relation vectors: an int where
+    the value is integral, a Fraction otherwise (``_exact``)."""
+    return _exact(sum(pairing_terms(v, w)))
 
 
 # Bounded LRU keyed by the canonical relation rows alone, never names.
@@ -436,19 +430,9 @@ def _is_morphism(
 
 
 def compose_maps(f: GeneratorMap, g: GeneratorMap) -> GeneratorMap:
-    """Composite map: first f, then g.
-
-    Memoized per pair of maps (``_compose_maps``), names included, since
-    the composite carries f's source and g's target.
-    """
+    """Composite map: first f, then g."""
     if f.target != g.source:
         raise DimensionError("maps do not compose: target and source differ")
-    return _compose_maps(f, g)
-
-
-# Bounded LRU keyed by the two maps; the composite carries their names.
-@lru_cache(maxsize=128)
-def _compose_maps(f: GeneratorMap, g: GeneratorMap) -> GeneratorMap:
     return GeneratorMap(f.source, g.target, f.matrix.matmul(g.matrix))
 
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .linalg import _Record, _scalar, _set
+from .expansion import component_dim
+from .linalg import _Record, _exact, _set
 from .presentations import Presentation
 
 __all__ = [
@@ -45,22 +46,26 @@ SERIES_LIMITATION_NOTE = (
 
 
 class PowerSeries(_Record):
-    """Truncated power series; index = degree, constant term always 0."""
+    """Truncated power series; index = degree, constant term always 0.
+
+    Coefficients follow ``_exact``: an ``int`` at every integral value, a
+    ``Fraction`` only where a value is not integral.
+    """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
+    def __init__(self, coefficients: tuple[int | Fraction, ...]) -> None:
         if not coefficients:
             raise ValueError("a truncated series stores at least degree 0")
         if coefficients[0] != 0:
             raise ValueError("series must have no constant term")
-        _set(self, "coefficients", tuple(_scalar(c) for c in coefficients))
+        _set(self, "coefficients", tuple(map(_exact, coefficients)))
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int) -> int | Fraction:
         if not 0 <= degree <= self.order:
             raise ValueError(f"degree {degree} beyond truncation {self.order}")
         return self.coefficients[degree]
@@ -79,7 +84,7 @@ def identity_series(order: int) -> PowerSeries:
     """The series t, truncated."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return PowerSeries((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+    return PowerSeries((0, 1) + (0,) * (order - 1))
 
 
 class DimSeries(_Record):
@@ -234,8 +239,6 @@ def predicted_dims(x2: int, order: int) -> DimPrediction:
 
 def dim_series(p: Presentation, max_weight: int) -> DimSeries:
     """Component dimensions of a presentation, weights 1 through max_weight."""
-    from .expansion import component_dim
-
     if max_weight < 1:
         raise ValueError("max weight must be at least 1")
     return DimSeries(

@@ -74,7 +74,6 @@ BOUNDED_MEMOS = {
     "presentations._dual_relations": 128,
     "presentations._square_relations": 128,
     "presentations._is_morphism": 128,
-    "presentations._compose_maps": 128,
     "presentations._sign_tables": 8,
     "presentations._relabeled_relations": 128,
     "presentations._relabeling_iso": 128,

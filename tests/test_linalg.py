@@ -115,7 +115,7 @@ def test_span_of_independent_rows_frozen():
         ((1, 1), (3, 1), (7, -1)),
         ((2, 1), (6, -1)),
     )
-    assert s.fraction_rows() == [
+    assert s.rational_rows() == [
         tuple(F(x) for x in row)
         for row in (
             [1, 0, 0, 0, -1, -1, 0, 0],
@@ -128,7 +128,7 @@ def test_span_of_independent_rows_frozen():
 def test_stored_rows_are_primitive_integers():
     s = span([[F(1, 2), F(1, 3), 0], [0, 0, 4]], 3)
     assert s.rows == (((0, 3), (1, 2)), ((2, 1),))
-    assert s.fraction_rows() == [(F(1), F(2, 3), F(0)), (F(0), F(0), F(1))]
+    assert s.rational_rows() == [(F(1), F(2, 3), F(0)), (F(0), F(0), F(1))]
     # equal subspaces hash alike
     assert hash(s) == hash(span([[0, 0, 1], [3, 2, 5]], 3))
 
@@ -176,7 +176,7 @@ def test_complement_dimension_example():
     c = complement_under_form(s, (1, 1, -1, -1))
     assert c.dimension == 3
     # every basis vector of c pairs to zero with the generator of s
-    for row in c.fraction_rows():
+    for row in c.rational_rows():
         value = row[0] * 1 - row[2] * (-1)
         assert value == 0
 
@@ -335,7 +335,7 @@ def test_rank_nullity(m):
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     k = kernel(m)
-    for v in k.fraction_rows():
+    for v in k.rational_rows():
         for i in range(m.rows):
             assert sum(m.at(i, j) * v[j] for j in range(m.cols)) == 0
 
@@ -350,7 +350,7 @@ def test_rows_lie_in_their_span(m):
 @given(matrices())
 def test_span_is_idempotent(m):
     s = span(m.row_list(), m.cols)
-    again = span(s.fraction_rows(), m.cols)
+    again = span(s.rational_rows(), m.cols)
     assert s == again
 
 
@@ -434,7 +434,7 @@ def sympy_kernel(rows, cols: int) -> Subspace:
 def assert_complement_matches_oracles(s: Subspace, signs) -> None:
     c = complement_under_form(s, signs)
     assert c == oracle_complement(s, signs)
-    signed = [[x * sign for x, sign in zip(row, signs)] for row in s.fraction_rows()]
+    signed = [[x * sign for x, sign in zip(row, signs)] for row in s.rational_rows()]
     assert c == sympy_kernel(signed, s.ambient_dim)
 
 

@@ -26,7 +26,7 @@ from quadops.catalog import (
     line_relation,
     spanning_relations,
 )
-from quadops.linalg import DimensionError, Matrix, reduce_row, span, span_rows, sparse_row
+from quadops.linalg import DimensionError, Matrix, reduce_row, rref, span, span_rows, sparse_row
 from quadops.presentations import (
     GeneratorMap,
     GeneratorSet,
@@ -47,7 +47,6 @@ from quadops.presentations import (
     relation_vector,
     right_index,
     square,
-    _compose_maps,
     _dual_relations,
     _is_morphism,
     _pair_projections,
@@ -55,6 +54,7 @@ from quadops.presentations import (
     _relabeling_iso,
     _square_relations,
 )
+from quadops.series import PowerSeries, dim_series, gk_defect
 from quadops.verify import MIDDLE_SWAP, extra_relation_directions, scan_grid
 
 
@@ -203,6 +203,10 @@ def presentations(draw, max_ops: int = 2, min_ops: int = 1):
     return Presentation(GeneratorSet(names), span(vecs, ambient))
 
 
+# values that are neither an int nor a Fraction, refused wherever numbers are held
+INEXACT = (0.5, -0.5, 0.0, Decimal("0.5"), Decimal(1), "1", None)
+
+
 class TestCoordinates:
     def test_left_right_index(self):
         assert left_index(2, 1, 0) == 2
@@ -225,13 +229,20 @@ class TestCoordinates:
         with pytest.raises(DimensionError):
             RelVector(())
 
-    @pytest.mark.parametrize(
-        "bad", (0.5, -0.5, 0.0, Decimal("0.5"), Decimal(1), "1", None), ids=repr
-    )
+    @pytest.mark.parametrize("bad", INEXACT, ids=repr)
     def test_inexact_coordinates_rejected(self, bad):
         # the same TypeError linalg raises for a float matrix entry
         with pytest.raises(TypeError, match=re.escape(f"expected an integer or Fraction, got {bad!r}")):
             RelVector((1, bad))
+
+    @pytest.mark.parametrize("bad", INEXACT, ids=repr)
+    def test_inexact_matrix_entries_rejected(self, bad):
+        # a float map would otherwise compose to a float composite
+        message = re.escape(f"expected an integer or Fraction, got {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            Matrix(1, 2, (1, bad))
+        with pytest.raises(TypeError, match=message):
+            Matrix.from_rows([[1], [bad]])
 
     def test_integral_fractions_stored_as_ints(self):
         coords = RelVector((Fraction(2), Fraction(1, 2))).coordinates
@@ -246,6 +257,10 @@ class TestCoordinates:
     def test_generator_set_validation(self):
         with pytest.raises(ValueError):
             GeneratorSet(())
+        with pytest.raises(TypeError):
+            GeneratorSet((1, 2))
+        with pytest.raises(TypeError):
+            GeneratorSet(("a", None))
         with pytest.raises(ValueError):
             GeneratorSet(("a", "a"))
         with pytest.raises(ValueError):
@@ -559,7 +574,7 @@ class TestMorphismMemo:
         answer = is_morphism(phi, builtin("Xplus"), target)
         info = _is_morphism.cache_info()
         assert (info.misses, info.hits) == (2, 0)
-        rows = target.relations.fraction_rows()
+        rows = target.relations.rational_rows()
         assert answer == all(
             sympy_in_span(rows, push_relation(phi, rel).coordinates)
             for rel in builtin("Xplus").relation_rows()
@@ -600,55 +615,6 @@ class TestMorphismMemo:
         assert is_morphism(builtin_map("Dias", "Xplus"), source, target)
         info = _is_morphism.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-
-
-class TestComposeMemo:
-    """``compose_maps`` memoizes the composite per pair of maps
-    (``_compose_maps``); the names are part of the key, since the
-    composite carries them."""
-
-    def test_memo_is_bounded(self):
-        maxsize = _compose_maps.cache_info().maxsize
-        assert maxsize == 128
-        ops = builtin("As").generators
-        one = GeneratorMap(ops, ops, Matrix.from_rows([[1]]))
-        _compose_maps.cache_clear()
-        for c in range(1, maxsize + 2):
-            f = GeneratorMap(ops, ops, Matrix.from_rows([[c]]))
-            assert compose_maps(f, one).matrix == f.matrix
-        info = _compose_maps.cache_info()
-        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
-
-    def test_renamed_maps_get_their_own_names(self):
-        f, g = builtin_map("Dias", "Xplus"), builtin_map("Xplus", "Dend")
-        a, b, c = (renamed(builtin(n)).generators for n in ("Dias", "Xplus", "Dend"))
-        f2 = GeneratorMap(a, b, f.matrix)
-        g2 = GeneratorMap(b, c, g.matrix)
-        _compose_maps.cache_clear()
-        original = compose_maps(f, g)
-        copy = compose_maps(f2, g2)
-        assert (original.source, original.target) == (f.source, g.target)
-        assert (copy.source, copy.target) == (a, c)
-        assert copy.matrix == original.matrix
-        assert compose_maps(f, g) is original
-        info = _compose_maps.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
-
-    def test_changed_map_misses(self):
-        f, g = builtin_map("Dias", "Xplus"), builtin_map("Xplus", "Dend")
-        _compose_maps.cache_clear()
-        once = compose_maps(f, g).matrix
-        twice = compose_maps(scaled(f, Fraction(2)), g).matrix
-        assert twice.entries == tuple(2 * x for x in once.entries)
-        info = _compose_maps.cache_info()
-        assert (info.misses, info.hits) == (2, 0)
-
-    def test_mismatch_raises_before_the_memo_is_asked(self):
-        _compose_maps.cache_clear()
-        with pytest.raises(DimensionError):
-            compose_maps(builtin_map("As", "Dend"), builtin_map("Dias", "As"))
-        info = _compose_maps.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestSquare:
@@ -793,7 +759,7 @@ class TestMaps:
     def test_standard_maps_against_span_oracle(self):
         for source, target in builtin_map_pairs():
             phi = builtin_map(source, target)
-            rows = builtin(target).relations.fraction_rows()
+            rows = builtin(target).relations.rational_rows()
             for rel in builtin(source).relation_rows():
                 image = push_relation(phi, rel)
                 assert sympy_in_span(rows, image.coordinates)
@@ -805,7 +771,7 @@ class TestMaps:
             Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]]),
         )
         assert not is_morphism(phi, builtin("Dias"), builtin("Xplus"))
-        rows = builtin("Xplus").relations.fraction_rows()
+        rows = builtin("Xplus").relations.rational_rows()
         bad = [
             rel
             for rel in builtin("Dias").relation_rows()
@@ -837,6 +803,24 @@ class TestMaps:
         with pytest.raises(DimensionError):
             compose_maps(builtin_map("As", "Dend"), builtin_map("Dias", "As"))
 
+    def test_composite_carries_the_renamed_names(self):
+        f, g = builtin_map("Dias", "Xplus"), builtin_map("Xplus", "Dend")
+        a, b, c = (renamed(builtin(n)).generators for n in ("Dias", "Xplus", "Dend"))
+        original = compose_maps(f, g)
+        copy = compose_maps(GeneratorMap(a, b, f.matrix), GeneratorMap(b, c, g.matrix))
+        assert (original.source, original.target) == (f.source, g.target)
+        assert (copy.source, copy.target) == (a, c)
+        assert copy.matrix == original.matrix
+
+    def test_composite_of_a_scaled_map_is_scaled(self):
+        f, g = builtin_map("Dias", "Xplus"), builtin_map("Xplus", "Dend")
+        once = compose_maps(f, g).matrix
+        twice = compose_maps(scaled(f, Fraction(2)), g).matrix
+        assert twice.entries == tuple(2 * x for x in once.entries)
+        assert all(type(x) is int for x in twice.entries)
+        half = compose_maps(scaled(f, Fraction(1, 2)), g).matrix
+        assert half.entries == tuple(Fraction(x, 2) for x in once.entries)
+
 
 class TestRelabeling:
     def test_identity_fixes_everything(self):
@@ -858,6 +842,16 @@ class TestRelabeling:
             SignedRelabeling((0, 1), (1, 2))
         with pytest.raises(DimensionError):
             apply_relabeling(SignedRelabeling((0,), (1,)), builtin("Dend"))
+        # every entry and sign must be an int; bool is refused too
+        for perm, signs in (
+            ((1.0, 0), (1, -1)),
+            ((1, 0), (1.0, -1)),
+            ((True, 0), (1, 1)),
+            ((1, 0), (True, -1)),
+            ((1, 0), (Fraction(1), 1)),
+        ):
+            with pytest.raises(TypeError):
+                SignedRelabeling(perm, signs)
 
     @given(presentations(max_ops=2), st.randoms(use_true_random=False))
     @settings(deadline=None, max_examples=25)
@@ -1100,20 +1094,20 @@ class TestIntegerCoordinates:
     integral coordinate; a Fraction only where a value is not integral."""
 
     @staticmethod
-    def ints(v: RelVector) -> bool:
-        return all(type(x) is int for x in v.coordinates)
+    def ints(values) -> bool:
+        return all(type(x) is int for x in values)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_relations(self, name):
-        assert all(self.ints(v) for v in spanning_relations(name))
+        assert all(self.ints(v.coordinates) for v in spanning_relations(name))
 
     def test_scan_directions(self):
-        assert all(self.ints(v) for v in extra_relation_directions())
+        assert all(self.ints(v.coordinates) for v in extra_relation_directions())
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_basis_rows_of_builtins_and_duals(self, name):
         for p in (builtin(name), dual(builtin(name))):
-            assert all(self.ints(v) for v in p.relation_rows())
+            assert all(self.ints(v.coordinates) for v in p.relation_rows())
 
     def test_basis_rows_keep_fractions_where_the_lead_does_not_divide(self):
         p = Presentation(GeneratorSet(("a",)), span([[2, 1]], 2))
@@ -1124,7 +1118,9 @@ class TestIntegerCoordinates:
     @pytest.mark.parametrize("pair", builtin_map_pairs())
     def test_pushed_relations(self, pair):
         phi = builtin_map(*pair)
-        assert all(self.ints(push_relation(phi, v)) for v in spanning_relations(pair[0]))
+        assert all(
+            self.ints(push_relation(phi, v).coordinates) for v in spanning_relations(pair[0])
+        )
 
     def test_integral_fraction_coefficients_become_ints(self):
         v = relation_vector(1, [(Fraction(1, 2), 0, 0), (Fraction(1, 2), 0, 0)], [(Fraction(3, 2), 0, 0)])
@@ -1137,8 +1133,55 @@ class TestIntegerCoordinates:
             assert v == copy and hash(v) == hash(copy)
 
     def test_pairing_value_is_a_fraction(self):
+        # a Fraction only where the value is not integral, an int elsewhere
         u, w = extra_relation_directions()
-        for v in (u, w, relation_vector(4, [(1, 1, 3)], [(Fraction(1, 2), 0, 2)])):
-            assert type(pairing_value(v, u)) is Fraction
-            assert type(pairing_value(v, w)) is Fraction
+        half = relation_vector(4, [(Fraction(1, 2), 1, 3)], [(Fraction(1, 2), 0, 2)])
+        for v in (u, w, half):
+            for x in (u, w, half):
+                value = pairing_value(v, x)
+                exact = sum(pairing_terms(v, x), Fraction(0))
+                assert value == exact
+                assert type(value) is (int if exact.denominator == 1 else Fraction)
+        # integral sums of Fraction terms come out as ints
+        assert pairing_value(half, half) == 0 and type(pairing_value(half, half)) is int
+        assert type(pairing_value(u, u)) is int
+        assert type(pairing_value(half, u)) is Fraction
+
+    @pytest.mark.parametrize("pair", builtin_map_pairs())
+    def test_builtin_map_matrices(self, pair):
+        assert self.ints(builtin_map(*pair).matrix.entries)
+
+    @pytest.mark.parametrize("via", ("Xplus", "Xminus", "As"))
+    def test_collapse_composites(self, via):
+        # the composites Dias -> via -> Dend that the battery's collapse records compare
+        composite = compose_maps(builtin_map("Dias", via), builtin_map(via, "Dend"))
+        assert composite.matrix == Matrix.from_rows([[1, 1], [1, 1]])
+        assert self.ints(composite.matrix.entries)
+
+    def test_rref_of_an_integral_matrix(self):
+        r, rank = rref(Matrix.from_rows([[2, 4, 6], [1, 1, 1], [3, 5, 7]]))
+        assert rank == 2
+        assert r == Matrix.from_rows([[1, 0, -1], [0, 1, 2], [0, 0, 0]])
+        assert self.ints(r.entries)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_rational_rows_of_builtins_and_duals(self, name):
+        for p in (builtin(name), dual(builtin(name))):
+            assert all(self.ints(row) for row in p.relations.rational_rows())
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_gk_defect_against_the_dual(self, name):
+        p = builtin(name)
+        defect = gk_defect(dim_series(p, 4), dim_series(dual(p), 4), 4)
+        assert self.ints(defect.coefficients)
+
+    def test_non_integral_values_stay_fractions(self):
+        m = Matrix.from_rows([[Fraction(1, 2)]])
+        assert m.entries == (Fraction(1, 2),) and type(m.entries[0]) is Fraction
+        doubled = m.matmul(Matrix.from_rows([[2]]))
+        assert doubled.entries == (1,) and type(doubled.entries[0]) is int
+        (row,) = span([[2, 1]], 2).rational_rows()
+        assert row == (1, Fraction(1, 2))
+        assert type(row[0]) is int and type(row[1]) is Fraction
+        assert PowerSeries((0, Fraction(2, 2), Fraction(1, 2))).coefficients == (0, 1, Fraction(1, 2))
 

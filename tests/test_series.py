@@ -236,7 +236,7 @@ class TestDefect:
     @settings(deadline=None, max_examples=40)
     def test_integer_defect_matches_fraction_composition(self, p_tail, d_tail):
         # gk_defect composes the integer coefficient lists; the oracle is
-        # compose on the Fraction series, minus t
+        # compose on the signed PowerSeries, minus t; every integral value is an int
         p_dims = DimSeries((1,) + tuple(p_tail))
         dual_dims = DimSeries((1,) + tuple(d_tail))
         order = min(p_dims.max_weight, dual_dims.max_weight)
@@ -245,7 +245,7 @@ class TestDefect:
         expected[1] -= 1
         defect = gk_defect(p_dims, dual_dims, order)
         assert defect == PowerSeries(tuple(expected))
-        assert all(type(c) is Fraction for c in defect.coefficients)
+        assert all(type(c) is int for c in defect.coefficients)
 
 
 class TestPredictedDims:

@@ -14,7 +14,6 @@ import quadops.verify
 from quadops.catalog import BUILTIN_NAMES, catalog
 from quadops.expansion import _ideal_rank, _normal_edges
 from quadops.presentations import (
-    _compose_maps,
     _dual_relations,
     _is_morphism,
     _relabeled_relations,
@@ -342,7 +341,6 @@ MEMOS = (
     _square_relations,
     _relabeled_relations,
     _is_morphism,
-    _compose_maps,
     quadops.verify._spot_checks,
     predicted_dims,
 )
