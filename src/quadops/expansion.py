@@ -18,11 +18,16 @@ ones x op_i (y op_j z). A left comb sits at a vertex whose left child is
 a vertex, ((a, b), c); rotating the tree there to (a, (b, c)) puts the
 right comb in its place. So a relation is placed at a rotation of an
 n-leaf tree; with labels on the other vertices it gives one generator
-with at most 2k^2 nonzeros. The generators feed the sparse integer
-echelon of ``linalg``; the rank, and the pivot columns that pick the
-surviving monomials, are read off the echelon without building any
-rational basis. ``ideal_span`` back-substitutes the same echelon when the
-canonical basis itself is wanted.
+with at most 2k^2 nonzeros. The generators go as one batch into the
+sparse integer echelon of ``linalg.insert_rows``; the rank, and the pivot
+columns that pick the surviving monomials, are read off the echelon
+without building any rational basis. ``ideal_span`` back-substitutes the
+same echelon when the canonical basis itself is wanted. The weight-3
+rank needs no echelon: a 3-leaf tree has one rotation and no other
+vertex, so the generators are the relation rows with their coordinates
+sent one-to-one to the 2k^2 columns, and the rank is dim R.
+``ideal_span`` and ``weight_component`` still eliminate at weight 3,
+since they need the pivots.
 
 The generator rows of one weight are built into one list, so they are all
 held at once, and reduced highest lead (lowest nonzero) column first; among
@@ -85,7 +90,16 @@ from functools import lru_cache
 from math import comb, factorial, isqrt
 from typing import Collection, Sequence
 
-from .linalg import Echelon, IntRow, Subspace, _Record, _set, echelon_subspace, reduce_row
+from .linalg import (
+    Echelon,
+    IntRow,
+    Subspace,
+    _Record,
+    _set,
+    echelon_subspace,
+    insert_rows,
+    reduce_row,
+)
 from .presentations import Presentation
 
 __all__ = [
@@ -277,15 +291,22 @@ def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     rows.sort(key=min, reverse=True)
     rows.reverse()
     echelon: Echelon = {}
-    while rows:
-        reduce_row(echelon, rows.pop())
+    insert_rows(echelon, (rows.pop() for _ in range(len(rows))))
     return echelon
 
 
 # Bounded LRU keyed by the canonical relation rows and weight, never names.
 @lru_cache(maxsize=128)
 def _ideal_rank(relations: Subspace, n: int) -> int:
-    """Rank of the weight-n ideal generated by a relation space."""
+    """Rank of the weight-n ideal generated by a relation space.
+
+    At weight 3 it is dim R, with no elimination: a 3-leaf tree has one
+    rotation and no other vertex, so ``_ideal_generators`` sends relation
+    coordinate c to one column of its own and the generators are the
+    relation rows re-indexed, as independent as they are.
+    """
+    if n == 3:
+        return relations.dimension
     return len(_ideal_echelon(relations, n))
 
 
@@ -347,7 +368,7 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
             echelon: Echelon = {}
             for rel in relations.rows:
                 row = {cols[c]: x for c, x in rel}
-                echelon[reduce_row(echelon, row, insert=False)] = row
+                echelon[reduce_row(echelon, row)] = row
             if _normal_count(k, echelon, 4) == target:
                 coordinate = {col: c for c, col in enumerate(cols)}
                 return frozenset(
@@ -411,8 +432,8 @@ def component_dim(p: Presentation, n: int) -> int:
     is asked only at a weight whose elimination has at least as many rows
     as it reduces, as the module docstring says. Otherwise,
     and at every weight up to 4, it is the size minus the rank of the
-    ideal, read off its echelon and memoized per relation space and weight
-    (``_ideal_rank``); no basis is built.
+    ideal, memoized per relation space and weight (``_ideal_rank``): dim R
+    at weight 3, the size of the echelon above it; no basis is built.
 
     Why the count is the dim (Dotsenko and Khoroshkin, "Gröbner bases for
     operads", arXiv:0812.4069; Hoffbeck, "A Poincaré-Birkhoff-Witt

@@ -3,12 +3,17 @@
 One elimination engine serves the whole package. A row is a sparse
 primitive integer vector, a dict from column to nonzero ``int``; rational
 input is scaled by the common denominator of its entries. An echelon is a
-dict from lead column to such a row. ``reduce_row`` eliminates a row
-against an echelon fraction-free (cross-multiplying by the two lead
-entries, then dividing out the content) and inserts whatever survives
-with a positive lead. The set of lead columns is the set of pivot columns
-of the reduced row echelon form, so a rank or a pivot set needs nothing
-more. ``back_substitute`` clears each lead column from the rows above it,
+dict from lead column to such a row. A row is reduced against an echelon
+fraction-free (cross-multiplying by the two lead entries, then dividing
+out the content). ``insert_rows`` holds the one insertion loop: it
+reduces a batch of rows and stores each residue, primitive with a
+positive lead, in the echelon; ``span_rows``, the kernel and the
+weight-n ideal all build their echelons through it. ``reduce_row`` is the
+read-only test: it reduces one row and reports the residue's lead, or
+None when the row lies in the span, and leaves the echelon unchanged.
+The set of lead columns is the set of pivot columns of the reduced row
+echelon form, so a rank or a pivot set needs nothing more.
+``back_substitute`` clears each lead column from the rows above it,
 giving the canonical RREF rows.
 
 A ``Subspace`` stores exactly those rows, primitive integers with a
@@ -53,6 +58,7 @@ __all__ = [
     "Echelon",
     "sparse_row",
     "reduce_row",
+    "insert_rows",
     "back_substitute",
     "echelon_subspace",
     "span_rows",
@@ -129,8 +135,11 @@ class Matrix(_Record):
             raise DimensionError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
-        # all ints, the common case, take this one pass
-        if not all(type(x) is int for x in entries):
+        # all ints, the common case, take this one pass; a list given is
+        # stored as a tuple, so equal matrices compare and hash alike
+        if all(type(x) is int for x in entries):
+            entries = tuple(entries)
+        else:
             entries = tuple(map(_exact, entries))  # TypeError unless int or Fraction
         _set(self, "rows", rows)
         _set(self, "cols", cols)
@@ -196,7 +205,7 @@ def sparse_row(values: Iterable[Fraction | int]) -> SparseRow:
     """Integer row proportional to a dense rational vector, zeros omitted.
 
     The entries are the rational ones times the least common denominator;
-    the content is not divided out here (``reduce_row`` does that when it
+    the content is not divided out here (``insert_rows`` does that when it
     stores a row). An ``int`` entry is taken as it is; any other entry
     goes through ``_exact``, which rejects what is not an int or a
     Fraction.
@@ -252,28 +261,66 @@ def _eliminate(row: SparseRow, col: int, prow: SparseRow) -> None:
                 row[c] = x // g
 
 
-def reduce_row(echelon: Echelon, row: SparseRow, insert: bool = True) -> int | None:
-    """Reduce ``row`` against ``echelon``; the package's one elimination step.
+def reduce_row(echelon: Echelon, row: SparseRow) -> int | None:
+    """Reduce ``row`` against ``echelon`` and report what is left; the
+    echelon is not changed.
 
     The row's lowest column is cleared with the echelon row leading there
-    until that column leads no echelon row. ``row`` is consumed.
+    until that column leads no echelon row. ``row`` is consumed: it ends as
+    the residue, unscaled.
 
     Returns:
         The lead column of the residue, or None when the row reduces to
-        zero (it lies in the span of the echelon). With ``insert``, a
-        nonzero residue is made primitive with a positive lead and stored
-        in ``echelon`` under its lead column.
+        zero (it lies in the span of the echelon).
     """
     while row:
         lead = min(row)
         prow = echelon.get(lead)
         if prow is None:
-            if insert:
-                _normalize(row, lead)
-                echelon[lead] = row
             return lead
         _eliminate(row, lead, prow)
     return None
+
+
+def insert_rows(echelon: Echelon, rows: Iterable[SparseRow]) -> None:
+    """Reduce each row against ``echelon`` and store what survives; the
+    package's one insertion loop.
+
+    Each row is reduced as ``reduce_row`` does, against the rows stored
+    before it. A nonzero residue is made primitive with a positive lead
+    and stored in ``echelon`` under its lead column. The rows are consumed.
+
+    The common step, by a stored row whose lead entry is 1, is written out
+    here: it needs no scaling, so the lead entry is popped and the other
+    entries subtracted. A stored row with any other lead entry goes
+    through ``_eliminate``.
+    """
+    gcd = math.gcd
+    for row in rows:
+        while row:
+            lead = min(row)
+            prow = echelon.get(lead)
+            if prow is None:
+                g = gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
+                if g != 1:
+                    for col, x in row.items():
+                        row[col] = x // g
+                echelon[lead] = row
+                break
+            if prow[lead] != 1:
+                _eliminate(row, lead, prow)
+                continue
+            a = row.pop(lead)
+            # few entries a step: a row.get per entry beats binding it once
+            for col, x in prow.items():
+                if col != lead:
+                    y = row.get(col, 0) - a * x
+                    if y:
+                        row[col] = y
+                    else:
+                        del row[col]
 
 
 def back_substitute(echelon: Echelon) -> list[tuple[int, SparseRow]]:
@@ -391,7 +438,7 @@ class Subspace(_Record):
     def contains_vector(self, vector: Sequence) -> bool:
         if len(vector) != self.ambient_dim:
             raise DimensionError("vector length does not match the ambient dimension")
-        return reduce_row(self.echelon(), sparse_row(vector), insert=False) is None
+        return reduce_row(self.echelon(), sparse_row(vector)) is None
 
 
 def echelon_subspace(echelon: Echelon, ambient_dim: int) -> Subspace:
@@ -438,8 +485,7 @@ def _extend(s: Subspace, rows: Iterable[SparseRow]) -> Subspace:
 def span_rows(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:
     """Subspace spanned by sparse integer rows; the rows are consumed."""
     echelon: Echelon = {}
-    for row in rows:
-        reduce_row(echelon, row)
+    insert_rows(echelon, rows)
     return echelon_subspace(echelon, ambient_dim)
 
 
@@ -467,7 +513,7 @@ def _kernel(mirrored: Iterable[SparseRow], cols: int) -> Subspace:
     """Right kernel of sparse integer rows given on mirrored columns.
 
     A row holds its entry at column c under the key cols-1-c; the rows
-    are consumed. ``reduce_row`` and ``back_substitute`` on those keys
+    are consumed. ``insert_rows`` and ``back_substitute`` on those keys
     give the rows' RREF with each row pivoting at its last nonzero column,
     its trailing pivot p, with entry d > 0, where every other row is zero.
 
@@ -482,8 +528,7 @@ def _kernel(mirrored: Iterable[SparseRow], cols: int) -> Subspace:
     """
     last = cols - 1
     echelon: Echelon = {}
-    for row in mirrored:
-        reduce_row(echelon, row)
+    insert_rows(echelon, mirrored)
     reduced = back_substitute(echelon)
     # per kernel pivot f: 1 at f, then (p, -x) for each reduced row with
     # entry x at f, by increasing p. That is the kernel row when every such
@@ -549,4 +594,4 @@ def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
     if inner.dimension > outer.dimension:
         return False
     echelon = outer.echelon()
-    return all(reduce_row(echelon, dict(row), insert=False) is None for row in inner.rows)
+    return all(reduce_row(echelon, dict(row)) is None for row in inner.rows)

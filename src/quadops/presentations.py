@@ -117,7 +117,7 @@ class GeneratorSet(_Record):
             raise ValueError("operation names must be pairwise distinct")
         if any(not n for n in names):
             raise ValueError("operation names must be nonempty")
-        _set(self, "names", names)
+        _set(self, "names", tuple(names))
 
     @property
     def size(self) -> int:
@@ -140,8 +140,11 @@ class RelVector(_Record):
         k = isqrt(len(coordinates) // 2)
         if len(coordinates) == 0 or 2 * k * k != len(coordinates):
             raise DimensionError(f"relation vector length {len(coordinates)} is not 2*k^2")
-        # all ints, the common case, take this one pass
-        if not all(type(x) is int for x in coordinates):
+        # all ints, the common case, take this one pass; a list given is
+        # stored as a tuple, so equal vectors compare and hash alike
+        if all(type(x) is int for x in coordinates):
+            coordinates = tuple(coordinates)
+        else:
             coordinates = tuple(map(_exact, coordinates))  # TypeError unless int or Fraction
         _set(self, "coordinates", coordinates)
 
@@ -424,7 +427,7 @@ def _is_morphism(
     entries = dict(coeffs)
     echelon = target.echelon()
     return all(
-        reduce_row(echelon, _push(ks, kt, entries, row), insert=False) is None
+        reduce_row(echelon, _push(ks, kt, entries, row)) is None
         for row in source.rows
     )
 
@@ -629,7 +632,7 @@ def _relabeling_iso(source: Subspace, target: Subspace) -> SignedRelabeling | No
         imap = _index_map(perm, k)
         for signs, pair_signs in _sign_tables(k):
             if all(
-                reduce_row(echelon, row, insert=False) is None
+                reduce_row(echelon, row) is None
                 for row in _relabel(rows, imap, pair_signs, k)
             ):
                 return SignedRelabeling(perm, signs)

@@ -40,7 +40,7 @@ from quadops.expansion import (
     weight_component,
     weight_work,
 )
-from quadops.linalg import echelon_subspace, reduce_row, span, span_rows
+from quadops.linalg import Subspace, echelon_subspace, insert_rows, span, span_rows
 from quadops.presentations import (
     GeneratorSet,
     Presentation,
@@ -277,6 +277,34 @@ class TestRankMemo:
             assert _ideal_rank.cache_info().misses == (1 if n < 5 or counted else 2)
 
 
+def seeded_relations(rng: random.Random) -> Subspace:
+    """A relation space on one to four operations, from rows of one to
+    four small entries, of any dimension from 0 to 2k^2."""
+    k = rng.randint(1, 4)
+    ambient = 2 * k * k
+    rows = [
+        {rng.randrange(ambient): rng.choice((1, -1, 2, -3)) for _ in range(rng.randint(1, 4))}
+        for _ in range(rng.randint(0, ambient))
+    ]
+    return span_rows(rows, ambient)
+
+
+class TestWeightThreeRank:
+    """At weight 3 the rank is dim R, read off without eliminating; the
+    memo is bypassed so the shortcut itself is compared."""
+
+    def test_builtins_duals_and_seeded_spaces(self):
+        rng = random.Random(2103)
+        spaces = [p.relations for name in BUILTIN_NAMES for p in (builtin(name), dual(builtin(name)))]
+        spaces += [seeded_relations(rng) for _ in range(200)]
+        # empty and full spaces occur, and spaces on four operations
+        assert any(s.dimension == 0 for s in spaces)
+        assert any(s.dimension == s.ambient_dim for s in spaces)
+        assert 2 * 4 * 4 in {s.ambient_dim for s in spaces}
+        for s in spaces:
+            assert _ideal_rank.__wrapped__(s, 3) == len(_ideal_echelon(s, 3)) == s.dimension
+
+
 # Dims of each built-in and of its dual, through weight 6 on two
 # operations or fewer and weight 5 on four; computed by elimination and
 # frozen.
@@ -507,8 +535,7 @@ def streaming_echelon(relations, n: int):
     ``_ideal_generators`` builds them, with no sorting."""
     k = isqrt(relations.ambient_dim // 2)
     echelon = {}
-    for row in _ideal_generators(k, relations.rows, n):
-        reduce_row(echelon, row)
+    insert_rows(echelon, _ideal_generators(k, relations.rows, n))
     return echelon
 
 

@@ -5,6 +5,7 @@ rational matrices, an independent implementation of row reduction.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,15 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from quadops.catalog import BUILTIN_NAMES, builtin, line_relation
-from quadops.expansion import ideal_span
+from quadops.expansion import _ideal_echelon, _ideal_generators, catalan, ideal_span
 from quadops.linalg import (
     DimensionError,
     Matrix,
     Subspace,
+    back_substitute,
     complement_under_form,
     echelon_subspace,
+    insert_rows,
     kernel,
     reduce_row,
     rref,
@@ -394,6 +397,17 @@ def test_sparse_row_ignores_the_coordinate_type(values):
     assert sparse_row(mixed) == sparse_row([F(x) for x in values])
 
 
+def reference_insert(echelon, rows) -> None:
+    """Oracle for ``insert_rows``: one ``reduce_row`` call per row, every
+    step through ``_eliminate``, and a residue made primitive with a
+    positive lead here before it is stored."""
+    for row in rows:
+        lead = reduce_row(echelon, row)
+        if lead is not None:
+            g = math.gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+            echelon[lead] = {c: x // g for c, x in row.items()}
+
+
 # Two oracles for the kernel: a second construction from the package's
 # own engine (a vector per free column of the forward RREF, reduced again)
 # and sympy's exact nullspace.
@@ -414,7 +428,7 @@ def build_and_reduce_kernel(rows, cols: int) -> Subspace:
         v = {f: den}
         for lead, d, x in hits:
             v[lead] = -x * den // d
-        reduce_row(echelon, v)
+        reference_insert(echelon, [v])
     return echelon_subspace(echelon, cols)
 
 
@@ -511,3 +525,82 @@ def test_kernel_matches_oracles(m):
 def test_wide_complement_matches_oracles(m, data):
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=m.cols, max_size=m.cols))
     assert_complement_matches_oracles(span(m.row_list(), m.cols), signs)
+
+
+def seeded_space(rng: random.Random, k: int) -> Subspace:
+    """A relation space on k operations: rows of one to four entries from
+    {1, -1, 2, -2, 3}, so that stored leads other than 1 occur."""
+    ambient = 2 * k * k
+    rows = []
+    for _ in range(rng.randint(1, ambient)):
+        row = {}
+        for _ in range(rng.randint(1, 4)):
+            row[rng.randrange(ambient)] = rng.choice((1, -1, 2, -2, 3))
+        rows.append(row)
+    return span_rows(rows, ambient)
+
+
+def insertion_cases():
+    """(id, relation space, weights): built-ins, their duals and seeded
+    spaces, on at most two operations to weight 7 and on four to weight 5."""
+    rng = random.Random(2101)
+    for name in BUILTIN_NAMES:
+        p = builtin(name)
+        weights = range(3, 8) if p.num_ops <= 2 else range(3, 6)
+        yield name, p.relations, weights
+        yield f"dual:{name}", dual(p).relations, weights
+    for i in range(4):
+        yield f"seeded-k{1 + i % 2}-{i}", seeded_space(rng, 1 + i % 2), range(3, 8)
+    for i in range(3):
+        yield f"seeded-k4-{i}", seeded_space(rng, 4), range(3, 6)
+
+
+INSERTION_CASES = list(insertion_cases())
+
+
+def sympy_row_rank(rows, cols: int) -> int:
+    dense = [[sympy.QQ(row.get(c, 0)) for c in range(cols)] for row in rows]
+    if not dense:
+        return 0
+    return DomainMatrix(dense, (len(dense), cols), sympy.QQ).rank()
+
+
+class TestInsertRows:
+    """``insert_rows`` against a per-row reference loop on the weight-n
+    ideal generators, both fed in the sorted order of ``_ideal_echelon``:
+    the same lead columns and the same RREF. ``tests/test_expansion.py``
+    checks that order against the order of generation."""
+
+    @pytest.mark.parametrize("case", INSERTION_CASES, ids=[case[0] for case in INSERTION_CASES])
+    def test_matches_the_reference_loop(self, case):
+        _, relations, weights = case
+        k = math.isqrt(relations.ambient_dim // 2)
+        for n in weights:
+            rows = list(_ideal_generators(k, relations.rows, n))
+            if k <= 2 and n <= 4:
+                rank = sympy_row_rank(rows, catalan(n - 1) * k ** (n - 1))
+            rows.sort(key=len)
+            rows.sort(key=min, reverse=True)
+            expected = {}
+            reference_insert(expected, rows)
+            echelon = _ideal_echelon(relations, n)
+            assert set(echelon) == set(expected)
+            assert back_substitute(echelon) == back_substitute(expected)
+            if k <= 2 and n <= 4:
+                assert len(echelon) == rank
+
+    def test_seeded_spaces_reach_stored_leads_other_than_one(self):
+        # the rows that go through _eliminate inside insert_rows
+        leads = [
+            row[lead]
+            for _, relations, _ in INSERTION_CASES
+            for lead, row in relations.echelon().items()
+        ]
+        assert any(x != 1 for x in leads)
+
+    def test_rows_are_consumed_and_zero_rows_skipped(self):
+        echelon = {}
+        rows = [{0: 2, 3: -4}, {0: -1, 3: 2}, {}, {1: -3, 2: 6}]
+        insert_rows(echelon, rows)
+        assert echelon == {0: {0: 1, 3: -2}, 1: {1: 1, 2: -2}}
+        assert rows[1] == {}

@@ -97,12 +97,7 @@ def exhaustive_relabeling_iso(p: Presentation, q: Presentation):
         for signs in itertools.product((1, -1), repeat=k):
             pair_signs = [signs[i] * signs[j] for i in range(k) for j in range(k)]
             if all(
-                reduce_row(
-                    target,
-                    {imap[c]: x * pair_signs[c % k2] for c, x in row},
-                    insert=False,
-                )
-                is None
+                reduce_row(target, {imap[c]: x * pair_signs[c % k2] for c, x in row}) is None
                 for row in p.relations.rows
             ):
                 return SignedRelabeling(perm, signs)

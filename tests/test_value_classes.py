@@ -147,3 +147,20 @@ def test_value_class_contract(cls, fields, name, other, kind):
 
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
+
+
+# A sequence field given as a list is stored as a tuple: the value equals
+# the one built from a tuple and can be hashed.
+@pytest.mark.parametrize(
+    "from_list,from_tuple",
+    [
+        (lambda: Matrix(1, 1, [1]), lambda: Matrix(1, 1, (1,))),
+        (lambda: RelVector([1, 0] * 4), lambda: RelVector((1, 0) * 4)),
+        (lambda: GeneratorSet(["a"]), lambda: GeneratorSet(("a",))),
+    ],
+    ids=["Matrix", "RelVector", "GeneratorSet"],
+)
+def test_list_fields_are_stored_as_tuples(from_list, from_tuple):
+    value = from_list()
+    assert value == from_tuple()
+    assert hash(value) == hash(from_tuple())
