@@ -367,15 +367,8 @@ def _cmd_expand(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
     return 0, "\n".join(lines), payload
 
 
-# the parser, built by the first ``main`` call of the process, not at import
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    ns = _parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         if ns.max_weight is not None and ns.max_weight < 1:
             raise UsageError("--max-weight must be at least 1")

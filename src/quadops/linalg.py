@@ -295,18 +295,12 @@ def insert_rows(echelon: Echelon, rows: Iterable[SparseRow]) -> None:
     entries subtracted. A stored row with any other lead entry goes
     through ``_eliminate``.
     """
-    gcd = math.gcd
     for row in rows:
         while row:
             lead = min(row)
             prow = echelon.get(lead)
             if prow is None:
-                g = gcd(*row.values())
-                if row[lead] < 0:
-                    g = -g
-                if g != 1:
-                    for col, x in row.items():
-                        row[col] = x // g
+                _normalize(row, lead)
                 echelon[lead] = row
                 break
             if prow[lead] != 1:

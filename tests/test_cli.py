@@ -159,20 +159,6 @@ class TestDims:
         assert code == 0
         assert json.loads(out)["dims"] == [1, 4, 16]
 
-    def test_json_then_text_in_one_process(self, capsys):
-        # the parser is built once per process; nothing parsed for one call,
-        # at the top level or after the subcommand, carries over to the next
-        _, out, _ = run(capsys, "--format", "json", "dims", "builtins", "Xplus", "--max", "3")
-        assert json.loads(out)["dims"] == [1, 4, 16]
-        parser = quadops.cli._parser
-        _, out, _ = run(capsys, "dims", "builtins", "Xplus", "--max", "3")
-        assert out == "1, 4, 16\n"
-        _, out, _ = run(capsys, "dims", "builtins", "Dend", "--format", "json")
-        assert json.loads(out)["dims"] == [1, 2, 5, 14]
-        _, out, _ = run(capsys, "dims", "builtins", "Dend")
-        assert out == "1, 2, 5, 14\n"
-        assert quadops.cli._parser is parser
-
     def test_weight_six_needs_no_flag(self, capsys):
         code, out, _ = run(capsys, "dims", "builtins", "As", "--max", "6")
         assert code == 0
