@@ -30,7 +30,11 @@ A kernel takes the same engine once. ``kernel`` and
 ``complement_under_form`` (the kernel of a subspace's rows with each
 column multiplied by a sign) reduce their rows on mirrored columns, so
 each reduced row pivots at its last nonzero column, and read the
-kernel's canonical basis off those trailing pivots in one pass.
+kernel's canonical basis off those trailing pivots in one pass. When a
+complement is known, the complement of the space with one vector x more
+is that complement cut by x, C ∩ x^⊥ (``_cut_under_form``): one row is
+dropped and the rows that pair with x are combined with it, which keeps
+the canonical form with no elimination at all.
 
 No floating point and no modular arithmetic is used; every result is
 exact.
@@ -579,6 +583,49 @@ def complement_under_form(s: Subspace, signs: Sequence[int]) -> Subspace:
         raise ValueError("form signs must be +1 or -1; a zero sign makes the form degenerate")
     last = n - 1
     return _kernel(({last - c: x * signs[c] for c, x in row} for row in s.rows), n)
+
+
+def _cut_under_form(s: Subspace, row: IntRow, signs: Sequence[int]) -> Subspace:
+    """The vectors of ``s`` orthogonal to ``row`` for the diagonal form
+    diag(signs): s ∩ row^⊥, from the canonical basis of s with no
+    elimination.
+
+    Pair each basis row d_i with ``row`` (pi_i). If every pi_i is 0, s
+    itself is returned. Otherwise let j be the row with pi_j != 0 and the
+    largest lead. Row j is dropped, and each other row with pi_i != 0
+    becomes pi_j d_i - pi_i d_j, made primitive with a positive lead.
+
+    These rows are already the canonical basis. Every such i has
+    lead_i < lead_j, and d_j is zero before lead_j, so the new row keeps
+    d_i's lead with the nonzero entry pi_j d_i[lead_i]. Both d_i and d_j
+    are zero at every remaining lead, and so is the new row. It pairs to
+    pi_j pi_i - pi_i pi_j = 0 with ``row``. The rows with pi_i = 0 are
+    kept as they are. So dim s - 1 rows of s ∩ row^⊥ lead at distinct
+    columns and are zero at each other's leads, and the cut has exactly
+    that dimension, because some pi_j is nonzero. The cost is one pass
+    over the nonzeros of the basis.
+    """
+    weights = {c: x * signs[c] for c, x in row}
+    get = weights.get
+    pairings = [sum(x * get(c, 0) for c, x in r) for r in s.rows]
+    j = max((i for i, pi in enumerate(pairings) if pi), default=None)
+    if j is None:
+        return s
+    pj, dj = pairings[j], s.rows[j]
+    rows = []
+    for r, pi in zip(s.rows[:j], pairings):
+        if pi:
+            new = {c: pj * x for c, x in r}
+            for c, x in dj:
+                y = new.get(c, 0) - pi * x
+                if y:
+                    new[c] = y
+                else:
+                    del new[c]
+            _normalize(new, r[0][0])
+            r = tuple(sorted(new.items()))
+        rows.append(r)
+    return Subspace(s.ambient_dim, (*rows, *s.rows[j + 1 :]))
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:

@@ -14,13 +14,17 @@ left block and -1 on the right block; the dual presentation carries the
 orthogonal complement of the relation space under this pairing, with a
 star appended to each generator name. Complementing twice restores the
 original relation space. A quotient inserts its extra relations into
-the canonical basis it starts from.
+the canonical basis it starts from, and the dual of a quotient is cut
+from the dual of the space it starts from.
 
 Each primitive on relation spaces keeps an LRU of at most 128 entries,
 keyed by canonical relation spaces (and integer coefficients), never by
 operation names; the names are attached on each call:
 
 * ``_dual_relations``: the complement, keyed by the relation space;
+* ``_quotient_relations``: the span with extra relations, keyed by the
+  relation space and the extra rows, each made primitive with a
+  positive lead, so every multiple of one relation asks one entry;
 * ``_relabeling_iso``: the iso witness or None, keyed by the ordered
   pair of spaces;
 * ``_square_relations``: the square's relation space, keyed by the
@@ -33,6 +37,14 @@ operation names; the names are attached on each call:
 Only what was computed is stored, never a derived reverse entry: the
 complement of R is stored under R alone, so a double dual still takes two
 kernel computations and no check holds by construction.
+
+Besides the memos, one record (``_origins``) keeps how each space that
+``_quotient_relations`` grew was made: base B and extra rows x_1, ...,
+x_m. Since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, a dual missing from its memo is then
+the dual of B cut by each x_i (``linalg._cut_under_form``) instead of a
+new elimination; every other space takes ``complement_under_form``. The
+record holds at most 128 spaces, the oldest recorded dropped first, and
+each entry refers to two spaces and the rows, like a memo entry.
 
 An entry holds its key's spaces besides its value. A built-in's space
 takes about 5 KB, and a moved space is as large as the one it moves. A
@@ -71,8 +83,10 @@ from .linalg import (
     SparseRow,
     Subspace,
     _Record,
+    _cut_under_form,
     _exact,
     _extend,
+    _normalize,
     _set,
     complement_under_form,
     reduce_row,
@@ -109,6 +123,9 @@ class GeneratorSet(_Record):
     __slots__ = ("names",)
 
     def __init__(self, names: tuple[str, ...]) -> None:
+        # a str would pass as a sequence of one-character names
+        if isinstance(names, str):
+            raise TypeError(f"operation names must be a sequence of strings, got {names!r}")
         if not names:
             raise ValueError("a presentation needs at least one operation")
         if not all(isinstance(n, str) for n in names):
@@ -273,18 +290,42 @@ def pairing_value(v: RelVector, w: RelVector) -> int | Fraction:
     return _exact(sum(pairing_terms(v, w)))
 
 
+# How each space made by _quotient_relations was made: base + <rows>
+# maps to (base, rows). At most _ORIGIN_BOUND spaces, the oldest
+# recorded dropped first.
+_ORIGIN_BOUND = 128
+_origins: dict[Subspace, tuple[Subspace, tuple[IntRow, ...]]] = {}
+
+
 # Bounded LRU keyed by the canonical relation rows alone, never names.
 @lru_cache(maxsize=128)
 def _dual_relations(relations: Subspace) -> Subspace:
-    """Orthogonal complement of a relation space under the duality pairing."""
-    return complement_under_form(relations, pairing_form(isqrt(relations.ambient_dim // 2)))
+    """Orthogonal complement of a relation space under the duality pairing.
+
+    A space recorded as base + <rows> takes the complement of base cut by
+    each row in turn (``linalg._cut_under_form``), since
+    (B + <x>)^⊥ = B^⊥ ∩ x^⊥; any other space takes
+    ``complement_under_form``.
+    """
+    form = pairing_form(isqrt(relations.ambient_dim // 2))
+    origin = _origins.get(relations)
+    if origin is None:
+        return complement_under_form(relations, form)
+    base, rows = origin
+    out = _dual_relations(base)
+    for row in rows:
+        out = _cut_under_form(out, row, form)
+    return out
 
 
 def dual(p: Presentation) -> Presentation:
     """Dual presentation: starred names, orthogonal relation space.
 
     The complement is memoized per relation space (``_dual_relations``);
-    the starred names are attached on each call.
+    the starred names are attached on each call. On a miss, the
+    complement of a space that ``quotient`` made as B + <x_1, ..., x_m>
+    is the complement of B cut by each x_i in turn, with no elimination;
+    it is the same canonical space ``complement_under_form`` gives.
     """
     names = tuple(n + "*" for n in p.generators.names)
     return Presentation(GeneratorSet(names), _dual_relations(p.relations))
@@ -340,13 +381,47 @@ def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
 
     Each extra relation is inserted into p's canonical basis (``_extend``);
     when none adds anything, the result holds p's own relation space.
+    The result is memoized per relation space and extra rows, each made
+    primitive with a positive lead, zero rows dropped
+    (``_quotient_relations``), so every multiple of one extra relation
+    asks the same entry.
+
+    Raises:
+        DimensionError: if an extra relation has the wrong length; all
+            are checked before the memo is asked.
     """
     rows = []
     for rv in extra:
         if len(rv.coordinates) != p.ambient_dim:
             raise DimensionError("extra relation has the wrong ambient dimension")
-        rows.append(sparse_row(rv.coordinates))
-    return Presentation(p.generators, _extend(p.relations, rows))
+        row = sparse_row(rv.coordinates)
+        if row:
+            # sparse_row lists its columns in increasing order
+            _normalize(row, next(iter(row)))
+            rows.append(tuple(row.items()))
+    relations = p.relations
+    if rows:
+        extended = _quotient_relations(relations, tuple(rows))
+        # equal dimension means nothing was added: keep p's own object,
+        # not the equal one an earlier call may have stored in the memo
+        if extended.dimension > relations.dimension:
+            relations = extended
+    return Presentation(p.generators, relations)
+
+
+# Bounded LRU keyed by the canonical relation space and the extra rows.
+@lru_cache(maxsize=128)
+def _quotient_relations(relations: Subspace, rows: tuple[IntRow, ...]) -> Subspace:
+    """The span of a relation space and extra primitive integer rows,
+    recorded as their origin when it is larger."""
+    out = _extend(relations, [dict(row) for row in rows])
+    if out is not relations:
+        # larger than base: its dual can be cut from base's
+        _origins.pop(out, None)
+        _origins[out] = (relations, rows)
+        if len(_origins) > _ORIGIN_BOUND:
+            del _origins[next(iter(_origins))]
+    return out
 
 
 def _push(

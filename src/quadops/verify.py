@@ -9,13 +9,16 @@ tableau, the sixteenth-relation coordinates, the middle swap) are built
 fresh from canonical constructors rather than read from the catalog under
 test, so a damaged catalog cannot satisfy the checks by construction.
 
-The primitives the checks call (duals, squares, relabelings, morphism
-tests, iso searches, ranks) memoize their results keyed by value: by
-canonical relation spaces and integer coefficients, never by names. A
-damaged presentation has another relation space, so it misses every
-memo and is checked afresh, while the unchanged built-ins of a damaged
-catalog are answered from the memos. The two pairing spot checks read
-no catalog at all and are built once per process.
+The primitives the checks call (duals, quotients, squares, relabelings,
+morphism tests, iso searches, ranks) memoize their results keyed by
+value: by canonical relation spaces and integer coefficients, never by
+names. The dual of a quotient is cut from the dual of the space it
+extends, so the sixteenth-relation scan eliminates only the square's
+complement and cuts the dual of every point from it. A damaged
+presentation has another relation space, so it misses every memo and is
+checked afresh, while the unchanged built-ins of a damaged catalog are
+answered from the memos. The two pairing spot checks read no catalog at
+all and are built once per process.
 """
 
 from __future__ import annotations

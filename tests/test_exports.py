@@ -72,6 +72,7 @@ BOUNDED_MEMOS = {
     "expansion._ideal_rank": 128,
     "expansion._normal_edges": 128,
     "presentations._dual_relations": 128,
+    "presentations._quotient_relations": 128,
     "presentations._square_relations": 128,
     "presentations._is_morphism": 128,
     "presentations._sign_tables": 8,

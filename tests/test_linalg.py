@@ -20,6 +20,7 @@ from quadops.linalg import (
     DimensionError,
     Matrix,
     Subspace,
+    _cut_under_form,
     back_substitute,
     complement_under_form,
     echelon_subspace,
@@ -380,6 +381,32 @@ def test_complement_matches_sympy_nullspace(m, data):
     )
     null = [[F(int(x.p), int(x.q)) for x in v] for v in scaled.nullspace()]
     assert complement_under_form(span(m.row_list(), n), signs) == span(null, n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices(max_rows=5, max_cols=6), st.data())
+def test_cut_is_the_complement_of_the_larger_span(m, data):
+    # s^⊥ ∩ x^⊥ = (s + <x>)^⊥, in the same canonical rows
+    n = m.cols
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    x = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+    c = complement_under_form(span(m.row_list(), n), signs)
+    cut = _cut_under_form(c, tuple(sparse_row(x).items()), signs)
+    assert cut == complement_under_form(span([*m.row_list(), x], n), signs)
+    if cut.dimension == c.dimension:
+        # x is orthogonal to all of c: nothing is cut
+        assert cut is c
+
+
+def test_cut_golden():
+    # the complement of <e0 - e2> under (1, 1, -1) is <e0 - e2, e1>;
+    # cutting by e0 + e1 pivots on row e1 (pairing 1, the largest lead)
+    # and turns e0 - e2 (pairing 1) into e0 - e1 - e2
+    signs = (1, 1, -1)
+    c = complement_under_form(span([[1, 0, -1]], 3), signs)
+    assert c.rows == (((0, 1), (2, -1)), ((1, 1),))
+    cut = _cut_under_form(c, ((0, 1), (1, 1)), signs)
+    assert cut.rows == (((0, 1), (1, -1), (2, -1)),)
 
 
 @given(

@@ -8,6 +8,7 @@ import itertools
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -24,9 +25,19 @@ from quadops.catalog import (
     catalog,
     dend_relations,
     line_relation,
+    sixteenth_vector,
     spanning_relations,
 )
-from quadops.linalg import DimensionError, Matrix, reduce_row, rref, span, span_rows, sparse_row
+from quadops.linalg import (
+    DimensionError,
+    Matrix,
+    complement_under_form,
+    reduce_row,
+    rref,
+    span,
+    span_rows,
+    sparse_row,
+)
 from quadops.presentations import (
     GeneratorMap,
     GeneratorSet,
@@ -47,9 +58,12 @@ from quadops.presentations import (
     relation_vector,
     right_index,
     square,
+    _ORIGIN_BOUND,
     _dual_relations,
     _is_morphism,
+    _origins,
     _pair_projections,
+    _quotient_relations,
     _relabeled_relations,
     _relabeling_iso,
     _square_relations,
@@ -202,6 +216,41 @@ def presentations(draw, max_ops: int = 2, min_ops: int = 1):
 INEXACT = (0.5, -0.5, 0.0, Decimal("0.5"), Decimal(1), "1", None)
 
 
+def clear_relation_memos():
+    """Forget every complement, quotient and recorded origin."""
+    _dual_relations.cache_clear()
+    _quotient_relations.cache_clear()
+    _origins.clear()
+
+
+def direct_dual(relations):
+    """The complement by elimination, never read off an origin."""
+    return complement_under_form(relations, pairing_form(isqrt(relations.ambient_dim // 2)))
+
+
+@st.composite
+def extra_relations(draw, p: Presentation, min_size: int = 1, max_size: int = 3):
+    """Extra relations for p, each zero, in p's span, a repeat of an
+    earlier one or free."""
+    n = p.ambient_dim
+    basis = [r.coordinates for r in p.relation_rows()]
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    extras: list[RelVector] = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(("zero", "in span", "free", "repeat")))
+        if kind == "zero" or (kind == "in span" and not basis):
+            coords = (0,) * n
+        elif kind == "in span":
+            scales = draw(st.lists(coefficient, min_size=len(basis), max_size=len(basis)))
+            coords = tuple(sum(c * row[i] for c, row in zip(scales, basis)) for i in range(n))
+        elif kind == "free" or not extras:
+            coords = tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))
+        else:
+            coords = draw(st.sampled_from(extras)).coordinates
+        extras.append(RelVector(coords))
+    return extras
+
+
 class TestCoordinates:
     def test_left_right_index(self):
         assert left_index(2, 1, 0) == 2
@@ -260,6 +309,12 @@ class TestCoordinates:
             GeneratorSet(("a", "a"))
         with pytest.raises(ValueError):
             GeneratorSet(("a", ""))
+
+    @pytest.mark.parametrize("text", ["ab", "a", ""])
+    def test_generator_set_refuses_a_string(self, text):
+        # a string would be taken as a sequence of one-character names
+        with pytest.raises(TypeError, match="sequence of strings"):
+            GeneratorSet(text)
 
     def test_presentation_ambient_check(self):
         with pytest.raises(DimensionError):
@@ -333,7 +388,7 @@ class TestDualMemo:
     def test_memo_is_bounded(self):
         maxsize = _dual_relations.cache_info().maxsize
         assert maxsize is not None
-        _dual_relations.cache_clear()
+        clear_relation_memos()
         # distinct one-operation presentations: the lines through (1, b)
         for b in range(maxsize + 8):
             dual(Presentation(GeneratorSet(("a",)), span([[1, b]], 2)))
@@ -343,7 +398,7 @@ class TestDualMemo:
     def test_names_are_not_part_of_the_key(self):
         p = builtin("Dend")
         q = Presentation(GeneratorSet(("a", "b")), p.relations)
-        _dual_relations.cache_clear()
+        clear_relation_memos()
         dp, dq = dual(p), dual(q)
         assert dp.generators.names == ("∧*", "∨*")
         assert dq.generators.names == ("a*", "b*")
@@ -357,7 +412,7 @@ class TestDualMemo:
         # alongside, the second dual would be a hit and the double-dual
         # checks would hold by construction
         p = builtin(name)
-        _dual_relations.cache_clear()
+        clear_relation_memos()
         assert dual(dual(p)).relations == p.relations
         info = _dual_relations.cache_info()
         assert (info.misses, info.hits) == (2, 0)
@@ -366,7 +421,7 @@ class TestDualMemo:
         # As's relation space is its own complement, so its double dual
         # asks the same question twice
         p = builtin("As")
-        _dual_relations.cache_clear()
+        clear_relation_memos()
         assert dual(dual(p)).relations == p.relations
         info = _dual_relations.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -708,6 +763,141 @@ class TestQuotient:
         with pytest.raises(DimensionError):
             quotient(p, [good, wrong])
         assert (p.generators, p.relations.rows) == before
+
+
+class TestQuotientMemo:
+    """``quotient`` memoizes its relation space per canonical base space
+    and tuple of primitive extra rows (``_quotient_relations``)."""
+
+    def test_a_multiple_of_the_extra_relation_is_a_hit(self):
+        base = builtin("DendSquareDias")
+        x = line_relation(1, 2)
+        clear_relation_memos()
+        q = quotient(base, [x])
+        doubled = RelVector(tuple(2 * c for c in x.coordinates))
+        assert quotient(base, [doubled]).relations is q.relations
+        info = _quotient_relations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_zero_rows_are_not_part_of_the_key(self):
+        base = builtin("DendSquareDias")
+        x, zero = line_relation(-3, 1), RelVector((0,) * 32)
+        clear_relation_memos()
+        q = quotient(base, [x])
+        assert quotient(base, [zero, x, zero]).relations is q.relations
+        # nothing but zeros: p's own space, and the memo is not asked
+        assert quotient(base, [zero]).relations is base.relations
+        info = _quotient_relations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_relation_in_the_span_gives_back_p_own_space(self):
+        p = builtin("Dend")
+        other = Presentation(p.generators, span([r.coordinates for r in dend_relations()], 8))
+        assert other.relations == p.relations and other.relations is not p.relations
+        clear_relation_memos()
+        assert quotient(other, [dend_relations()[0]]).relations is other.relations
+        # the entry now holds other's space; p still gets its own back
+        assert quotient(p, [dend_relations()[0]]).relations is p.relations
+        assert _quotient_relations.cache_info().hits == 1
+
+
+class TestOriginRecord:
+    """How each quotient was made is recorded (``_origins``) for at most
+    ``_ORIGIN_BOUND`` spaces, the oldest dropped first."""
+
+    def test_record_is_bounded(self):
+        assert _ORIGIN_BOUND == 128
+        p = Presentation(GeneratorSet(("a",)), span([], 2))
+        clear_relation_memos()
+        # distinct one-operation quotients: the lines through (1, b)
+        lines = [quotient(p, [RelVector((1, b))]).relations for b in range(_ORIGIN_BOUND + 8)]
+        assert list(_origins) == lines[8:]
+        assert all(_origins[line][0] is p.relations for line in lines[8:])
+
+    def test_a_space_with_no_origin_is_eliminated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            quadops.presentations,
+            "complement_under_form",
+            lambda s, form: calls.append(s) or complement_under_form(s, form),
+        )
+        p = builtin("Xplus")
+        clear_relation_memos()
+        dual(p)
+        assert calls == [p.relations]
+
+
+class TestDerivedDuals:
+    """A dual read off a recorded origin is the canonical space that
+    ``complement_under_form`` gives."""
+
+    def test_scan_quotients(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            quadops.presentations,
+            "complement_under_form",
+            lambda s, form: calls.append(s) or complement_under_form(s, form),
+        )
+        clear_relation_memos()
+        for q in scan_quotients(4):
+            assert dual(q).relations == direct_dual(q.relations)
+        # only the square's complement is eliminated; every quotient's is cut from it
+        assert calls == [builtin("DendSquareDias").relations]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_drawn_quotients(self, data):
+        p = data.draw(presentations(max_ops=3))
+        extras = data.draw(extra_relations(p))
+        clear_relation_memos()
+        q = quotient(p, extras)
+        assert dual(q).relations == direct_dual(q.relations)
+        assert dual(p).relations == direct_dual(p.relations)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_quotients_of_quotients(self, data):
+        chain = [data.draw(presentations(max_ops=3))]
+        for _ in range(2):
+            chain.append(quotient(chain[-1], data.draw(extra_relations(chain[-1]))))
+        clear_relation_memos()
+        # the last dual cuts the middle one's, which cuts the first one's
+        for q in reversed(chain):
+            assert dual(q).relations == direct_dual(q.relations)
+
+    def test_the_two_directions_one_at_a_time(self):
+        base = builtin("DendSquareDias")
+        left_dir, right_dir = extra_relation_directions()
+        clear_relation_memos()
+        twice = quotient(quotient(base, [left_dir]), [right_dir])
+        once = quotient(base, [left_dir, right_dir])
+        assert twice.relations == once.relations
+        assert dual(twice).relations == direct_dual(twice.relations)
+        assert dual(once).relations == dual(twice).relations
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_double_dual_of_builtins(self, name):
+        p = builtin(name)
+        clear_relation_memos()
+        assert dual(dual(p)).relations == p.relations
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_double_dual_of_the_constructed_pair(self, sign):
+        # the sixteen-relation pair as the square's quotient: its dual is cut
+        constructed = square(builtin("Dend"), builtin("Dias"))
+        clear_relation_memos()
+        q = quotient(constructed, [sixteenth_vector(sign)])
+        assert q.relations == builtin("Xplus" if sign == 1 else "Xminus").relations
+        assert dual(q).relations == direct_dual(q.relations)
+        assert dual(dual(q)).relations == q.relations
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_double_dual_of_drawn_quotients(self, data):
+        p = data.draw(presentations(max_ops=3))
+        q = quotient(p, data.draw(extra_relations(p)))
+        clear_relation_memos()
+        assert dual(dual(q)).relations == q.relations
 
 
 class TestMaps:

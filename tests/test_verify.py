@@ -16,6 +16,8 @@ from quadops.expansion import _ideal_rank, _normal_edges
 from quadops.presentations import (
     _dual_relations,
     _is_morphism,
+    _origins,
+    _quotient_relations,
     _relabeled_relations,
     _relabeling_iso,
     _square_relations,
@@ -335,6 +337,7 @@ class TestReports:
 # every memo that the quick battery asks
 MEMOS = (
     _dual_relations,
+    _quotient_relations,
     _ideal_rank,
     _normal_edges,
     _relabeling_iso,
@@ -377,6 +380,7 @@ class TestSensitivity:
                 if clear:
                     for memo in MEMOS:
                         memo.cache_clear()
+                    _origins.clear()
                 mutant = catalog().without_relation(name, index)
                 reports.append(verify_all(mutant, VerifyConfig.quick()))
             return reports
