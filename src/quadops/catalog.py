@@ -33,6 +33,7 @@ from .presentations import (
     GeneratorSet,
     Presentation,
     RelVector,
+    _claims,
     relation_vector,
 )
 
@@ -178,6 +179,10 @@ _BUILTINS = {
 
 BUILTIN_NAMES = tuple(_BUILTINS)
 
+# The built-ins whose literal list is the tableau of DendSquareDias and
+# one sixteenth relation after it.
+_SIXTEEN_RELATION_NAMES = ("Xplus", "Xminus")
+
 
 def _presentation(names: tuple[str, ...], rels: tuple[RelVector, ...]) -> Presentation:
     k = len(names)
@@ -196,8 +201,20 @@ def spanning_relations(name: str) -> tuple[RelVector, ...]:
 # Cached per built-in name: at most six entries.
 @lru_cache(maxsize=None)
 def builtin(name: str) -> Presentation:
-    """Look up a built-in presentation by name; raises KeyError if unknown."""
-    return _presentation(_BUILTINS[name][0], spanning_relations(name))
+    """Look up a built-in presentation by name; raises KeyError if unknown.
+
+    Every built-in is the span of its literal relation list. Xplus and
+    Xminus also claim their origin, DendSquareDias and the sixteenth
+    relation, so that their ideals grow from the square's. The claim is
+    checked against the span only when an ideal first uses it
+    (``presentations._ideal_origin``), so building the catalog computes
+    nothing more.
+    """
+    relations = spanning_relations(name)
+    p = _presentation(_BUILTINS[name][0], relations)
+    if name in _SIXTEEN_RELATION_NAMES:
+        _claims[p.relations] = (builtin("DendSquareDias").relations, relations[-1:])
+    return p
 
 
 # Generator maps witnessing the arrows between the built-ins. Row i of the

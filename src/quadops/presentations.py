@@ -22,9 +22,10 @@ keyed by canonical relation spaces (and integer coefficients), never by
 operation names; the names are attached on each call:
 
 * ``_dual_relations``: the complement, keyed by the relation space;
-* ``_quotient_relations``: the span with extra relations, keyed by the
-  relation space and the extra rows, each made primitive with a
-  positive lead, so every multiple of one relation asks one entry;
+* ``_quotient_relations``: the span with extra relations and the rows
+  that made it larger, keyed by the relation space and the extra rows,
+  each made primitive with a positive lead, so every multiple of one
+  relation asks one entry;
 * ``_relabeling_iso``: the iso witness or None, keyed by the ordered
   pair of spaces;
 * ``_square_relations``: the square's relation space, keyed by the
@@ -39,12 +40,27 @@ complement of R is stored under R alone, so a double dual still takes two
 kernel computations and no check holds by construction.
 
 Besides the memos, one record (``_origins``) keeps how each space that
-``_quotient_relations`` grew was made: base B and extra rows x_1, ...,
-x_m. Since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, a dual missing from its memo is then
-the dual of B cut by each x_i (``linalg._cut_under_form``) instead of a
-new elimination; every other space takes ``complement_under_form``. The
-record holds at most 128 spaces, the oldest recorded dropped first, and
-each entry refers to two spaces and the rows, like a memo entry.
+``quotient`` grew was made: base B and the extra rows x_1, ..., x_m that
+made it larger. It serves duals and ideals alike:
+
+* since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, a dual missing from its memo is the
+  dual of B cut by each x_i (``linalg._cut_under_form``) instead of a new
+  elimination; every other space takes ``complement_under_form``;
+* since the ideal of a sum of relation spaces is the sum of their
+  ideals, ``expansion`` grows the weight-n ideal of B + <x> from the
+  echelon of B's, inserting only the x_i placed at every rotation
+  (``_ideal_origin``).
+
+The record holds at most 128 spaces, the least recently used dropped
+first: every ``quotient`` call that grows a space moves its record to
+the newest place, so a quotient asked often keeps its record as long
+as its memo entry. Each entry refers to two spaces and the rows, like a
+memo entry. A space built another way has an origin only by a claim
+(``_claims``, made by ``catalog.builtin`` for Xplus and Xminus), which
+is checked against the span it claims, and recorded, when an
+elimination first asks; a claim never serves a dual unchecked, and the
+spaces stay span-built, so no check of the battery holds by
+construction.
 
 An entry holds its key's spaces besides its value. A built-in's space
 takes about 5 KB, and a moved space is as large as the one it moves. A
@@ -70,7 +86,7 @@ itself is stored as sparse primitive integer rows (``linalg.Subspace``).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -290,11 +306,36 @@ def pairing_value(v: RelVector, w: RelVector) -> int | Fraction:
     return _exact(sum(pairing_terms(v, w)))
 
 
-# How each space made by _quotient_relations was made: base + <rows>
-# maps to (base, rows). At most _ORIGIN_BOUND spaces, the oldest
-# recorded dropped first.
+# How each space that quotient grew was made: base + <rows> maps to
+# (base, rows), the rows that made it larger. At most _ORIGIN_BOUND
+# spaces, the least recently used dropped first: each quotient call that
+# returns a grown space moves its record to the newest place.
 _ORIGIN_BOUND = 128
-_origins: dict[Subspace, tuple[Subspace, tuple[IntRow, ...]]] = {}
+_origins: OrderedDict[Subspace, tuple[Subspace, tuple[IntRow, ...]]] = OrderedDict()
+
+# Origins claimed for spaces built another way: base and extra relations,
+# keyed by the space. ``catalog.builtin`` claims Xplus and Xminus as
+# DendSquareDias with their sixteenth relation; ``_ideal_origin`` checks a
+# claim, and records it, only when an elimination first asks.
+_claims: dict[Subspace, tuple[Subspace, tuple[RelVector, ...]]] = {}
+
+
+def _ideal_origin(relations: Subspace) -> tuple[Subspace, tuple[IntRow, ...]] | None:
+    """How a relation space was made, for its ideal's elimination.
+
+    A recorded origin is returned as it is. A claimed one is checked
+    first: the claim holds when base and extra relations span exactly
+    ``relations``, and is then recorded like a quotient's; a claim that
+    fails is dropped. Otherwise None.
+    """
+    origin = _origins.get(relations)
+    if origin is None and relations in _claims:
+        base, extra = _claims[relations]
+        if _grow(base, _extra_rows(extra, base.ambient_dim)) == relations:
+            origin = _origins[relations]
+        else:
+            del _claims[relations]
+    return origin
 
 
 # Bounded LRU keyed by the canonical relation rows alone, never names.
@@ -384,44 +425,70 @@ def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
     The result is memoized per relation space and extra rows, each made
     primitive with a positive lead, zero rows dropped
     (``_quotient_relations``), so every multiple of one extra relation
-    asks the same entry.
+    asks the same entry. Each call that grows the space records how, as
+    the newest entry of ``_origins``.
 
     Raises:
         DimensionError: if an extra relation has the wrong length; all
             are checked before the memo is asked.
     """
+    rows = _extra_rows(extra, p.ambient_dim)
+    relations = p.relations
+    if rows:
+        grown = _grow(relations, rows)
+        # equal dimension means nothing was added: keep p's own object,
+        # not the equal one an earlier call may have stored in the memo
+        if grown.dimension > relations.dimension:
+            relations = grown
+    return Presentation(p.generators, relations)
+
+
+def _extra_rows(extra: Iterable[RelVector], ambient_dim: int) -> tuple[IntRow, ...]:
+    """Extra relations as primitive integer rows with a positive lead,
+    zero ones dropped."""
     rows = []
     for rv in extra:
-        if len(rv.coordinates) != p.ambient_dim:
+        if len(rv.coordinates) != ambient_dim:
             raise DimensionError("extra relation has the wrong ambient dimension")
         row = sparse_row(rv.coordinates)
         if row:
             # sparse_row lists its columns in increasing order
             _normalize(row, next(iter(row)))
             rows.append(tuple(row.items()))
-    relations = p.relations
-    if rows:
-        extended = _quotient_relations(relations, tuple(rows))
-        # equal dimension means nothing was added: keep p's own object,
-        # not the equal one an earlier call may have stored in the memo
-        if extended.dimension > relations.dimension:
-            relations = extended
-    return Presentation(p.generators, relations)
+    return tuple(rows)
+
+
+def _grow(relations: Subspace, rows: tuple[IntRow, ...]) -> Subspace:
+    """The span of a relation space and extra rows; when it is larger, its
+    record is made, or moved, to be the newest entry of ``_origins``."""
+    grown, kept = _quotient_relations(relations, rows)
+    if kept:
+        # one lookup when the record is there, as it mostly is
+        try:
+            _origins.move_to_end(grown)
+        except KeyError:
+            _origins[grown] = (relations, kept)
+            if len(_origins) > _ORIGIN_BOUND:
+                _origins.popitem(last=False)
+    return grown
 
 
 # Bounded LRU keyed by the canonical relation space and the extra rows.
 @lru_cache(maxsize=128)
-def _quotient_relations(relations: Subspace, rows: tuple[IntRow, ...]) -> Subspace:
-    """The span of a relation space and extra primitive integer rows,
-    recorded as their origin when it is larger."""
-    out = _extend(relations, [dict(row) for row in rows])
-    if out is not relations:
-        # larger than base: its dual can be cut from base's
-        _origins.pop(out, None)
-        _origins[out] = (relations, rows)
-        if len(_origins) > _ORIGIN_BOUND:
-            del _origins[next(iter(_origins))]
-    return out
+def _quotient_relations(
+    relations: Subspace, rows: tuple[IntRow, ...]
+) -> tuple[Subspace, tuple[IntRow, ...]]:
+    """The span of a relation space and extra primitive integer rows, and
+    the rows that made it larger: each lies outside the span of the space
+    and the rows kept before it."""
+    out = relations
+    kept = []
+    for row in rows:
+        grown = _extend(out, [dict(row)])
+        if grown is not out:
+            out = grown
+            kept.append(row)
+    return out, tuple(kept)
 
 
 def _push(

@@ -20,10 +20,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quadops.expansion as expansion
-from quadops.catalog import BUILTIN_NAMES, builtin
+from quadops.catalog import BUILTIN_NAMES, builtin, line_relation
 from quadops.dsl import parse_relation
 from quadops.expansion import (
     TreeMonomial,
+    _base_echelon,
     _context_layouts,
     _ideal_echelon,
     _ideal_generators,
@@ -40,14 +41,27 @@ from quadops.expansion import (
     weight_component,
     weight_work,
 )
-from quadops.linalg import Subspace, echelon_subspace, insert_rows, span, span_rows
+from quadops.linalg import (
+    Subspace,
+    back_substitute,
+    echelon_subspace,
+    insert_rows,
+    span,
+    span_rows,
+)
 from quadops.presentations import (
+    _ORIGIN_BOUND,
     GeneratorSet,
     Presentation,
+    RelVector,
+    _ideal_origin,
+    _origins,
     dual,
     quotient,
     relation_vector,
 )
+from quadops.verify import scan_grid
+from test_presentations import extra_relations
 
 # trees are nested tuples: None is a leaf, (left, right) a binary vertex
 LEAF = None
@@ -562,6 +576,122 @@ class TestReductionOrder:
     @settings(deadline=None, max_examples=40)
     def test_drawn_presentations(self, p, n):
         assert_order_independent(p.relations, n)
+
+
+def direct_echelon(relations, n: int):
+    """Oracle: the weight-n ideal eliminated from every relation row, in
+    the sorted order, whatever origin the space has on record."""
+    k = isqrt(relations.ambient_dim // 2)
+    rows = sorted(_ideal_generators(k, relations.rows, n), key=lambda row: (-min(row), len(row)))
+    echelon = {}
+    insert_rows(echelon, rows)
+    return echelon
+
+
+def assert_extension_exact(relations, n: int) -> None:
+    """The echelon ``_ideal_echelon`` grows has the leads, the RREF rows
+    and the rank of the direct elimination."""
+    echelon = _ideal_echelon(relations, n)
+    expected = direct_echelon(relations, n)
+    assert set(echelon) == set(expected)
+    assert back_substitute(echelon) == back_substitute(expected)
+    assert len(echelon) == len(expected)
+
+
+class TestExtendedEchelon:
+    """A space recorded as B + <x_1, ..., x_m> grows its ideal's echelon
+    from a copy of B's (``_base_echelon``), inserting only the generators
+    of the x_i; the result is the direct elimination's."""
+
+    def test_every_scan_point_grows_from_the_square(self):
+        square_space = builtin("DendSquareDias").relations
+        spaces = []
+        for a, b in scan_grid(4):
+            q = quotient(builtin("DendSquareDias"), [line_relation(a, b)]).relations
+            if q != square_space and q not in spaces:
+                spaces.append(q)
+        # one space per point (a : b) of the projective line
+        assert len(spaces) == 24
+        _base_echelon.cache_clear()
+        for n in (3, 4, 5):
+            for q in spaces:
+                assert _ideal_origin(q)[0] == square_space
+                assert_extension_exact(q, n)
+        info = _base_echelon.cache_info()
+        # the square eliminated once per weight, read 24 times
+        assert (info.misses, info.hits) == (3, 69)
+
+    @pytest.mark.parametrize(
+        "space",
+        (
+            lambda: builtin("Xplus").relations,
+            lambda: builtin("Xminus").relations,
+            lambda: quotient(builtin("DendSquareDias"), [line_relation(1, 0)]).relations,
+            lambda: quotient(builtin("DendSquareDias"), [line_relation(0, 1)]).relations,
+        ),
+        ids=("Xplus", "Xminus", "R(1:0)", "R(0:1)"),
+    )
+    def test_sixteen_relation_spaces(self, space):
+        relations = space()
+        assert _ideal_origin(relations)[0] == builtin("DendSquareDias").relations
+        for n in (3, 4, 5):
+            assert_extension_exact(relations, n)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_drawn_quotients(self, data):
+        p = data.draw(small_presentations())
+        q = quotient(p, data.draw(extra_relations(p)))
+        for n in (3, 4, 5):
+            assert_extension_exact(q.relations, n)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_drawn_quotients_of_two_operation_builtins(self, data):
+        # to weight 6 from sparse bases: from a dense drawn one, a weight-6
+        # elimination on two operations can take seconds
+        name = data.draw(st.sampled_from(("As", "Dend", "Dias")))
+        p = builtin(name) if data.draw(st.booleans()) else dual(builtin(name))
+        q = quotient(p, data.draw(extra_relations(p)))
+        for n in (3, 4, 5, 6):
+            assert_extension_exact(q.relations, n)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_quotients_of_quotients(self, data):
+        chain = [data.draw(small_presentations())]
+        for _ in range(2):
+            chain.append(quotient(chain[-1], data.draw(extra_relations(chain[-1]))))
+        for n in (3, 4, 5):
+            for p in chain:
+                assert_extension_exact(p.relations, n)
+
+    def test_the_memoized_base_is_not_changed(self):
+        square = builtin("DendSquareDias")
+        _base_echelon.cache_clear()
+        q = quotient(square, [line_relation(1, 2)]).relations
+        _ideal_echelon(q, 4)
+        base = _base_echelon(square.relations, 4)
+        before = {lead: dict(row) for lead, row in base.items()}
+        for a, b in ((1, 3), (2, 1), (1, 2)):
+            r = quotient(square, [line_relation(a, b)]).relations
+            assert_extension_exact(r, 4)
+        assert _base_echelon(square.relations, 4) is base
+        assert base == before
+        assert back_substitute(base) == back_substitute(direct_echelon(square.relations, 4))
+
+    def test_an_evicted_origin_falls_back_to_the_direct_elimination(self):
+        square = builtin("DendSquareDias")
+        q = quotient(square, [line_relation(1, 2)]).relations
+        assert _ideal_origin(q) is not None
+        # newer records push it out of the bounded record
+        line = Presentation(GeneratorSet(("a",)), span([], 2))
+        for b in range(_ORIGIN_BOUND):
+            quotient(line, [RelVector((1, b))])
+        assert q not in _origins and _ideal_origin(q) is None
+        _base_echelon.cache_clear()
+        assert_extension_exact(q, 4)
+        assert _base_echelon.cache_info().misses == 0
 
 
 def generator_count(p: Presentation, n: int) -> int:

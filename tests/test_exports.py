@@ -69,6 +69,7 @@ UNBOUNDED_MEMOS = {
 
 # Every other memo, with its bound: adding or resizing one shows here.
 BOUNDED_MEMOS = {
+    "expansion._base_echelon": 4,
     "expansion._ideal_rank": 128,
     "expansion._normal_edges": 128,
     "presentations._dual_relations": 128,

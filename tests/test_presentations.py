@@ -8,7 +8,7 @@ import itertools
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -27,6 +27,7 @@ from quadops.catalog import (
     line_relation,
     sixteenth_vector,
     spanning_relations,
+    tableau_vectors,
 )
 from quadops.linalg import (
     DimensionError,
@@ -60,6 +61,7 @@ from quadops.presentations import (
     square,
     _ORIGIN_BOUND,
     _dual_relations,
+    _ideal_origin,
     _is_morphism,
     _origins,
     _pair_projections,
@@ -801,9 +803,16 @@ class TestQuotientMemo:
         assert _quotient_relations.cache_info().hits == 1
 
 
+def primitive_row(v: RelVector):
+    """A relation as its primitive integer row with a positive lead."""
+    row = sparse_row(v.coordinates)
+    scale = gcd(*row.values()) * (1 if next(iter(row.values())) > 0 else -1)
+    return tuple((c, x // scale) for c, x in row.items())
+
+
 class TestOriginRecord:
     """How each quotient was made is recorded (``_origins``) for at most
-    ``_ORIGIN_BOUND`` spaces, the oldest dropped first."""
+    ``_ORIGIN_BOUND`` spaces, the least recently used dropped first."""
 
     def test_record_is_bounded(self):
         assert _ORIGIN_BOUND == 128
@@ -813,6 +822,31 @@ class TestOriginRecord:
         lines = [quotient(p, [RelVector((1, b))]).relations for b in range(_ORIGIN_BOUND + 8)]
         assert list(_origins) == lines[8:]
         assert all(_origins[line][0] is p.relations for line in lines[8:])
+
+    def test_a_hot_quotient_keeps_its_record(self):
+        # asked between every two others: its memo entry and its record
+        # both stay, though far more than the bound were recorded after it
+        base = builtin("DendSquareDias")
+        clear_relation_memos()
+        hot = quotient(base, [line_relation(1, 1)]).relations
+        others = [(a, b) for a in range(1, 20) for b in range(2, 20) if gcd(a, b) == 1][:140]
+        assert len(others) == 140
+        for a, b in others:
+            quotient(base, [line_relation(a, b)])
+            assert quotient(base, [line_relation(1, 1)]).relations is hot
+        assert _quotient_relations.cache_info().currsize == 128
+        assert len(_origins) == _ORIGIN_BOUND
+        assert _origins[hot][0] is base.relations
+        assert list(_origins)[-1] == hot
+
+    def test_only_the_rows_that_grew_the_space_are_recorded(self):
+        base = builtin("DendSquareDias")
+        x = line_relation(1, 2)
+        doubled = RelVector(tuple(2 * c for c in x.coordinates))
+        inside = tableau_vectors()[3]
+        clear_relation_memos()
+        q = quotient(base, [inside, x, doubled, line_relation(2, 4)]).relations
+        assert _origins[q] == (base.relations, (primitive_row(x),))
 
     def test_a_space_with_no_origin_is_eliminated(self, monkeypatch):
         calls = []
@@ -825,6 +859,43 @@ class TestOriginRecord:
         clear_relation_memos()
         dual(p)
         assert calls == [p.relations]
+
+
+class TestClaimedOrigins:
+    """Xplus and Xminus claim their origin, the square and the sixteenth
+    relation (``catalog.builtin``); ``_ideal_origin`` checks a claim
+    before it records it, and a dual never reads a claim."""
+
+    @pytest.mark.parametrize("name,sign", (("Xplus", 1), ("Xminus", -1)))
+    def test_builtins_are_checked_then_recorded(self, name, sign):
+        space = builtin(name).relations
+        square_space = builtin("DendSquareDias").relations
+        assert quadops.presentations._claims[space] == (square_space, (sixteenth_vector(sign),))
+        clear_relation_memos()
+        assert space not in _origins
+        row = primitive_row(sixteenth_vector(sign))
+        assert _ideal_origin(space) == (square_space, (row,))
+        assert _quotient_relations.cache_info().misses == 1
+        assert _origins[space] == (square_space, (row,))
+        # recorded now: the next ask does not check again
+        assert _ideal_origin(space) == (square_space, (row,))
+        assert _quotient_relations.cache_info().misses == 1
+
+    def test_a_false_claim_is_dropped(self, monkeypatch):
+        xplus = builtin("Xplus").relations
+        square_space = builtin("DendSquareDias").relations
+        # Xminus's relation added to the square spans Xminus, not Xplus
+        claims = {xplus: (square_space, (sixteenth_vector(-1),))}
+        monkeypatch.setattr(quadops.presentations, "_claims", claims)
+        clear_relation_memos()
+        assert _ideal_origin(xplus) is None
+        assert claims == {}
+        assert xplus not in _origins
+
+    def test_a_space_with_neither_has_no_origin(self):
+        clear_relation_memos()
+        assert _ideal_origin(builtin("Dend").relations) is None
+        assert _quotient_relations.cache_info().misses == 0
 
 
 class TestDerivedDuals:
