@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .catalog import ASCII_ALIASES, catalog
-from .dsl import format_relation, parse, parse_relation, print_presentation
+from .dsl import _presentation_text, parse, parse_relation
 from .expansion import (
     catalan,
     component_dim,
@@ -219,15 +219,16 @@ def _preflight(
 
 
 def _presentation_output(command: str, name: str, p: Presentation) -> tuple[int, str, dict]:
-    names = p.generators.names
+    # the JSON relations are the strings on the text's rel: lines
+    text, relations = _presentation_text(p, name)
     payload = {
         "command": command,
         "operad": name,
-        "operations": list(names),
+        "operations": list(p.generators.names),
         "dimension": p.relations.dimension,
-        "relations": [format_relation(r, names) for r in p.relation_rows()],
+        "relations": relations,
     }
-    return 0, print_presentation(p, name).rstrip("\n"), payload
+    return 0, text.rstrip("\n"), payload
 
 
 def _cmd_dual(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:

@@ -21,13 +21,22 @@ digit or "*". The starred names produced by dualization ("a*") are
 therefore valid identifiers, which is why the printer always separates
 symbols with spaces. "operad" cannot name an operation: it opens a
 block.
+
+The lexer emits plain ``(kind, text, line, column)`` tuples; ``Token``
+records are built only by ``tokenize``, for callers that ask for them.
+The reader gathers each relation as a map from coordinate to
+coefficient and spans a block's relations as sparse integer rows
+(``linalg.span_rows``). The printer writes the nonzero entries of each
+canonical row of the relation space, divided by the row's lead, and
+never builds a dense vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable
 
-from .linalg import _Record, _set, span
+from .linalg import DimensionError, _Record, _scaled_row, _set, span_rows
 from .presentations import (
     GeneratorSet,
     Presentation,
@@ -52,6 +61,10 @@ PUNCT = "{}();,=+-*/:"
 # '*' may continue an identifier but cannot start one, so dual names
 # round-trip while a free-standing '*' still reads as multiplication
 _IDENT_STOP = set("{}();,=+-/:") | {"#"}
+
+if TYPE_CHECKING:
+    # (kind, text, line, column), as a Token holds them
+    _Lexeme = tuple[str, str, int, int]
 
 
 class Token(_Record):
@@ -97,9 +110,10 @@ class ParseResult(_Record):
         return all(d.severity != "error" for d in self.diagnostics)
 
 
-def tokenize(text: str) -> tuple[Token, ...]:
-    """Split source text into tokens; never fails, ends with an eof token."""
-    tokens: list[Token] = []
+def _lex(text: str) -> list[_Lexeme]:
+    """Split source text into lexemes; never fails, ends with an eof lexeme."""
+    lexemes: list[_Lexeme] = []
+    append = lexemes.append
     line = 1
     column = 1
     i = 0
@@ -130,40 +144,47 @@ def tokenize(text: str) -> tuple[Token, ...]:
             kind = "ident"
             while j < n and not text[j].isspace() and text[j] not in _IDENT_STOP:
                 j += 1
-        tokens.append(Token(kind, text[i:j], line, column))
+        append((kind, text[i:j], line, column))
         column += j - i
         i = j
-    tokens.append(Token("eof", "", line, column))
-    return tuple(tokens)
+    append(("eof", "", line, column))
+    return lexemes
+
+
+def tokenize(text: str) -> tuple[Token, ...]:
+    """Split source text into tokens; never fails, ends with an eof token."""
+    return tuple(Token(*lexeme) for lexeme in _lex(text))
 
 
 class _Cursor:
-    """Parser position over the tokens, and the diagnostics so far."""
+    """Parser position over the lexemes of a text, and the diagnostics so far."""
 
     __slots__ = ("tokens", "pos", "diagnostics")
 
-    def __init__(self, tokens: tuple[Token, ...]) -> None:
+    def __init__(self, text: str) -> None:
+        tokens = _lex(text)
+        # a second eof, so looking one lexeme past the end needs no bound
+        tokens.append(tokens[-1])
         self.tokens = tokens
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
-    def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> _Lexeme:
+        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> _Lexeme:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def at(self, text: str, kind: str = "punct", ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == kind and tok.text == text
+        tok = self.tokens[self.pos + ahead]
+        return tok[1] == text and tok[0] == kind
 
-    def error(self, message: str, tok: Token | None = None) -> None:
+    def error(self, message: str, tok: _Lexeme | None = None) -> None:
         tok = tok or self.peek()
-        self.diagnostics.append(Diagnostic(tok.line, tok.column, message))
+        self.diagnostics.append(Diagnostic(tok[2], tok[3], message))
 
     def expect(self, text: str) -> bool:
         """Consume the punctuation ``text``, or report that it is missing."""
@@ -174,22 +195,24 @@ class _Cursor:
         return False
 
     def skip(self, through: str | None, stop: str) -> None:
-        """Recover from an error: skip tokens up to and including the
+        """Recover from an error: skip lexemes up to and including the
         punctuation ``through``, stopping before the end of input or a
-        token whose text is ``stop``.
+        lexeme whose text is ``stop``.
 
         Texts alone tell the kinds apart here: '}' and ';' can only be
         punctuation, and 'operad' only an identifier.
         """
-        while self.peek().kind != "eof" and self.peek().text != stop:
-            if self.advance().text == through:
+        while self.peek()[0] != "eof" and self.peek()[1] != stop:
+            if self.advance()[1] == through:
                 return
 
 
 def _relation(
     cur: _Cursor, names: tuple[str, ...], alias_map: dict[str, str] | None = None
-) -> RelVector | None:
-    """Parse one relation into a vector over the operations ``names``.
+) -> dict[int, int | Fraction] | None:
+    """Parse one relation into its coordinates over the operations
+    ``names``, left side minus right side, by coordinate; a coefficient
+    may have cancelled to zero.
 
     An alias counts only when its target is declared, and a declared
     name wins over an alias of the same spelling.
@@ -199,38 +222,45 @@ def _relation(
         aliases = {alias: index[t] for alias, t in alias_map.items() if t in index}
         index = {**aliases, **index}
     k = len(names)
-    left = _lincomb(cur, index, k)
-    if left is None or not cur.expect("="):
-        return None
-    right = _lincomb(cur, index, k)
-    if right is None:
-        return None
-    coords: list[int | Fraction] = [0] * (2 * k * k)
-    for coeff, slot in left:
-        coords[slot] += coeff
-    for coeff, slot in right:
-        coords[slot] -= coeff
-    return RelVector(tuple(coords))
+    coords: dict[int, int | Fraction] = {}
+    if (
+        _lincomb(cur, index, k, coords, False)
+        and cur.expect("=")
+        and _lincomb(cur, index, k, coords, True)
+    ):
+        return coords
+    return None
 
 
 def _lincomb(
-    cur: _Cursor, index: dict[str, int], k: int
-) -> list[tuple[int | Fraction, int]] | None:
+    cur: _Cursor,
+    index: dict[str, int],
+    k: int,
+    coords: dict[int, int | Fraction],
+    negate: bool,
+) -> bool:
+    """Add one side's terms to ``coords``, each negated when ``negate``;
+    False when the side does not parse."""
     if cur.at("0", "int") and not (cur.at("*", ahead=1) or cur.at("/", ahead=1)):
         cur.advance()
-        return []
+        return True
     # the sign before each term: an optional leading '-', then '+' or '-'
-    sign = cur.advance().text if cur.at("-") else "+"
-    terms: list[tuple[int | Fraction, int]] = []
+    minus = cur.at("-")
+    if minus:
+        cur.advance()
     while True:
         term = _term(cur, index, k)
         if term is None:
-            return None
+            return False
         coeff, slot = term
-        terms.append((-coeff if sign == "-" else coeff, slot))
-        if not (cur.at("+") or cur.at("-")):
-            return terms
-        sign = cur.advance().text
+        coords[slot] = coords.get(slot, 0) + (-coeff if minus != negate else coeff)
+        if cur.at("+"):
+            minus = False
+        elif cur.at("-"):
+            minus = True
+        else:
+            return True
+        cur.advance()
 
 
 def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[int | Fraction, int] | None:
@@ -238,12 +268,12 @@ def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[int | Fraction, 
     negated = cur.at("-")
     if negated:
         cur.advance()
-    if cur.peek().kind == "int":
+    if cur.peek()[0] == "int":
         num = _number(cur)
         denom = 1
         if num is not None and cur.at("/"):
             cur.advance()
-            if cur.peek().kind != "int":
+            if cur.peek()[0] != "int":
                 cur.error("expected a denominator")
                 return None
             denom = _number(cur)
@@ -267,7 +297,7 @@ def _term(cur: _Cursor, index: dict[str, int], k: int) -> tuple[int | Fraction, 
 def _number(cur: _Cursor) -> int | None:
     tok = cur.advance()
     try:
-        return int(tok.text)
+        return int(tok[1])
     except ValueError:
         # over Python's limit on converting a decimal string to an int
         cur.error("number has too many digits", tok)
@@ -278,7 +308,7 @@ def _monomial(cur: _Cursor, index: dict[str, int], k: int) -> int | None:
     left = cur.at("(")
     if left:
         cur.advance()
-    elif cur.peek().kind != "ident":
+    elif cur.peek()[0] != "ident":
         cur.error("expected a monomial")
         return None
     # what follows the opening of "(x a y) b z" or "x a (y b z)":
@@ -302,13 +332,13 @@ def _monomial(cur: _Cursor, index: dict[str, int], k: int) -> int | None:
 
 def _operation(cur: _Cursor, index: dict[str, int]) -> int | None:
     tok = cur.peek()
-    if tok.kind != "ident":
+    if tok[0] != "ident":
         cur.error("expected an operation name")
         return None
     cur.advance()
-    if tok.text in index:
-        return index[tok.text]
-    cur.error(f"undeclared operation {tok.text}", tok)
+    if tok[1] in index:
+        return index[tok[1]]
+    cur.error(f"undeclared operation {tok[1]}", tok)
     return None
 
 
@@ -316,12 +346,12 @@ def _parse_operad(cur: _Cursor, result: dict[str, Presentation]) -> None:
     cur.advance()
     name_tok = cur.peek()
     names = None
-    if name_tok.kind != "ident":
+    if name_tok[0] != "ident":
         cur.error("expected an operad name")
     else:
         cur.advance()
-        if name_tok.text in result:
-            cur.error(f"duplicate operad name {name_tok.text}", name_tok)
+        if name_tok[1] in result:
+            cur.error(f"duplicate operad name {name_tok[1]}", name_tok)
         if cur.expect("{"):
             if cur.at("ops", "ident") and cur.at(":", ahead=1):
                 cur.advance()
@@ -333,33 +363,30 @@ def _parse_operad(cur: _Cursor, result: dict[str, Presentation]) -> None:
         cur.skip("}", "operad")
         return
     cur.expect(";")
-    k = len(names)
-    vectors: list[RelVector] = []
+    rows = []
     while True:
         if cur.at("rel", "ident"):
             cur.advance()
             if cur.expect(":"):
-                vector = _relation(cur, names)
-                if vector is not None and cur.expect(";"):
-                    vectors.append(vector)
+                coords = _relation(cur, names)
+                if coords is not None and cur.expect(";"):
+                    rows.append(_scaled_row([(c, x) for c, x in coords.items() if x]))
                     continue
             cur.skip(";", "}")
             continue
         if cur.at("}"):
             cur.advance()
             break
-        if cur.peek().kind == "eof":
+        if cur.peek()[0] == "eof":
             cur.error("unexpected end of input inside an operad block")
             break
         cur.error("expected 'rel:' or '}'")
         cur.skip(";", "}")
-        if cur.peek().kind == "eof":
+        if cur.peek()[0] == "eof":
             break
-    if name_tok.text not in result:
-        result[name_tok.text] = Presentation(
-            GeneratorSet(names),
-            span([v.coordinates for v in vectors], 2 * k * k),
-        )
+    if name_tok[1] not in result:
+        k = len(names)
+        result[name_tok[1]] = Presentation(GeneratorSet(names), span_rows(rows, 2 * k * k))
 
 
 def _ident_list(cur: _Cursor) -> tuple[str, ...] | None:
@@ -367,17 +394,17 @@ def _ident_list(cur: _Cursor) -> tuple[str, ...] | None:
     names: list[str] = []
     while True:
         tok = cur.peek()
-        if tok.kind != "ident":
+        if tok[0] != "ident":
             cur.error("expected an operation name")
             return None
         cur.advance()
-        if tok.text == "operad":
+        if tok[1] == "operad":
             # the printer refuses it too: "operad" opens a block
             cur.error("'operad' cannot name an operation", tok)
-        elif tok.text in names:
-            cur.error(f"duplicate operation name {tok.text}", tok)
+        elif tok[1] in names:
+            cur.error(f"duplicate operation name {tok[1]}", tok)
         else:
-            names.append(tok.text)
+            names.append(tok[1])
         if not cur.at(","):
             return tuple(names) or None
         cur.advance()
@@ -391,9 +418,9 @@ def parse(text: str) -> ParseResult:
     block boundary. A presentation is produced for every block whose
     header parsed, spanning exactly the relations that parsed cleanly.
     """
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     result: dict[str, Presentation] = {}
-    while cur.peek().kind != "eof":
+    while cur.peek()[0] != "eof":
         if cur.at("operad", "ident"):
             _parse_operad(cur, result)
         else:
@@ -415,7 +442,7 @@ def parse_relation(
     repeated operation list gives no vector and a diagnostic at the
     first token.
     """
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     if not names:
         cur.error("no operations to parse the relation against")
         return None, tuple(cur.diagnostics)
@@ -423,11 +450,16 @@ def parse_relation(
         repeated = next(name for i, name in enumerate(names) if name in names[:i])
         cur.error(f"duplicate operation name {repeated}")
         return None, tuple(cur.diagnostics)
-    vector = _relation(cur, names, alias_map)
-    if vector is not None and cur.peek().kind != "eof":
+    coords = _relation(cur, names, alias_map)
+    if coords is None:
+        return None, tuple(cur.diagnostics)
+    if cur.peek()[0] != "eof":
         cur.error("unexpected trailing input after the relation")
-        vector = None
-    return vector, tuple(cur.diagnostics)
+        return None, tuple(cur.diagnostics)
+    dense: list[int | Fraction] = [0] * (2 * len(names) ** 2)
+    for c, x in coords.items():
+        dense[c] = x
+    return RelVector(tuple(dense)), tuple(cur.diagnostics)
 
 
 def _coefficient_prefix(coeff: int | Fraction) -> str:
@@ -451,37 +483,63 @@ def _side_text(terms: list[tuple[int | Fraction, str]]) -> str:
     return "".join(pieces)
 
 
+def _format(entries: Iterable[tuple[int, int | Fraction]], names: tuple[str, ...]) -> str:
+    """Render a relation from its nonzero ``(coordinate, value)`` pairs, by
+    increasing coordinate, over the operations ``names``."""
+    k = len(names)
+    kk = k * k
+    lhs: list[tuple[int | Fraction, str]] = []
+    rhs: list[tuple[int | Fraction, str]] = []
+    for c, x in entries:
+        if c < kk:
+            i, j = divmod(c, k)
+            lhs.append((x, f"(x {names[i]} y) {names[j]} z"))
+        else:
+            i, j = divmod(c - kk, k)
+            rhs.append((-x, f"x {names[i]} (y {names[j]} z)"))
+    if not lhs and rhs and rhs[0][0] < 0:
+        rhs = [(-c, mono) for c, mono in rhs]
+    return f"{_side_text(lhs)} = {_side_text(rhs)}"
+
+
 def format_relation(vector: RelVector, names: tuple[str, ...]) -> str:
     """Render one relation vector in the source grammar.
 
     The stored vector is "left side minus right side", so right-block
     coordinates flip sign on the way out. A vector supported only on
     the right block is negated first so the leading term prints
-    positively; the spanned subspace is unchanged.
+    positively; the spanned subspace is unchanged. ``names`` must name
+    exactly the vector's operations, or DimensionError is raised.
     """
-    k = len(names)
-    coords = vector.coordinates
-    lhs: list[tuple[int | Fraction, str]] = []
-    rhs: list[tuple[int | Fraction, str]] = []
-    for i in range(k):
-        for j in range(k):
-            left, right = coords[left_index(k, i, j)], coords[right_index(k, i, j)]
-            if left:
-                lhs.append((left, f"(x {names[i]} y) {names[j]} z"))
-            if right:
-                rhs.append((-right, f"x {names[i]} (y {names[j]} z)"))
-    if not lhs and rhs and rhs[0][0] < 0:
-        rhs = [(-c, mono) for c, mono in rhs]
-    return f"{_side_text(lhs)} = {_side_text(rhs)}"
+    if len(names) != vector.num_ops:
+        raise DimensionError("operation names do not match the relation vector")
+    return _format(((c, x) for c, x in enumerate(vector.coordinates) if x), names)
 
 
 def _is_valid_name(name: str) -> bool:
-    tokens = tokenize(name)
-    return (
-        len(tokens) == 2
-        and tokens[0].kind == "ident"
-        and tokens[0].text == name
-    )
+    lexemes = _lex(name)
+    return len(lexemes) == 2 and lexemes[0][0] == "ident" and lexemes[0][1] == name
+
+
+def _presentation_text(p: Presentation, name: str) -> tuple[str, list[str]]:
+    """The text of ``print_presentation`` and the relations on its rel: lines."""
+    if not _is_valid_name(name):
+        raise ValueError(f"not a valid operad name: {name!r}")
+    names = p.generators.names
+    for op in names:
+        if not _is_valid_name(op) or op == "operad":
+            raise ValueError(f"operation name does not survive printing: {op!r}")
+    relations = []
+    for row in p.relations.rows:
+        lead = row[0][1]
+        if lead != 1:
+            # each entry divided by the lead, as Subspace.rational_rows does
+            row = [(c, Fraction(x, lead) if x % lead else x // lead) for c, x in row]
+        relations.append(_format(row, names))
+    lines = [f"operad {name} {{", f"  ops: {', '.join(names)};"]
+    lines.extend(f"  rel: {relation};" for relation in relations)
+    lines.append("}")
+    return "\n".join(lines) + "\n", relations
 
 
 def print_presentation(p: Presentation, name: str = "P") -> str:
@@ -492,14 +550,4 @@ def print_presentation(p: Presentation, name: str = "P") -> str:
     presentation with the identical subspace and printing is a fixed
     point after one round.
     """
-    if not _is_valid_name(name):
-        raise ValueError(f"not a valid operad name: {name!r}")
-    for op in p.generators.names:
-        if not _is_valid_name(op) or op == "operad":
-            raise ValueError(f"operation name does not survive printing: {op!r}")
-    lines = [f"operad {name} {{"]
-    lines.append(f"  ops: {', '.join(p.generators.names)};")
-    for row in p.relation_rows():
-        lines.append(f"  rel: {format_relation(row, p.generators.names)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _presentation_text(p, name)[0]

@@ -215,6 +215,14 @@ def sparse_row(values: Iterable[Fraction | int]) -> SparseRow:
     Fraction.
     """
     nonzero = [(i, x if type(x) is int else _exact(x)) for i, x in enumerate(values) if x]
+    return _scaled_row(nonzero)
+
+
+def _scaled_row(nonzero: list[tuple[int, Fraction | int]]) -> SparseRow:
+    """Integer row proportional to nonzero rational ``(column, value)``
+    pairs: each value times the least common denominator of them all. A
+    value is an ``int`` or a ``Fraction``; the columns may come in any
+    order."""
     den = 1
     for _, x in nonzero:
         d = x.denominator

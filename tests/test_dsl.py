@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadops.catalog import ASCII_ALIASES, BUILTIN_NAMES, builtin, catalog
@@ -19,7 +19,7 @@ from quadops.dsl import (
     print_presentation,
     tokenize,
 )
-from quadops.linalg import span
+from quadops.linalg import DimensionError, span
 from quadops.presentations import (
     GeneratorSet,
     Presentation,
@@ -106,6 +106,23 @@ class TestTokenizer:
             ("cd", 1, 4),
             ("ef", 2, 3),
         ]
+
+    # positions the reader corpus never produces: a comment does not move
+    # the column, and every whitespace character but "\n" moves it by one
+    @pytest.mark.parametrize(
+        "text, lexemes",
+        [
+            ("a # tail", [("ident", "a", 1, 1), ("eof", "", 1, 3)]),
+            ("a\r\nb", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 2, 2)]),
+            (
+                "a\xa0b\u2003c",
+                [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("ident", "c", 1, 5), ("eof", "", 1, 6)],
+            ),
+            ("a\x0bb", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+        ],
+    )
+    def test_positions_outside_the_corpus(self, text, lexemes):
+        assert [(t.kind, t.text, t.line, t.column) for t in tokenize(text)] == lexemes
 
 
 class TestParseHappyPath:
@@ -394,6 +411,19 @@ class TestPrinter:
             line = format_relation(RelVector((Fraction(0), c)), ("a",))
             assert line == "0 = x a (y a z)"
 
+    @pytest.mark.parametrize(
+        "coords, names",
+        [
+            # fewer names than operations once printed "0 = 0"
+            ((0, 0, 0, 1, 0, 0, 0, -1), ("a",)),
+            # more names than operations once raised a bare IndexError
+            ((1, -1), ("a", "b")),
+        ],
+    )
+    def test_names_must_match_the_vector(self, coords, names):
+        with pytest.raises(DimensionError):
+            format_relation(RelVector(coords), names)
+
     def test_invalid_operad_name_rejected(self):
         with pytest.raises(ValueError):
             print_presentation(builtin("As"), "two words")
@@ -488,6 +518,93 @@ class TestIntegerCoordinates:
         assert vector.coordinates in (coords, tuple(-x for x in coords))
         assert [type(x) for x in vector.coordinates] == [type(x) for x in coords]
         assert format_relation(vector, names) == text
+
+
+_NAMES = ("a", "b", "c")
+
+
+def _side_text(terms) -> str:
+    if not terms:
+        return "0"
+    pieces = []
+    for n, (sign, num, den, left, i, j) in enumerate(terms):
+        coeff = "" if num == den == 1 else f"{num} * " if den == 1 else f"{num}/{den} * "
+        mono = f"(x {i} y) {j} z" if left else f"x {i} (y {j} z)"
+        if n:
+            pieces.append(f" {sign} {coeff}{mono}")
+        else:
+            pieces.append(f"{'-' if sign == '-' else ''}{coeff}{mono}")
+    return "".join(pieces)
+
+
+@st.composite
+def relation_texts(draw, k):
+    """A relation over the first ``k`` of _NAMES with p/q coefficients
+    (unreduced ones too), maybe a term that cancels, maybe right-shaped
+    monomials alone."""
+    names = _NAMES[:k]
+    term = st.tuples(
+        st.sampled_from("+-"),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.booleans() if draw(st.booleans()) else st.just(False),
+        st.sampled_from(names),
+        st.sampled_from(names),
+    )
+    lhs = draw(st.lists(term, max_size=3))
+    rhs = draw(st.lists(term, max_size=3))
+    cancel = draw(st.sampled_from((None, "same side", "across")))
+    if cancel:
+        t = draw(term)
+        if cancel == "same side":
+            lhs += [t, ("-" if t[0] == "+" else "+",) + t[1:]]
+        else:
+            lhs.append(t)
+            rhs.append(t)
+    return f"{_side_text(lhs)} = {_side_text(rhs)}"
+
+
+class TestSparseAgainstDense:
+    """The reader and printer work on sparse rows; the dense vectors of
+    parse_relation, linalg.span and format_relation are the reference."""
+
+    @given(k=st.integers(min_value=1, max_value=3), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reader_spans_what_the_dense_reference_spans(self, k, data):
+        names = _NAMES[:k]
+        relations = data.draw(st.lists(relation_texts(k), max_size=4))
+        text = f"operad R {{ ops: {', '.join(names)};"
+        text += "".join(f" rel: {r};" for r in relations) + " }"
+        result = parse(text)
+        assert result.ok
+        vectors = []
+        for relation in relations:
+            vector, diags = parse_relation(relation, names)
+            assert diags == ()
+            vectors.append(vector.coordinates)
+        assert result.presentations["R"].relations == span(vectors, 2 * k * k)
+
+    @given(
+        k=st.integers(min_value=1, max_value=3),
+        rows=st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=18, max_size=18),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_printer_writes_what_format_relation_writes(self, k, rows):
+        names = _NAMES[:k]
+        ambient = 2 * k * k
+        p = Presentation(GeneratorSet(names), span([row[:ambient] for row in rows], ambient))
+        # only spaces with a canonical entry that its row's lead does not divide
+        assume(any(x % row[0][1] for row in p.relations.rows for _, x in row))
+        lines = [
+            line[len("  rel: "):-1]
+            for line in print_presentation(p, "R").splitlines()
+            if line.startswith("  rel: ")
+        ]
+        assert lines == [format_relation(r, names) for r in p.relation_rows()]
 
 
 # A seeded corpus of near-valid and broken source texts and relations. Its
