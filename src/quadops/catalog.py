@@ -27,13 +27,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .linalg import Matrix, _Record, _set, span
+from .linalg import DimensionError, Matrix, _Record, _set, span
 from .presentations import (
     GeneratorMap,
     GeneratorSet,
     Presentation,
     RelVector,
-    _claims,
+    quotient,
     relation_vector,
 )
 
@@ -203,18 +203,15 @@ def spanning_relations(name: str) -> tuple[RelVector, ...]:
 def builtin(name: str) -> Presentation:
     """Look up a built-in presentation by name; raises KeyError if unknown.
 
-    Every built-in is the span of its literal relation list. Xplus and
-    Xminus also claim their origin, DendSquareDias and the sixteenth
-    relation, so that their ideals grow from the square's. The claim is
-    checked against the span only when an ideal first uses it
-    (``presentations._ideal_origin``), so building the catalog computes
-    nothing more.
+    Every built-in is the span of its literal relation list. For Xplus
+    and Xminus the catalog also asks ``quotient`` for DendSquareDias with
+    the last relation of the list, which records the origin their duals
+    and ideals are cut and grown from (``presentations._origins``).
     """
     relations = spanning_relations(name)
-    p = _presentation(_BUILTINS[name][0], relations)
     if name in _SIXTEEN_RELATION_NAMES:
-        _claims[p.relations] = (builtin("DendSquareDias").relations, relations[-1:])
-    return p
+        quotient(builtin("DendSquareDias"), relations[-1:])
+    return _presentation(_BUILTINS[name][0], relations)
 
 
 # Generator maps witnessing the arrows between the built-ins. Row i of the
@@ -271,8 +268,14 @@ class BuiltinCatalog(_Record):
         return self.maps[(source, target)]
 
     def with_presentation(self, name: str, p: Presentation) -> BuiltinCatalog:
-        if name not in self.presentations:
-            raise KeyError(name)
+        """Copy of the catalog with p in place of a built-in; KeyError if
+        unknown, DimensionError unless p keeps the built-in's operations."""
+        expected = self.presentations[name].generators
+        if p.generators != expected:
+            raise DimensionError(
+                f"{name} must keep its operations {expected.names}, "
+                f"got {p.generators.names}"
+            )
         updated = dict(self.presentations)
         updated[name] = p
         return BuiltinCatalog(updated, self.spanning, self.maps)

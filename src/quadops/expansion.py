@@ -47,8 +47,8 @@ that weight peaks at about 42 MB, the 205,920 of Dias at weight 8 at about
 
 A quotient's ideal grows from its base's. The ideal of a sum of relation
 spaces is the sum of their ideals (Loday and Vallette, *Algebraic
-Operads*, ch. 5 and 7), so for a space that ``presentations`` records as
-B + <x_1, ..., x_m> (``_ideal_origin``), the weight-n ideal is B's plus
+Operads*, ch. 5 and 7), so for a space that ``presentations._origins``
+records as B + <x_1, ..., x_m>, the weight-n ideal is B's plus
 the x_i placed at every labelled rotation. ``_ideal_echelon`` starts from
 a copy of B's echelon and inserts only the generators of the x_i, sorted
 as above; a space with no origin is the zero space extended by all its
@@ -131,7 +131,7 @@ from .linalg import (
     insert_rows,
     reduce_row,
 )
-from .presentations import Presentation, _ideal_origin
+from .presentations import Presentation, _origins
 
 __all__ = [
     "TreeMonomial",
@@ -313,9 +313,9 @@ def weight_work(p: Presentation, n: int) -> tuple[int, int]:
 def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     """Echelon of the weight-n ideal of a relation space in 2k^2 columns.
 
-    A space with an origin B + <x_1, ..., x_m> (``_ideal_origin``) starts
-    from a copy of B's echelon, memoized in ``_base_echelon``, and adds
-    the generators of x_1, ..., x_m alone; any other space starts from
+    A space recorded as B + <x_1, ..., x_m> (``presentations._origins``)
+    starts from a copy of B's echelon, memoized in ``_base_echelon``, and
+    adds the generators of x_1, ..., x_m alone; any other space starts from
     the empty echelon and adds the generators of all its rows. The
     generators are reduced in the order the module docstring gives; the
     lead columns, and the RREF ``back_substitute`` makes of the echelon,
@@ -325,7 +325,7 @@ def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     if n < 3:
         raise ValueError("the relation ideal starts at weight 3")
     k = isqrt(relations.ambient_dim // 2)
-    origin = _ideal_origin(relations)
+    origin = _origins.get(relations)
     if origin is None:
         echelon: Echelon = {}
         relation_rows = relations.rows

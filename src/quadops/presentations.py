@@ -41,26 +41,30 @@ kernel computations and no check holds by construction.
 
 Besides the memos, one record (``_origins``) keeps how each space that
 ``quotient`` grew was made: base B and the extra rows x_1, ..., x_m that
-made it larger. It serves duals and ideals alike:
+made it larger. ``quotient`` is its only writer; ``catalog.builtin``
+records Xplus and Xminus by asking ``quotient`` for DendSquareDias with
+their sixteenth relation, while the catalog keeps the span of each
+literal list, so the battery still compares two spaces built apart.
+The record is keyed by the span ``quotient`` computes, so a literal list
+that is not the square and its last relation gets no record and needs
+no check. Two readers look the space up in the record, and any space
+without a record takes the direct computation:
 
-* since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, a dual missing from its memo is the
-  dual of B cut by each x_i (``linalg._cut_under_form``) instead of a new
+* since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, ``_dual_relations`` cuts the dual of B
+  by each x_i (``linalg._cut_under_form``) instead of a new
   elimination; every other space takes ``complement_under_form``;
 * since the ideal of a sum of relation spaces is the sum of their
-  ideals, ``expansion`` grows the weight-n ideal of B + <x> from the
-  echelon of B's, inserting only the x_i placed at every rotation
-  (``_ideal_origin``).
+  ideals, ``expansion._ideal_echelon`` grows the weight-n ideal of
+  B + <x> from the echelon of B's, inserting only the x_i placed at
+  every rotation.
 
 The record holds at most 128 spaces, the least recently used dropped
 first: every ``quotient`` call that grows a space moves its record to
 the newest place, so a quotient asked often keeps its record as long
 as its memo entry. Each entry refers to two spaces and the rows, like a
-memo entry. A space built another way has an origin only by a claim
-(``_claims``, made by ``catalog.builtin`` for Xplus and Xminus), which
-is checked against the span it claims, and recorded, when an
-elimination first asks; a claim never serves a dual unchecked, and the
-spaces stay span-built, so no check of the battery holds by
-construction.
+memo entry. A record pushed out, or cleared, costs time and nothing
+else: the space is then complemented and eliminated directly, to the
+same canonical result.
 
 An entry holds its key's spaces besides its value. A built-in's space
 takes about 5 KB, and a moved space is as large as the one it moves. A
@@ -313,30 +317,6 @@ def pairing_value(v: RelVector, w: RelVector) -> int | Fraction:
 _ORIGIN_BOUND = 128
 _origins: OrderedDict[Subspace, tuple[Subspace, tuple[IntRow, ...]]] = OrderedDict()
 
-# Origins claimed for spaces built another way: base and extra relations,
-# keyed by the space. ``catalog.builtin`` claims Xplus and Xminus as
-# DendSquareDias with their sixteenth relation; ``_ideal_origin`` checks a
-# claim, and records it, only when an elimination first asks.
-_claims: dict[Subspace, tuple[Subspace, tuple[RelVector, ...]]] = {}
-
-
-def _ideal_origin(relations: Subspace) -> tuple[Subspace, tuple[IntRow, ...]] | None:
-    """How a relation space was made, for its ideal's elimination.
-
-    A recorded origin is returned as it is. A claimed one is checked
-    first: the claim holds when base and extra relations span exactly
-    ``relations``, and is then recorded like a quotient's; a claim that
-    fails is dropped. Otherwise None.
-    """
-    origin = _origins.get(relations)
-    if origin is None and relations in _claims:
-        base, extra = _claims[relations]
-        if _grow(base, _extra_rows(extra, base.ambient_dim)) == relations:
-            origin = _origins[relations]
-        else:
-            del _claims[relations]
-    return origin
-
 
 # Bounded LRU keyed by the canonical relation rows alone, never names.
 @lru_cache(maxsize=128)
@@ -435,10 +415,17 @@ def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
     rows = _extra_rows(extra, p.ambient_dim)
     relations = p.relations
     if rows:
-        grown = _grow(relations, rows)
-        # equal dimension means nothing was added: keep p's own object,
-        # not the equal one an earlier call may have stored in the memo
-        if grown.dimension > relations.dimension:
+        grown, kept = _quotient_relations(relations, rows)
+        # no kept row means nothing was added: keep p's own object, not
+        # the equal one an earlier call may have stored in the memo
+        if kept:
+            # one lookup when the record is there, as it mostly is
+            try:
+                _origins.move_to_end(grown)
+            except KeyError:
+                _origins[grown] = (relations, kept)
+                if len(_origins) > _ORIGIN_BOUND:
+                    _origins.popitem(last=False)
             relations = grown
     return Presentation(p.generators, relations)
 
@@ -456,21 +443,6 @@ def _extra_rows(extra: Iterable[RelVector], ambient_dim: int) -> tuple[IntRow, .
             _normalize(row, next(iter(row)))
             rows.append(tuple(row.items()))
     return tuple(rows)
-
-
-def _grow(relations: Subspace, rows: tuple[IntRow, ...]) -> Subspace:
-    """The span of a relation space and extra rows; when it is larger, its
-    record is made, or moved, to be the newest entry of ``_origins``."""
-    grown, kept = _quotient_relations(relations, rows)
-    if kept:
-        # one lookup when the record is there, as it mostly is
-        try:
-            _origins.move_to_end(grown)
-        except KeyError:
-            _origins[grown] = (relations, kept)
-            if len(_origins) > _ORIGIN_BOUND:
-                _origins.popitem(last=False)
-    return grown
 
 
 # Bounded LRU keyed by the canonical relation space and the extra rows.

@@ -12,19 +12,18 @@ test, so a damaged catalog cannot satisfy the checks by construction.
 The primitives the checks call (duals, quotients, squares, relabelings,
 morphism tests, iso searches, ranks) memoize their results keyed by
 value: by canonical relation spaces and integer coefficients, never by
-names. The record of how a quotient was made serves duals and ideals.
-The dual of a quotient is cut from the dual of the space it extends, so
-the sixteenth-relation scan eliminates only the square's complement and
-cuts the dual of every point from it. Xplus and Xminus, checked to be
-the square with one relation more, grow their ideals from the square's:
-from weight 4 on, a battery eliminates the square's ideal once per
-weight and, for each of the two, only the sixteenth relation's
-generators. They stay the spans of their literal lists, so the
-quotient-construction checks still compare two spaces built apart. A
-damaged presentation has another relation space, so it misses every
-memo and is checked afresh, while the unchanged built-ins of a damaged
-catalog are answered from the memos. The two pairing spot checks read
-no catalog at all and are built once per process.
+names. The record ``quotient`` keeps of how it grew a space serves duals
+and ideals alike, and the catalog makes Xplus's and Xminus's through
+``quotient`` too. So the sixteenth-relation scan eliminates only the
+square's complement and cuts the dual of every point from it, and from
+weight 4 on a battery eliminates the square's ideal once per weight and,
+for Xplus and Xminus, only the sixteenth relation's generators. They
+stay the spans of their literal lists, so the quotient-construction
+checks still compare two spaces built apart. A damaged presentation has
+another relation space, so it misses every memo and is checked afresh,
+while the unchanged built-ins of a damaged catalog are answered from
+the memos. The two pairing spot checks read no catalog at all and are
+built once per process.
 """
 
 from __future__ import annotations

@@ -24,7 +24,10 @@ from quadops.catalog import (
     spanning_relations,
     tableau_vectors,
 )
+from quadops.linalg import DimensionError
 from quadops.presentations import (
+    GeneratorSet,
+    Presentation,
     SignedRelabeling,
     apply_relabeling,
     dual,
@@ -209,6 +212,16 @@ class TestMapsAndCatalog:
         assert changed.presentation("As") == builtin("As")
         with pytest.raises(KeyError):
             cat.with_presentation("Nope", builtin("As"))
+
+    def test_catalog_with_presentation_keeps_the_operations(self):
+        cat = catalog()
+        renamed = Presentation(GeneratorSet(("a", "b")), builtin("Dend").relations)
+        for p in (builtin("As"), renamed):
+            with pytest.raises(DimensionError, match=r"Dend must keep its operations \('∧', '∨'\)"):
+                cat.with_presentation("Dend", p)
+        # the twins share their operations, so swapping them is allowed
+        swapped = cat.with_presentation("Xplus", builtin("Xminus"))
+        assert swapped.presentation("Xplus") == builtin("Xminus")
 
     def test_catalog_without_relation_drops_dimension(self):
         cat = catalog().without_relation("Dend", 0)

@@ -365,6 +365,32 @@ class TestPresentationCommands:
         p = result.presentations["DendSquareDias_quotient"]
         assert p.relations == builtin("Xplus").relations
 
+    # sha256 of a quotient whose canonical rows do not all lead with 1:
+    # three of them print a 3/2 coefficient after the division by the
+    # lead, which no built-in or dual above prints
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        (
+            ("text", "e46dd2f55e9c4125889c7a28bfd94d510100e98a83963148b1b7b7ff84ea908e"),
+            ("json", "c55a3c10da973da3a2354b35d605d0eeecba2c60aa6c009876aa77db2b02d665"),
+        ),
+        ids=("text", "json"),
+    )
+    def test_quotient_with_fraction_coefficients_frozen(self, capsys, fmt, digest):
+        code, out, _ = run(
+            capsys,
+            "--format",
+            fmt,
+            "quotient",
+            "builtins",
+            "DendSquareDias",
+            "--rel",
+            "(x nw y) ne z = 1/2 * x nw (y ne z) - 3/4 * x sw (y se z)",
+        )
+        assert code == 0
+        assert out.count("3/2") == 3
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_square_json_dimension(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "square", "builtins", "Dend", "Dias"

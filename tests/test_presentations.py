@@ -6,9 +6,12 @@ oracle before being asserted as frozen numbers.
 
 import itertools
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 import sympy
@@ -61,7 +64,6 @@ from quadops.presentations import (
     square,
     _ORIGIN_BOUND,
     _dual_relations,
-    _ideal_origin,
     _is_morphism,
     _origins,
     _pair_projections,
@@ -861,41 +863,88 @@ class TestOriginRecord:
         assert calls == [p.relations]
 
 
-class TestClaimedOrigins:
-    """Xplus and Xminus claim their origin, the square and the sixteenth
-    relation (``catalog.builtin``); ``_ideal_origin`` checks a claim
-    before it records it, and a dual never reads a claim."""
+@pytest.fixture
+def fresh_builtins():
+    """``builtin``'s cache emptied before the test and after it, so the
+    test makes its built-ins and no later test is served one of them."""
+    builtin.cache_clear()
+    yield
+    builtin.cache_clear()
+
+
+# In a fresh process: the dimensions of the spaces that dual(Xplus) and
+# dual(Xminus) complement by elimination, with or without an ideal first.
+DUAL_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import quadops.presentations as presentations
+from quadops.catalog import builtin
+from quadops.expansion import component_dim
+from quadops.linalg import complement_under_form
+dims = []
+def complement(s, form):
+    dims.append(s.dimension)
+    return complement_under_form(s, form)
+presentations.complement_under_form = complement
+if sys.argv[1] == "ideal-first":
+    component_dim(builtin("Xplus"), 4)
+presentations.dual(builtin("Xplus"))
+presentations.dual(builtin("Xminus"))
+print(dims)
+"""
+
+
+class TestCatalogOrigins:
+    """``catalog.builtin`` records Xplus and Xminus through ``quotient``,
+    the only writer of ``_origins``, as DendSquareDias and the last
+    relation of their literal lists."""
 
     @pytest.mark.parametrize("name,sign", (("Xplus", 1), ("Xminus", -1)))
-    def test_builtins_are_checked_then_recorded(self, name, sign):
+    def test_builtins_are_recorded_when_made(self, fresh_builtins, name, sign):
+        clear_relation_memos()
         space = builtin(name).relations
         square_space = builtin("DendSquareDias").relations
-        assert quadops.presentations._claims[space] == (square_space, (sixteenth_vector(sign),))
-        clear_relation_memos()
-        assert space not in _origins
-        row = primitive_row(sixteenth_vector(sign))
-        assert _ideal_origin(space) == (square_space, (row,))
-        assert _quotient_relations.cache_info().misses == 1
-        assert _origins[space] == (square_space, (row,))
-        # recorded now: the next ask does not check again
-        assert _ideal_origin(space) == (square_space, (row,))
-        assert _quotient_relations.cache_info().misses == 1
+        assert _origins[space] == (square_space, (primitive_row(sixteenth_vector(sign)),))
 
-    def test_a_false_claim_is_dropped(self, monkeypatch):
-        xplus = builtin("Xplus").relations
-        square_space = builtin("DendSquareDias").relations
-        # Xminus's relation added to the square spans Xminus, not Xplus
-        claims = {xplus: (square_space, (sixteenth_vector(-1),))}
-        monkeypatch.setattr(quadops.presentations, "_claims", claims)
+    def test_other_builtins_ask_no_quotient(self, fresh_builtins):
         clear_relation_memos()
-        assert _ideal_origin(xplus) is None
-        assert claims == {}
-        assert xplus not in _origins
-
-    def test_a_space_with_neither_has_no_origin(self):
-        clear_relation_memos()
-        assert _ideal_origin(builtin("Dend").relations) is None
+        for name in ("As", "Dend", "Dias", "DendSquareDias"):
+            assert builtin(name).relations not in _origins
         assert _quotient_relations.cache_info().misses == 0
+
+    @pytest.mark.parametrize(
+        "literal",
+        (
+            # the span is Xplus, but the last relation adds nothing to the square
+            lambda: (sixteenth_vector(1),) + tableau_vectors(),
+            # the square plus the last relation is Xplus, but the span is not
+            lambda: tableau_vectors()[1:] + (sixteenth_vector(1),),
+        ),
+        ids=("sixteenth-first", "tableau-row-missing"),
+    )
+    def test_a_wrong_literal_list_gets_no_record(self, fresh_builtins, monkeypatch, literal):
+        real = spanning_relations
+        # the package's ``catalog`` is the function, so take the module
+        monkeypatch.setattr(
+            sys.modules["quadops.catalog"],
+            "spanning_relations",
+            lambda name: literal() if name == "Xplus" else real(name),
+        )
+        clear_relation_memos()
+        assert builtin("Xplus").relations not in _origins
+
+    @pytest.mark.parametrize("order", ("dual-first", "ideal-first"))
+    def test_the_dual_of_a_fresh_builtin_is_cut_from_the_square(self, order):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", DUAL_PROBE.format(src=src), order],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the square's complement once; both duals are cut from it
+        assert proc.stdout == "[15]\n"
 
 
 class TestDerivedDuals:
