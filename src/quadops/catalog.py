@@ -204,14 +204,15 @@ def builtin(name: str) -> Presentation:
     """Look up a built-in presentation by name; raises KeyError if unknown.
 
     Every built-in is the span of its literal relation list. For Xplus
-    and Xminus the catalog also asks ``quotient`` for DendSquareDias with
-    the last relation of the list, which records the origin their duals
-    and ideals are cut and grown from (``presentations._origins``).
+    and Xminus the catalog then asks ``quotient`` for DendSquareDias with
+    the last relation of the list, which records on the interned space
+    the origin its dual and ideals are cut and grown from.
     """
     relations = spanning_relations(name)
+    p = _presentation(_BUILTINS[name][0], relations)
     if name in _SIXTEEN_RELATION_NAMES:
         quotient(builtin("DendSquareDias"), relations[-1:])
-    return _presentation(_BUILTINS[name][0], relations)
+    return p
 
 
 # Generator maps witnessing the arrows between the built-ins. Row i of the

@@ -125,7 +125,8 @@ def _lex(text: str) -> list[_Lexeme]:
             column = 1
             i += 1
             continue
-        if ch.isspace():
+        # a space, by far the most common, is told apart before isspace is asked
+        if ch == " " or ch.isspace():
             column += 1
             i += 1
             continue

@@ -47,32 +47,22 @@ that weight peaks at about 42 MB, the 205,920 of Dias at weight 8 at about
 
 A quotient's ideal grows from its base's. The ideal of a sum of relation
 spaces is the sum of their ideals (Loday and Vallette, *Algebraic
-Operads*, ch. 5 and 7), so for a space that ``presentations._origins``
-records as B + <x_1, ..., x_m>, the weight-n ideal is B's plus
-the x_i placed at every labelled rotation. ``_ideal_echelon`` starts from
-a copy of B's echelon and inserts only the generators of the x_i, sorted
-as above; a space with no origin is the zero space extended by all its
-rows, so both take one code path. The result is exact for the reason
-above: the lead columns and the back-substituted RREF depend on the span
-alone, not on which rows were stored first, so every rank, pivot set and
-basis is the one a direct elimination gives. The copy is shallow, since
-insertion stores new rows and never changes a stored one. B's echelon
-comes from ``_base_echelon``, an LRU of at most 4 entries keyed by the
-canonical space and the weight, so Xplus and Xminus, both DendSquareDias
-and one relation more, share the square's elimination: at weight 6 the
-square takes about 0.24 s once, and each of the two about 0.16 s more,
-against 0.94 s alone. An entry holds up to C(n-1) * k^(n-1) rows: the
-square's at weight 6 holds 41,320 rows with 99,786 nonzeros in 12.6 MB,
-so four four-operation bases at weight 6 hold about 50 MB. At weight 7
-one such echelon would be about 13 times larger, some 160 MB (the CLI
-refuses four operations at weight 7); a two-operation base holds 2.6 MB
-at weight 7 and 18 MB at weight 8. Only the result is independent of the
-order, not the cost: a base whose echelon is heavy, with dense rows and
-large entries, can make the extension slower than a direct elimination.
-For a two-operation space of dim 2 with rational coefficients extended
-by two dense rows, weight 6 took 3.3 s from the memoized base against
-0.26 s direct; the sixteen-relation spaces, with sparse unit relations,
-gain as above.
+Operads*, ch. 5 and 7), so for a space that ``quotient`` grew as
+B + <x_1, ..., x_m> (``Subspace._origin``), ``_ideal_echelon`` starts from
+a shallow copy of B's echelon and inserts only the generators of the x_i,
+sorted as above; a space with no origin is the zero space extended by all
+its rows. The result is exact for the reason above: every rank, pivot set
+and basis depends on the span alone. B's echelon comes from
+``_base_echelon``, an LRU of at most 4 entries keyed by the space and the
+weight, so Xplus and Xminus share the square's elimination: at weight 6
+the square takes about 0.24 s once and each of the two 0.16 s more,
+against 0.94 s alone. An entry holds up to C(n-1) * k^(n-1) rows, 12.6 MB
+for the square at weight 6, so four four-operation bases hold about
+50 MB; one at weight 7 would take some 160 MB (the CLI refuses four
+operations at weight 7), a two-operation base 2.6 MB at weight 7 and
+18 MB at weight 8. Only the result is independent of the order, not the
+cost: from a heavy base, a drawn two-operation space of dim 2 with
+rational coefficients took 3.3 s at weight 6 against 0.26 s direct.
 
 Orderings are fixed so golden tests are byte-stable: trees are ordered by
 descending left-subtree leaf count (recursively), labels are read in
@@ -86,32 +76,18 @@ no quadratic leading term as an edge, which a dynamic program over (leaves,
 root label) counts in microseconds at any weight. Its docstring proves the
 criterion; every other dim is a rank, as are all dims up to weight 4.
 
-Two caches are keyed by the weight alone: ``enumerate_trees`` and
-``_context_layouts`` keep the shapes and the rotation layouts of each
-weight asked for, and the CLI's preflight (``weight_work``) bounds the
-weights asked for. Besides ``_base_echelon``, two memos depend on a
-presentation, each an LRU of at most 128 entries keyed by the canonical
-relation ``Subspace``, so presentations with equal relations share an
-entry whatever their names.
-``_ideal_rank`` keeps the rank of the weight-n ideal, keyed by the space
-and n, and ``component_dim`` asks each (space, weight) pair once.
-``_normal_edges`` keeps, keyed by the space alone, the leading edges of a
-quadratic Gröbner basis, at most 2k^2 ints, or None when none of the
-2*k! orders it tries has one. An entry of either holds one relation space
-besides: a built-in's space takes about 5 KB and a dense one on four
-operations with small coefficients under 30 KB, so a full memo of spaces
-on at most four operations stays under 4 MB. The search's worst case is a
-space without such a basis: it reduces the dim R relation rows once per
-order and counts weight 4 each time, about 1 ms for the 48 orders on four
-operations. The orders grow as k!, so ``component_dim`` searches only at
-a weight whose C(2n-3, n) * k^(n-3) * dim R generator rows are at least
-the 2 * k! * dim R rows the search reduces: from weight 5 for k <= 5,
-from weight 6 for k = 6 and 7, and from weight 8 for k = 10. A failed
-search thus reduces at most as many rows, each in 2k^2 columns, as the
-elimination after it.
-Monomials and ideal bases are not kept, and no echelon is but the base
-echelons of ``_base_echelon``: ``weight_component`` and ``ideal_span``
-rebuild the rest on each call and free them with it.
+Two caches are keyed by the weight alone, ``enumerate_trees`` and
+``_context_layouts``; the CLI's preflight (``weight_work``) bounds the
+weights. Two facts are kept on the interned relation space and collected
+with it: ``_ideal_rank`` the rank of each weight's ideal, and
+``_normal_edges`` the leading edges of a quadratic Gröbner basis, or None
+when none of the 2*k! orders it tries has one. A failed search reduces
+the relation rows once per order and counts weight 4 each time, about
+1 ms for the 48 orders on four operations. The orders grow as k!, so
+``component_dim`` searches only at a weight whose C(2n-3, n) * k^(n-3) *
+dim R generator rows are at least the 2 * k! * dim R rows the search
+reduces: from weight 5 for k <= 5, 6 for k = 6 and 7, 8 for k = 10.
+No monomial, ideal basis or echelon is kept but those of ``_base_echelon``.
 """
 
 from __future__ import annotations
@@ -131,7 +107,7 @@ from .linalg import (
     insert_rows,
     reduce_row,
 )
-from .presentations import Presentation, _origins
+from .presentations import Presentation
 
 __all__ = [
     "TreeMonomial",
@@ -313,7 +289,7 @@ def weight_work(p: Presentation, n: int) -> tuple[int, int]:
 def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     """Echelon of the weight-n ideal of a relation space in 2k^2 columns.
 
-    A space recorded as B + <x_1, ..., x_m> (``presentations._origins``)
+    A space that ``quotient`` grew as B + <x_1, ..., x_m> (its origin)
     starts from a copy of B's echelon, memoized in ``_base_echelon``, and
     adds the generators of x_1, ..., x_m alone; any other space starts from
     the empty echelon and adds the generators of all its rows. The
@@ -325,13 +301,8 @@ def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     if n < 3:
         raise ValueError("the relation ideal starts at weight 3")
     k = isqrt(relations.ambient_dim // 2)
-    origin = _origins.get(relations)
-    if origin is None:
-        echelon: Echelon = {}
-        relation_rows = relations.rows
-    else:
-        base, relation_rows = origin
-        echelon = dict(_base_echelon(base, n))
+    base, relation_rows = getattr(relations, "_origin", None) or (None, relations.rows)
+    echelon: Echelon = {} if base is None else dict(_base_echelon(base, n))
     rows = list(_ideal_generators(k, relation_rows, n))
     # pop() takes the highest lead column first; among equal leads the
     # fewest nonzeros first, then the order of generation. Popping frees
@@ -349,10 +320,9 @@ def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
 _base_echelon = lru_cache(maxsize=4)(_ideal_echelon)
 
 
-# Bounded LRU keyed by the canonical relation rows and weight, never names.
-@lru_cache(maxsize=128)
 def _ideal_rank(relations: Subspace, n: int) -> int:
-    """Rank of the weight-n ideal generated by a relation space.
+    """Rank of the weight-n ideal generated by a relation space, kept on
+    the space per weight once computed (``Subspace._ideal_ranks``).
 
     At weight 3 it is dim R, with no elimination: a 3-leaf tree has one
     rotation and no other vertex, so ``_ideal_generators`` sends relation
@@ -361,7 +331,11 @@ def _ideal_rank(relations: Subspace, n: int) -> int:
     """
     if n == 3:
         return relations.dimension
-    return len(_ideal_echelon(relations, n))
+    ranks = getattr(relations, "_ideal_ranks", None) or {}
+    if n not in ranks:
+        ranks[n] = len(_ideal_echelon(relations, n))
+        _set(relations, "_ideal_ranks", ranks)
+    return ranks[n]
 
 
 def _normal_count(k: int, forbidden: Collection[int], n: int) -> int:
@@ -390,11 +364,10 @@ def _normal_count(k: int, forbidden: Collection[int], n: int) -> int:
         subtrees[1].append(hang[1])
 
 
-# Bounded LRU keyed by the canonical relation rows, never names.
-@lru_cache(maxsize=128)
 def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     """The quadratic leading edges of a relation space, if they form a
-    quadratic Gröbner basis under one of 2*k! orders; else None.
+    quadratic Gröbner basis under one of 2*k! orders, else None; kept on
+    the space once searched (``Subspace._normal_edges``).
 
     The orders are the engine's column order and its mirror, each under
     the k! orders of the labels: a variant compares two monomials by the
@@ -407,6 +380,10 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     those leading monomials in the presentation's own labels, as
     ``_normal_count`` names them.
     """
+    try:
+        return relations._normal_edges
+    except AttributeError:
+        pass
     k = isqrt(relations.ambient_dim // 2)
     k2 = k * k
     # relation coordinate i*k + j, (x op_i y) op_j z, is the edge from op_j
@@ -414,21 +391,23 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     # from op_i to its right child op_j
     edges = [(0, c % k, c // k) if c < k2 else (1, (c - k2) // k, c % k) for c in range(2 * k2)]
     target = catalan(3) * k**3 - _ideal_rank(relations, 4)
-    for mirror in (0, 1):
-        for perm in itertools.permutations(range(k)):
-            cols = [((s ^ mirror) * k + perm[a]) * k + perm[b] for s, a, b in edges]
-            # the rows are independent, so none reduces to zero; only the
-            # leads are wanted, so the rows are stored as reduced, unscaled
-            echelon: Echelon = {}
-            for rel in relations.rows:
-                row = {cols[c]: x for c, x in rel}
-                echelon[reduce_row(echelon, row)] = row
-            if _normal_count(k, echelon, 4) == target:
-                coordinate = {col: c for c, col in enumerate(cols)}
-                return frozenset(
-                    (s * k + a) * k + b for s, a, b in (edges[coordinate[col]] for col in echelon)
-                )
-    return None
+    found = None
+    for mirror, perm in itertools.product((0, 1), itertools.permutations(range(k))):
+        cols = [((s ^ mirror) * k + perm[a]) * k + perm[b] for s, a, b in edges]
+        # the rows are independent, so none reduces to zero; only the
+        # leads are wanted, so the rows are stored as reduced, unscaled
+        echelon: Echelon = {}
+        for rel in relations.rows:
+            row = {cols[c]: x for c, x in rel}
+            echelon[reduce_row(echelon, row)] = row
+        if _normal_count(k, echelon, 4) == target:
+            coordinate = {col: c for c, col in enumerate(cols)}
+            found = frozenset(
+                (s * k + a) * k + b for s, a, b in (edges[coordinate[col]] for col in echelon)
+            )
+            break
+    _set(relations, "_normal_edges", found)
+    return found
 
 
 def ideal_span(p: Presentation, n: int) -> Subspace:
@@ -486,7 +465,7 @@ def component_dim(p: Presentation, n: int) -> int:
     is asked only at a weight whose elimination has at least as many rows
     as it reduces, as the module docstring says. Otherwise,
     and at every weight up to 4, it is the size minus the rank of the
-    ideal, memoized per relation space and weight (``_ideal_rank``): dim R
+    ideal, kept on the relation space per weight (``_ideal_rank``): dim R
     at weight 3, the size of the echelon above it; no basis is built.
 
     Why the count is the dim (Dotsenko and Khoroshkin, "Gröbner bases for

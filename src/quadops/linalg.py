@@ -18,8 +18,10 @@ giving the canonical RREF rows.
 
 A ``Subspace`` stores exactly those rows, primitive integers with a
 positive lead, in a hashable form. They are canonical, so two subspaces
-are equal exactly when their stored rows are equal. Membership tests
-reduce against them, and dense rows over QQ are built only on request, by
+are equal exactly when their stored rows are equal; they are hash-consed
+(Filliâtre and Conchon, 2006), one live instance per class and rows.
+Membership tests reduce against the rows, and dense rows over QQ are
+built only on request, by
 ``Subspace.rational_rows``. The small dense ``Matrix`` type holds the
 generator maps and the input of ``rref`` and ``kernel``; ``span`` takes
 dense coordinate vectors. Every number held outside the rows follows one
@@ -43,8 +45,10 @@ exact.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -81,19 +85,23 @@ class _Record:
     """Base of the package's value classes: frozen records over ``__slots__``.
 
     A subclass lists its fields in ``__slots__`` and sets each one with
-    ``_set`` in its own ``__init__``. Instances are equal when they have
-    the same class and equal fields, hash by their fields, print as
-    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
-    and copy by calling the constructor again.
+    ``_set`` in its own ``__init__``; an underscored slot is no field.
+    Instances are equal when they have the same class and equal fields,
+    hash by their fields, print as ``Name(field=value, ...)``, refuse
+    assignment and deletion, and pickle and copy by calling the
+    constructor again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        cls._field_names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # a C getter keeps __eq__ and __hash__ near generated-code speed
-        cls._fields = attrgetter(*cls.__slots__)
+        cls._fields = attrgetter(*cls._field_names)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._fields(self) == other._fields(other)
         return NotImplemented
@@ -102,7 +110,7 @@ class _Record:
         return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -112,7 +120,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._field_names)
 
 
 def _exact(x) -> int | Fraction:
@@ -358,6 +366,27 @@ def _sparse_rows(vectors: Iterable[Sequence], cols: int) -> Iterator[SparseRow]:
 IntRow = tuple[tuple[int, int], ...]
 
 
+class _Key(tuple):
+    """A subspace's (class, hash, ambient_dim, rows), hashed by its hash."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self[1]
+
+
+# the live subspaces, each held by a weak reference under its _Key, and
+# the slots of a subspace that hold facts about it, filled on first use
+_interned: dict[_Key, weakref.ref] = {}
+_FACTS = ("_dual", "_origin", "_pair_projections", "_normal_edges", "_ideal_ranks")
+
+
+def _drop(key: _Key, ref: weakref.ref) -> None:
+    """Remove a collected subspace's entry, unless a newer one took its key."""
+    if _interned.get(key) is ref:
+        del _interned[key]
+
+
 class Subspace(_Record):
     """A linear subspace of QQ^n held by its canonical basis.
 
@@ -369,11 +398,17 @@ class Subspace(_Record):
     each row by its lead gives the RREF basis over QQ. Because the basis
     is canonical, two instances are equal, field by field, exactly when
     their subspaces are.
+
+    Instances are interned: constructing one with the rows of a live
+    instance of its class, validated all the same, returns that instance.
+    The hash is computed once. The underscored slots hold facts that
+    ``presentations`` and ``expansion`` fill on first use; none is part of
+    the value.
     """
 
-    __slots__ = ("ambient_dim", "rows")
+    __slots__ = ("ambient_dim", "rows", "_hash", *_FACTS, "__weakref__")
 
-    def __init__(self, ambient_dim: int, rows: tuple[IntRow, ...]) -> None:
+    def __new__(cls, ambient_dim: int, rows: tuple[IntRow, ...]) -> Subspace:
         if ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
         # One pass per row. Leads increase from row to row and a row's other
@@ -410,8 +445,20 @@ class Subspace(_Record):
                 raise DimensionError("basis row reaches outside the ambient space")
             if g != 1:
                 raise ValueError("basis row must be primitive with a positive lead")
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "rows", rows)
+        h = hash((ambient_dim, rows))
+        key = _Key((cls, h, ambient_dim, rows))
+        ref = _interned.get(key)
+        space = None if ref is None else ref()
+        if space is None:
+            space = object.__new__(cls)
+            _set(space, "ambient_dim", ambient_dim)
+            _set(space, "rows", rows)
+            _set(space, "_hash", h)
+            _interned[key] = weakref.ref(space, partial(_drop, key))
+        return space
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dimension(self) -> int:

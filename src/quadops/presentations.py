@@ -17,61 +17,44 @@ original relation space. A quotient inserts its extra relations into
 the canonical basis it starts from, and the dual of a quotient is cut
 from the dual of the space it starts from.
 
-Each primitive on relation spaces keeps an LRU of at most 128 entries,
-keyed by canonical relation spaces (and integer coefficients), never by
-operation names; the names are attached on each call:
+Relation spaces are interned ``linalg.Subspace`` objects. What is
+computed about one space alone is kept on it, filled on first use and
+collected with it: its complement (``_dual_relations``), its projection
+onto each coordinate pair (``_pair_projections``) and its origin. Only
+what was computed is kept, never a derived reverse fact, so a double dual
+still takes two kernel computations and no check holds by construction.
 
-* ``_dual_relations``: the complement, keyed by the relation space;
-* ``_quotient_relations``: the span with extra relations and the rows
-  that made it larger, keyed by the relation space and the extra rows,
-  each made primitive with a positive lead, so every multiple of one
-  relation asks one entry;
-* ``_relabeling_iso``: the iso witness or None, keyed by the ordered
-  pair of spaces;
-* ``_square_relations``: the square's relation space, keyed by the
-  ordered pair of spaces;
-* ``_relabeled_relations``: the moved space, keyed by the signed
-  relabeling and the space;
-* ``_is_morphism``: the verdict, keyed by the map's nonzero entries
-  scaled to integers (``sparse_row``) and the source and target spaces.
-
-Only what was computed is stored, never a derived reverse entry: the
-complement of R is stored under R alone, so a double dual still takes two
-kernel computations and no check holds by construction.
-
-Besides the memos, one record (``_origins``) keeps how each space that
-``quotient`` grew was made: base B and the extra rows x_1, ..., x_m that
-made it larger. ``quotient`` is its only writer; ``catalog.builtin``
-records Xplus and Xminus by asking ``quotient`` for DendSquareDias with
-their sixteenth relation, while the catalog keeps the span of each
-literal list, so the battery still compares two spaces built apart.
-The record is keyed by the span ``quotient`` computes, so a literal list
-that is not the square and its last relation gets no record and needs
-no check. Two readers look the space up in the record, and any space
-without a record takes the direct computation:
+The origin of a space that ``quotient`` grew is its base B and the extra
+rows x_1, ..., x_m that made it larger; a base grown in turn gives way to
+its own base. ``quotient`` alone writes it, and the first one stays.
+``catalog.builtin`` records Xplus and Xminus by asking ``quotient`` for
+DendSquareDias with their sixteenth relation, while the catalog keeps
+the span of each literal list, the same object when the two are equal.
+A space with an origin takes the shorter path below, any other the
+direct computation, to the same canonical result:
 
 * since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, ``_dual_relations`` cuts the dual of B
-  by each x_i (``linalg._cut_under_form``) instead of a new
-  elimination; every other space takes ``complement_under_form``;
+  by each x_i (``linalg._cut_under_form``);
+* the projections of B + <x> are those of B widened by each x_i;
 * since the ideal of a sum of relation spaces is the sum of their
   ideals, ``expansion._ideal_echelon`` grows the weight-n ideal of
-  B + <x> from the echelon of B's, inserting only the x_i placed at
-  every rotation.
+  B + <x> from the echelon of B's.
 
-The record holds at most 128 spaces, the least recently used dropped
-first: every ``quotient`` call that grows a space moves its record to
-the newest place, so a quotient asked often keeps its record as long
-as its memo entry. Each entry refers to two spaces and the rows, like a
-memo entry. A record pushed out, or cleared, costs time and nothing
-else: the space is then complemented and eliminated directly, to the
-same canonical result.
+An origin holds its base alive. A built-in lives as long as
+``catalog.builtin``'s cache, and its origin with it, so the path its dual
+and its ideal take does not depend on what was asked before.
 
-An entry holds its key's spaces besides its value. A built-in's space
-takes about 5 KB, and a moved space is as large as the one it moves. A
-square holds at most dim R_p * dim R_q rows on k_p * k_q operations:
-about 4 KB for Dend and Dias, about 100 KB for the square of two
-four-operation built-ins, so even a memo full of those stays under
-13 MB.
+What is computed about more than one space is kept in an LRU of at most
+128 entries, keyed by the interned spaces, which each entry holds alive:
+``_quotient_relations`` by the space and the extra rows, each made
+primitive with a positive lead, so every multiple of one relation asks
+one entry; ``_relabeling_iso`` and ``_square_relations`` by the ordered
+pair of spaces; ``_relabeled_relations`` by the signed relabeling and the
+space; ``_is_morphism`` by the map's nonzero entries scaled to integers
+(``sparse_row``) and the two spaces. A built-in's space takes about 5 KB
+and a square of two four-operation built-ins about 100 KB, so a memo
+full of those stays under 13 MB. ``_forget_relation_facts`` empties these
+memos and the facts of every live space.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
@@ -90,13 +73,14 @@ itself is stored as sparse primitive integer rows (``linalg.Subspace``).
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
+    _FACTS,
     DimensionError,
     IntRow,
     Matrix,
@@ -106,6 +90,7 @@ from .linalg import (
     _cut_under_form,
     _exact,
     _extend,
+    _interned,
     _normalize,
     _set,
     complement_under_form,
@@ -310,43 +295,31 @@ def pairing_value(v: RelVector, w: RelVector) -> int | Fraction:
     return _exact(sum(pairing_terms(v, w)))
 
 
-# How each space that quotient grew was made: base + <rows> maps to
-# (base, rows), the rows that made it larger. At most _ORIGIN_BOUND
-# spaces, the least recently used dropped first: each quotient call that
-# returns a grown space moves its record to the newest place.
-_ORIGIN_BOUND = 128
-_origins: OrderedDict[Subspace, tuple[Subspace, tuple[IntRow, ...]]] = OrderedDict()
-
-
-# Bounded LRU keyed by the canonical relation rows alone, never names.
-@lru_cache(maxsize=128)
 def _dual_relations(relations: Subspace) -> Subspace:
-    """Orthogonal complement of a relation space under the duality pairing.
+    """Orthogonal complement of a relation space under the duality pairing,
+    kept on the space once computed.
 
-    A space recorded as base + <rows> takes the complement of base cut by
-    each row in turn (``linalg._cut_under_form``), since
-    (B + <x>)^⊥ = B^⊥ ∩ x^⊥; any other space takes
-    ``complement_under_form``.
+    A space that ``quotient`` grew as B + <rows> takes the complement of B
+    cut by each row in turn (``linalg._cut_under_form``), with no
+    elimination, since (B + <x>)^⊥ = B^⊥ ∩ x^⊥; any other space takes
+    ``complement_under_form``. Both give the same canonical space.
     """
-    form = pairing_form(isqrt(relations.ambient_dim // 2))
-    origin = _origins.get(relations)
-    if origin is None:
-        return complement_under_form(relations, form)
-    base, rows = origin
-    out = _dual_relations(base)
-    for row in rows:
-        out = _cut_under_form(out, row, form)
+    out = getattr(relations, "_dual", None)
+    if out is None:
+        form = pairing_form(isqrt(relations.ambient_dim // 2))
+        base, rows = getattr(relations, "_origin", None) or (None, ())
+        out = complement_under_form(relations, form) if base is None else _dual_relations(base)
+        for row in rows:
+            out = _cut_under_form(out, row, form)
+        _set(relations, "_dual", out)
     return out
 
 
 def dual(p: Presentation) -> Presentation:
     """Dual presentation: starred names, orthogonal relation space.
 
-    The complement is memoized per relation space (``_dual_relations``);
-    the starred names are attached on each call. On a miss, the
-    complement of a space that ``quotient`` made as B + <x_1, ..., x_m>
-    is the complement of B cut by each x_i in turn, with no elimination;
-    it is the same canonical space ``complement_under_form`` gives.
+    The complement is kept on the relation space (``_dual_relations``);
+    the starred names are attached on each call.
     """
     names = tuple(n + "*" for n in p.generators.names)
     return Presentation(GeneratorSet(names), _dual_relations(p.relations))
@@ -405,8 +378,9 @@ def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
     The result is memoized per relation space and extra rows, each made
     primitive with a positive lead, zero rows dropped
     (``_quotient_relations``), so every multiple of one extra relation
-    asks the same entry. Each call that grows the space records how, as
-    the newest entry of ``_origins``.
+    asks the same entry. A grown space with no origin yet records p's
+    space and the extra rows that made it larger; when p's space was
+    grown in turn, its base and the rows of both steps.
 
     Raises:
         DimensionError: if an extra relation has the wrong length; all
@@ -416,17 +390,13 @@ def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
     relations = p.relations
     if rows:
         grown, kept = _quotient_relations(relations, rows)
-        # no kept row means nothing was added: keep p's own object, not
-        # the equal one an earlier call may have stored in the memo
-        if kept:
-            # one lookup when the record is there, as it mostly is
-            try:
-                _origins.move_to_end(grown)
-            except KeyError:
-                _origins[grown] = (relations, kept)
-                if len(_origins) > _ORIGIN_BOUND:
-                    _origins.popitem(last=False)
-            relations = grown
+        if kept and getattr(grown, "_origin", None) is None:
+            # a chain of quotients records its first base, so no origin
+            # chain grows with the number of quotients asked
+            base, earlier = getattr(relations, "_origin", None) or (relations, ())
+            _set(grown, "_origin", (base, earlier + kept))
+        # with nothing kept, grown is p's own space: spaces are interned
+        relations = grown
     return Presentation(p.generators, relations)
 
 
@@ -575,7 +545,8 @@ def _relabel(
 
 
 def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
-    """A relation space projected onto each coordinate pair.
+    """A relation space projected onto each coordinate pair, kept on the
+    space once computed.
 
     Entry i*k + j describes the projection onto the two coordinates
     ``left_index(k, i, j)`` and ``right_index(k, i, j)``: 0 when it is
@@ -583,11 +554,17 @@ def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
     integer spanning vector with the first nonzero entry positive. The
     projected basis rows span the projection, so one pass over them
     decides it: the plane as soon as two projected rows are not
-    proportional.
+    proportional. A space that ``quotient`` grew as B + <x_1, ..., x_m>
+    starts from B's projections and passes over the x_i alone, since the
+    projection of a sum of spaces is the sum of their projections.
     """
+    kept = getattr(relations, "_pair_projections", None)
+    if kept is not None:
+        return kept
     k2 = relations.ambient_dim // 2
-    proj: list[int | tuple[int, int]] = [0] * k2
-    for row in relations.rows:
+    base, rows = getattr(relations, "_origin", None) or (None, relations.rows)
+    proj: list[int | tuple[int, int]] = [0] * k2 if base is None else [*_pair_projections(base)]
+    for row in rows:
         # a row lists its left-block columns before its right-block ones
         projected: dict[int, tuple[int, int]] = {}
         for c, x in row:
@@ -603,7 +580,9 @@ def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
                 proj[pair] = (a // g, b // g)
             elif line != 2 and line[0] * b != a * line[1]:
                 proj[pair] = 2
-    return tuple(proj)
+    kept = tuple(proj)
+    _set(relations, "_pair_projections", kept)
+    return kept
 
 
 def _matching_permutations(
@@ -712,11 +691,9 @@ def find_relabeling_iso(
     still tries up to k!*2^(k-1) candidates.
 
     Spaces of different dimensions are rejected at once. Otherwise the
-    search runs on the two relation spaces alone and is memoized in an
-    LRU of at most 128 entries (``_relabeling_iso``), keyed by the two
-    canonical spaces, never by names. An entry holds the two spaces and
-    the witness or None, so the same question asked again, under any
-    names, costs one lookup and returns the same witness.
+    search runs on the two relation spaces alone and is memoized per
+    ordered pair of spaces, never names (``_relabeling_iso``), so the same
+    question asked again costs one lookup and returns the same witness.
 
     Raises:
         DimensionError: if p and q have different numbers of operations;
@@ -751,3 +728,15 @@ def _relabeling_iso(source: Subspace, target: Subspace) -> SignedRelabeling | No
             ):
                 return SignedRelabeling(perm, signs)
     return None
+
+
+def _forget_relation_facts() -> None:
+    """Forget what was computed about relation spaces: the facts kept on
+    every live space and the memos keyed by pairs of spaces."""
+    for space in [ref() for ref in list(_interned.values())]:
+        for name in _FACTS:
+            if hasattr(space, name):
+                object.__delattr__(space, name)
+    for memo in (_quotient_relations, _square_relations, _is_morphism, _relabeled_relations):
+        memo.cache_clear()
+    _relabeling_iso.cache_clear()

@@ -10,9 +10,9 @@ fresh from canonical constructors rather than read from the catalog under
 test, so a damaged catalog cannot satisfy the checks by construction.
 
 The primitives the checks call (duals, quotients, squares, relabelings,
-morphism tests, iso searches, ranks) memoize their results keyed by
-value: by canonical relation spaces and integer coefficients, never by
-names. The record ``quotient`` keeps of how it grew a space serves duals
+morphism tests, iso searches, ranks) keep their results by value, on
+the interned relation spaces, never by names. The origin ``quotient``
+keeps on a space it grew serves duals
 and ideals alike, and the catalog makes Xplus's and Xminus's through
 ``quotient`` too. So the sixteenth-relation scan eliminates only the
 square's complement and cuts the dual of every point from it, and from

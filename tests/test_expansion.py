@@ -7,8 +7,10 @@ that feed the frozen weight-4 values, and a reference construction of the
 ideal by one-step grafting from the weight below.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -50,11 +52,10 @@ from quadops.linalg import (
     span_rows,
 )
 from quadops.presentations import (
-    _ORIGIN_BOUND,
     GeneratorSet,
     Presentation,
     RelVector,
-    _origins,
+    _forget_relation_facts,
     dual,
     quotient,
     relation_vector,
@@ -255,39 +256,64 @@ class TestIdealAndDims:
             assert binary_ops_dimension(builtin(name)) == value
 
 
-class TestRankMemo:
-    def test_memo_is_bounded(self):
-        maxsize = _ideal_rank.cache_info().maxsize
-        assert maxsize is not None
-        _ideal_rank.cache_clear()
-        # distinct one-operation presentations: the lines through (1, b)
-        for b in range(maxsize + 8):
-            p = Presentation(GeneratorSet(("a",)), span([[1, b]], 2))
-            component_dim(p, 3)
-        info = _ideal_rank.cache_info()
-        assert (info.misses, info.currsize) == (maxsize + 8, maxsize)
+def counted_echelons(monkeypatch):
+    """The (space, weight) pairs ``expansion`` eliminates through
+    ``_ideal_echelon`` from now on; a base echelon is not counted."""
+    calls = []
+    echelon = expansion._ideal_echelon
+    monkeypatch.setattr(
+        expansion,
+        "_ideal_echelon",
+        lambda relations, n: calls.append((relations, n)) or echelon(relations, n),
+    )
+    return calls
 
-    def test_names_are_not_part_of_the_key(self):
+
+class TestRankMemo:
+    """The rank of each weight's ideal is kept on the relation space
+    (``Subspace._ideal_ranks``) once computed."""
+
+    def test_ranks_live_as_long_as_their_space(self, monkeypatch):
+        calls = counted_echelons(monkeypatch)
+        _forget_relation_facts()
+        # distinct one-operation presentations: the lines through (1, b)
+        lines = [span([[1, b]], 2) for b in range(1000, 1136)]
+        dims = [component_dim(Presentation(GeneratorSet(("a",)), line), 4) for line in lines]
+        assert calls == [(line, 4) for line in lines]
+        # every rank is kept, however many were asked after it
+        again = [component_dim(Presentation(GeneratorSet(("b",)), line), 4) for line in lines]
+        assert again == dims and len(calls) == len(lines)
+        assert all(line._ideal_ranks == {4: 5 - d} for line, d in zip(lines, dims))
+        # and is collected with its space
+        refs = [weakref.ref(line) for line in lines]
+        calls.clear()
+        del lines
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_names_are_not_part_of_the_key(self, monkeypatch):
         p = builtin("Dend")
         q = Presentation(GeneratorSet(("a", "b")), p.relations)
-        _ideal_rank.cache_clear()
+        calls = counted_echelons(monkeypatch)
+        _forget_relation_facts()
         assert component_dim(p, 4) == component_dim(q, 4) == 14
-        info = _ideal_rank.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert calls == [(p.relations, 4)]
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_rank_is_the_echelon_size(self, name):
+    def test_rank_is_the_echelon_size(self, monkeypatch, name):
         p = builtin(name)
+        calls = counted_echelons(monkeypatch)
         for n in (3, 4, 5):
-            _ideal_rank.cache_clear()
-            _normal_edges.cache_clear()
+            _forget_relation_facts()
+            calls.clear()
             size = catalan(n - 1) * p.num_ops ** (n - 1)
             assert component_dim(p, n) == size - len(_ideal_echelon(p.relations, n))
-            # weight 5 asks the Gröbner search, which asks the rank at
-            # weight 4; only a space without a quadratic basis then asks
-            # the rank at weight 5 too
+            # weight 3 is read off dim R; weight 5 asks the Gröbner search,
+            # which asks the rank at weight 4; only a space without a
+            # quadratic basis then asks the rank at weight 5 too
             counted = n == 5 and name in QUADRATIC_BASIS
-            assert _ideal_rank.cache_info().misses == (1 if n < 5 or counted else 2)
+            assert len(calls) == (0 if n == 3 else 1 if n == 4 or counted else 2)
+            assert sorted(getattr(p.relations, "_ideal_ranks", {})) == [m for _, m in calls]
 
 
 def seeded_relations(rng: random.Random) -> Subspace:
@@ -303,8 +329,8 @@ def seeded_relations(rng: random.Random) -> Subspace:
 
 
 class TestWeightThreeRank:
-    """At weight 3 the rank is dim R, read off without eliminating; the
-    memo is bypassed so the shortcut itself is compared."""
+    """At weight 3 the rank is dim R, read off without eliminating and
+    never kept, so the shortcut itself is compared."""
 
     def test_builtins_duals_and_seeded_spaces(self):
         rng = random.Random(2103)
@@ -315,7 +341,7 @@ class TestWeightThreeRank:
         assert any(s.dimension == s.ambient_dim for s in spaces)
         assert 2 * 4 * 4 in {s.ambient_dim for s in spaces}
         for s in spaces:
-            assert _ideal_rank.__wrapped__(s, 3) == len(_ideal_echelon(s, 3)) == s.dimension
+            assert _ideal_rank(s, 3) == len(_ideal_echelon(s, 3)) == s.dimension
 
 
 # Dims of each built-in and of its dual, through weight 6 on two
@@ -432,8 +458,7 @@ class TestNormalTreeCount:
             return echelon(relations, n)
 
         monkeypatch.setattr(expansion, "_ideal_echelon", below_five)
-        _ideal_rank.cache_clear()
-        _normal_edges.cache_clear()
+        _forget_relation_facts()
         p = builtin(name)
         assert [component_dim(p, n) for n in range(1, 31)] == [dims(n) for n in range(1, 31)]
 
@@ -447,8 +472,9 @@ class TestNormalTreeCount:
             return echelon(relations, n)
 
         monkeypatch.setattr(expansion, "_ideal_echelon", recorded)
-        _ideal_rank.cache_clear()
-        _normal_edges.cache_clear()
+        _forget_relation_facts()
+        # grown from the square, as a fresh process grows it
+        recorded_builtin(name)
         assert component_dim(builtin(name), 5) == dim5
         assert weights == [4, 5]
 
@@ -622,7 +648,7 @@ class TestExtendedEchelon:
         _base_echelon.cache_clear()
         for n in (3, 4, 5):
             for q in spaces:
-                assert _origins[q][0] == square_space
+                assert q._origin[0] == square_space
                 assert_extension_exact(q, n)
         info = _base_echelon.cache_info()
         # the square eliminated once per weight, read 24 times
@@ -640,7 +666,7 @@ class TestExtendedEchelon:
     )
     def test_sixteen_relation_spaces(self, space):
         relations = space()
-        assert _origins[relations][0] == builtin("DendSquareDias").relations
+        assert relations._origin[0] == builtin("DendSquareDias").relations
         for n in (3, 4, 5):
             assert_extension_exact(relations, n)
 
@@ -687,15 +713,12 @@ class TestExtendedEchelon:
         assert base == before
         assert back_substitute(base) == back_substitute(direct_echelon(square.relations, 4))
 
-    def test_an_evicted_origin_falls_back_to_the_direct_elimination(self):
+    def test_a_forgotten_origin_falls_back_to_the_direct_elimination(self):
         square = builtin("DendSquareDias")
         q = quotient(square, [line_relation(1, 2)]).relations
-        assert q in _origins
-        # newer records push it out of the bounded record
-        line = Presentation(GeneratorSet(("a",)), span([], 2))
-        for b in range(_ORIGIN_BOUND):
-            quotient(line, [RelVector((1, b))])
-        assert q not in _origins
+        assert q._origin[0] is square.relations
+        _forget_relation_facts()
+        assert not hasattr(q, "_origin")
         _base_echelon.cache_clear()
         assert_extension_exact(q, 4)
         assert _base_echelon.cache_info().misses == 0

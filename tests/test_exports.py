@@ -8,6 +8,7 @@ bounded, and every bound is pinned.
 """
 
 import importlib
+import inspect
 import pkgutil
 import runpy
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import quadops
+from quadops.linalg import Subspace
 
 MODULES = (
     "catalog",
@@ -70,9 +72,6 @@ UNBOUNDED_MEMOS = {
 # Every other memo, with its bound: adding or resizing one shows here.
 BOUNDED_MEMOS = {
     "expansion._base_echelon": 4,
-    "expansion._ideal_rank": 128,
-    "expansion._normal_edges": 128,
-    "presentations._dual_relations": 128,
     "presentations._quotient_relations": 128,
     "presentations._square_relations": 128,
     "presentations._is_morphism": 128,
@@ -96,3 +95,25 @@ def test_memos_keyed_by_presentations_are_bounded():
                 bounds[f"{name}.{attr}"] = info().maxsize
     assert {memo for memo, size in bounds.items() if size is None} == UNBOUNDED_MEMOS
     assert {memo: size for memo, size in bounds.items() if size is not None} == BOUNDED_MEMOS
+
+
+# Memos that may be keyed by one relation space: the echelons quotients
+# grow from are large, so they stay in a memo bounded by count rather
+# than live as long as their space.
+SINGLE_SPACE_MEMOS = {"expansion._base_echelon"}
+
+
+def test_no_memo_is_keyed_by_one_relation_space():
+    # what is computed about one space is kept on the interned space and
+    # collected with it; an LRU keyed by it would evict it by history
+    single = set()
+    for name in MODULES:
+        module = importlib.import_module(f"quadops.{name}")
+        for attr, value in vars(module).items():
+            if getattr(value, "cache_info", None) is None or value.__module__ != module.__name__:
+                continue
+            params = inspect.signature(value.__wrapped__, eval_str=True).parameters.values()
+            kinds = [param.annotation for param in params]
+            if kinds.count(Subspace) == 1 and set(kinds) <= {Subspace, int}:
+                single.add(f"{name}.{attr}")
+    assert single == SINGLE_SPACE_MEMOS

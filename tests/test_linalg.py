@@ -4,8 +4,12 @@ Reference ranks and kernels are cross-checked against sympy's exact
 rational matrices, an independent implementation of row reduction.
 """
 
+import copy
+import gc
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,6 +25,7 @@ from quadops.linalg import (
     Matrix,
     Subspace,
     _cut_under_form,
+    _interned,
     back_substitute,
     complement_under_form,
     echelon_subspace,
@@ -33,7 +38,7 @@ from quadops.linalg import (
     sparse_row,
     subspace_contains,
 )
-from quadops.presentations import dual, pairing_form, quotient
+from quadops.presentations import GeneratorSet, Presentation, dual, pairing_form, quotient
 from quadops.verify import scan_grid
 
 F = Fraction
@@ -234,36 +239,131 @@ def test_matrix_rejects_floats():
         Matrix.from_rows([[0.5]])
 
 
+# bases of QQ^2 that are not canonical, and their faults
+NON_CANONICAL = [
+    ((),),  # zero row
+    (((0, 2),),),  # not primitive
+    (((0, -1), (1, 1)),),  # negative lead
+    (((1, 1), (0, 1)),),  # columns out of order
+    (((0, 1), (1, 0)),),  # stored zero
+    (((1, 1),), ((0, 1),)),  # rows out of echelon order
+    (((0, 1), (1, 1)), ((1, 1),)),  # nonzero at another lead column
+]
+OUTSIDE = (((2, 1),),)  # a column past the ambient space
+NOT_INT = [
+    (((0, 1.0), (1, 2.5)),),  # float lead
+    (((0, 1), (1, 2.5)),),  # float entry after the lead
+    (((0, True),),),  # bool lead
+    (((0, 1), (1, True)),),  # bool entry after the lead
+    (((0, F(1)),),),  # an integral Fraction is not an int either
+    (((0.0, 1),),),  # float lead column
+    (((0, 1), (1.0, 2)),),  # float column after the lead
+    (((False, 1),),),  # bool lead column
+    (((0, 1), (True, 2)),),  # bool column after the lead
+]
+
+
 def test_subspace_rejects_non_canonical_basis():
     assert Subspace(3, (((0, 1), (2, -2)), ((1, 3), (2, 1)))).dimension == 2
-    bad = [
-        ((),),  # zero row
-        (((0, 2),),),  # not primitive
-        (((0, -1), (1, 1)),),  # negative lead
-        (((1, 1), (0, 1)),),  # columns out of order
-        (((0, 1), (1, 0)),),  # stored zero
-        (((1, 1),), ((0, 1),)),  # rows out of echelon order
-        (((0, 1), (1, 1)), ((1, 1),)),  # nonzero at another lead column
-    ]
-    for rows in bad:
+    for rows in NON_CANONICAL:
         with pytest.raises(ValueError):
             Subspace(2, rows)
     with pytest.raises(DimensionError):
-        Subspace(2, (((2, 1),),))
-    not_int = [
-        (((0, 1.0), (1, 2.5)),),  # float lead
-        (((0, 1), (1, 2.5)),),  # float entry after the lead
-        (((0, True),),),  # bool lead
-        (((0, 1), (1, True)),),  # bool entry after the lead
-        (((0, F(1)),),),  # an integral Fraction is not an int either
-        (((0.0, 1),),),  # float lead column
-        (((0, 1), (1.0, 2)),),  # float column after the lead
-        (((False, 1),),),  # bool lead column
-        (((0, 1), (True, 2)),),  # bool column after the lead
-    ]
-    for rows in not_int:
+        Subspace(2, OUTSIDE)
+    for rows in NOT_INT:
         with pytest.raises(TypeError):
             Subspace(2, rows)
+
+
+class TestInterning:
+    """Constructing a subspace returns the one live instance of its class
+    with those rows; its hash is computed once."""
+
+    def test_equal_rows_give_one_object(self):
+        rows = (((0, 1), (2, -2)), ((1, 3), (2, 1)))
+        s = Subspace(3, rows)
+        assert Subspace(3, tuple(tuple(row) for row in rows)) is s
+        assert Subspace(ambient_dim=3, rows=rows) is s
+        assert span([[1, 0, -2], [0, 3, 1]], 3) is s
+        assert Subspace(4, rows) is not s and Subspace(4, rows) != s
+        # the hash the record had before interning, kept from construction
+        assert hash(s) == hash((3, rows))
+
+    def test_an_interned_hit_still_refuses_a_wrong_type(self):
+        # (0, True) and (0.0, 1) compare and hash equal to (0, 1), so each
+        # would hit the live space were it not validated first
+        alive = Subspace(2, (((0, 1),),))
+        for rows in ((((0, True),),), (((0.0, 1),),)):
+            assert rows == alive.rows and hash((2, rows)) == hash(alive)
+            with pytest.raises(TypeError):
+                Subspace(2, rows)
+        # every refused basis, each while the int basis equal to it, if
+        # there is one, is alive
+        for rows in NOT_INT:
+            twin = tuple(tuple((int(c), int(x)) for c, x in row) for row in rows)
+            live = Subspace(2, twin) if twin == rows else None
+            with pytest.raises(TypeError):
+                Subspace(2, rows)
+            assert live is None or Subspace(2, twin) is live
+        for rows in NON_CANONICAL:
+            with pytest.raises(ValueError):
+                Subspace(2, rows)
+        with pytest.raises(DimensionError):
+            Subspace(2, OUTSIDE)
+        assert Subspace(2, (((0, 1),),)) is alive
+
+    def test_pickle_and_copies_give_the_interned_object(self):
+        s = span([[1, 2, 0], [0, 0, 1]], 3)
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.deepcopy(s) is s
+        assert copy.copy(s) is s
+
+    def test_a_subclass_is_interned_apart(self):
+        Sub = type("Sub", (Subspace,), {})
+        rows = (((0, 1), (5, 3)),)
+        s, t = Subspace(7, rows), Sub(7, rows)
+        assert t is not s and t != s and hash(t) == hash(s)
+        assert Sub(7, rows) is t and Subspace(7, rows) is s
+        assert copy.deepcopy(t) is t
+        # the first collected, the other is still found, and the first
+        # made anew is one object again
+        del s
+        assert Sub(7, rows) is t
+        s = Subspace(7, rows)
+        assert Subspace(7, rows) is s and s is not t
+        refs = [weakref.ref(s), weakref.ref(t)]
+        del s, t
+        assert all(ref() is None for ref in refs)
+
+    def test_dropped_spaces_leave_the_table(self):
+        # what was alive before stays alive, so it can be told apart
+        live = (ref() for ref in list(_interned.values()))
+        before = [space for space in live if space is not None]
+        known = {id(space) for space in before}
+        rng = random.Random(2601)
+        fresh = {}
+        while len(fresh) < 1000:
+            k = rng.randint(2, 3)
+            n = 2 * k * k
+            rows = [
+                {rng.randrange(n): rng.choice((1, -1, 2, -3)) for _ in range(rng.randint(1, 3))}
+                for _ in range(rng.randint(1, 5))
+            ]
+            space = span_rows(rows, n)
+            if id(space) not in known:
+                fresh[id(space)] = space
+        fresh = list(fresh.values())
+        # each fresh space keeps its complement, itself interned
+        names = {8: ("a", "b"), 18: ("a", "b", "c")}
+        duals = [dual(Presentation(GeneratorSet(names[s.ambient_dim]), s)) for s in fresh]
+        assert all(s._dual is d.relations for s, d in zip(fresh, duals))
+        refs = [weakref.ref(space) for space in fresh]
+        del space, fresh, duals
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        # no entry outlives its space
+        assert all(ref() is not None for ref in _interned.values())
+        assert len(_interned) <= len(before)
 
 
 def is_canonical(n: int, rows) -> bool:

@@ -4,10 +4,12 @@ Dimension claims are cross-checked against sympy's rank as an independent
 oracle before being asserted as frozen numbers.
 """
 
+import gc
 import itertools
 import re
 import subprocess
 import sys
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -62,10 +64,8 @@ from quadops.presentations import (
     relation_vector,
     right_index,
     square,
-    _ORIGIN_BOUND,
-    _dual_relations,
+    _forget_relation_facts,
     _is_morphism,
-    _origins,
     _pair_projections,
     _quotient_relations,
     _relabeled_relations,
@@ -222,9 +222,23 @@ INEXACT = (0.5, -0.5, 0.0, Decimal("0.5"), Decimal(1), "1", None)
 
 def clear_relation_memos():
     """Forget every complement, quotient and recorded origin."""
-    _dual_relations.cache_clear()
-    _quotient_relations.cache_clear()
-    _origins.clear()
+    _forget_relation_facts()
+
+
+def origin(space):
+    """The origin ``quotient`` recorded on a space, or None."""
+    return getattr(space, "_origin", None)
+
+
+def counted_complements(monkeypatch):
+    """The spaces ``presentations`` complements by elimination from now on."""
+    calls = []
+    monkeypatch.setattr(
+        quadops.presentations,
+        "complement_under_form",
+        lambda s, form: calls.append(s) or complement_under_form(s, form),
+    )
+    return calls
 
 
 def direct_dual(relations):
@@ -389,46 +403,63 @@ class TestPairingAndDual:
 
 
 class TestDualMemo:
-    def test_memo_is_bounded(self):
-        maxsize = _dual_relations.cache_info().maxsize
-        assert maxsize is not None
+    """The complement of a relation space is kept on the space
+    (``Subspace._dual``) once computed."""
+
+    def test_complement_lives_as_long_as_its_space(self, monkeypatch):
+        calls = counted_complements(monkeypatch)
         clear_relation_memos()
         # distinct one-operation presentations: the lines through (1, b)
-        for b in range(maxsize + 8):
-            dual(Presentation(GeneratorSet(("a",)), span([[1, b]], 2)))
-        info = _dual_relations.cache_info()
-        assert (info.misses, info.currsize) == (maxsize + 8, maxsize)
+        lines = [span([[1, b]], 2) for b in range(1000, 1136)]
+        duals = [dual(Presentation(GeneratorSet(("a",)), line)).relations for line in lines]
+        assert calls == lines
+        # every complement is kept, however many were asked after it
+        again = [dual(Presentation(GeneratorSet(("b",)), line)).relations for line in lines]
+        assert all(d is e for d, e in zip(duals, again))
+        assert len(calls) == len(lines)
+        assert all(line._dual is d for line, d in zip(lines, duals))
+        # and is collected with its space
+        refs = [weakref.ref(d) for d in duals]
+        del duals, again
+        assert all(ref() is not None for ref in refs)
+        calls.clear()
+        del lines
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
-    def test_names_are_not_part_of_the_key(self):
+    def test_names_are_not_part_of_the_key(self, monkeypatch):
         p = builtin("Dend")
         q = Presentation(GeneratorSet(("a", "b")), p.relations)
+        calls = counted_complements(monkeypatch)
         clear_relation_memos()
         dp, dq = dual(p), dual(q)
         assert dp.generators.names == ("∧*", "∨*")
         assert dq.generators.names == ("a*", "b*")
-        assert dp.relations == dq.relations
-        info = _dual_relations.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert dp.relations is dq.relations
+        assert calls == [p.relations]
 
     @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "As"])
-    def test_double_dual_computes_both_complements(self, name):
-        # the complement of R is stored under R only: were C -> R stored
-        # alongside, the second dual would be a hit and the double-dual
-        # checks would hold by construction
+    def test_double_dual_computes_both_complements(self, monkeypatch, name):
+        # the complement of R is kept on R only: were R kept on C alongside,
+        # the second dual would be read off and the double-dual checks
+        # would hold by construction
         p = builtin(name)
+        calls = counted_complements(monkeypatch)
         clear_relation_memos()
+        d = dual(p).relations
+        assert origin(d) is None and not hasattr(d, "_dual")
         assert dual(dual(p)).relations == p.relations
-        info = _dual_relations.cache_info()
-        assert (info.misses, info.hits) == (2, 0)
+        assert calls == [p.relations, d]
 
-    def test_one_operation_dual_is_the_same_space(self):
+    def test_one_operation_dual_is_the_same_space(self, monkeypatch):
         # As's relation space is its own complement, so its double dual
         # asks the same question twice
         p = builtin("As")
+        calls = counted_complements(monkeypatch)
         clear_relation_memos()
         assert dual(dual(p)).relations == p.relations
-        info = _dual_relations.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert p.relations._dual is p.relations
+        assert calls == [p.relations]
 
 
 class TestRelabelingMemo:
@@ -797,12 +828,14 @@ class TestQuotientMemo:
     def test_a_relation_in_the_span_gives_back_p_own_space(self):
         p = builtin("Dend")
         other = Presentation(p.generators, span([r.coordinates for r in dend_relations()], 8))
-        assert other.relations == p.relations and other.relations is not p.relations
+        # spaces are interned: the span built apart is p's own object
+        assert other.relations == p.relations and other.relations is p.relations
         clear_relation_memos()
         assert quotient(other, [dend_relations()[0]]).relations is other.relations
-        # the entry now holds other's space; p still gets its own back
         assert quotient(p, [dend_relations()[0]]).relations is p.relations
         assert _quotient_relations.cache_info().hits == 1
+        # nothing was added, so nothing was recorded
+        assert origin(p.relations) is None
 
 
 def primitive_row(v: RelVector):
@@ -813,33 +846,42 @@ def primitive_row(v: RelVector):
 
 
 class TestOriginRecord:
-    """How each quotient was made is recorded (``_origins``) for at most
-    ``_ORIGIN_BOUND`` spaces, the least recently used dropped first."""
+    """How each quotient was made is recorded on the space it grew
+    (``Subspace._origin``), and lives as long as that space."""
 
-    def test_record_is_bounded(self):
-        assert _ORIGIN_BOUND == 128
+    def test_record_lives_as_long_as_its_space(self):
         p = Presentation(GeneratorSet(("a",)), span([], 2))
         clear_relation_memos()
-        # distinct one-operation quotients: the lines through (1, b)
-        lines = [quotient(p, [RelVector((1, b))]).relations for b in range(_ORIGIN_BOUND + 8)]
-        assert list(_origins) == lines[8:]
-        assert all(_origins[line][0] is p.relations for line in lines[8:])
+        # distinct one-operation quotients: the lines through (1, b), more
+        # than the quotient memo holds
+        lines = [quotient(p, [RelVector((1, b))]).relations for b in range(136)]
+        assert _quotient_relations.cache_info().currsize == 128
+        assert all(origin(line) == (p.relations, (line.rows[0],)) for line in lines)
+        assert all(origin(line)[0] is p.relations for line in lines)
+        # the base keeps no quotient alive: dropping the quotients and the
+        # memo collects them
+        refs = [weakref.ref(line) for line in lines]
+        del lines
+        _quotient_relations.cache_clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_a_hot_quotient_keeps_its_record(self):
         # asked between every two others: its memo entry and its record
-        # both stay, though far more than the bound were recorded after it
+        # both stay, and so do the records of the others, though far more
+        # than the memo holds were made after them
         base = builtin("DendSquareDias")
         clear_relation_memos()
         hot = quotient(base, [line_relation(1, 1)]).relations
         others = [(a, b) for a in range(1, 20) for b in range(2, 20) if gcd(a, b) == 1][:140]
         assert len(others) == 140
+        spaces = []
         for a, b in others:
-            quotient(base, [line_relation(a, b)])
+            spaces.append(quotient(base, [line_relation(a, b)]).relations)
             assert quotient(base, [line_relation(1, 1)]).relations is hot
         assert _quotient_relations.cache_info().currsize == 128
-        assert len(_origins) == _ORIGIN_BOUND
-        assert _origins[hot][0] is base.relations
-        assert list(_origins)[-1] == hot
+        assert origin(hot)[0] is base.relations
+        assert all(origin(q)[0] is base.relations for q in spaces)
 
     def test_only_the_rows_that_grew_the_space_are_recorded(self):
         base = builtin("DendSquareDias")
@@ -848,15 +890,61 @@ class TestOriginRecord:
         inside = tableau_vectors()[3]
         clear_relation_memos()
         q = quotient(base, [inside, x, doubled, line_relation(2, 4)]).relations
-        assert _origins[q] == (base.relations, (primitive_row(x),))
+        assert origin(q) == (base.relations, (primitive_row(x),))
+
+    def test_a_chain_of_quotients_records_its_first_base(self):
+        base = builtin("DendSquareDias")
+        left_dir, right_dir = extra_relation_directions()
+        clear_relation_memos()
+        middle = quotient(base, [left_dir]).relations
+        top = quotient(Presentation(base.generators, middle), [right_dir]).relations
+        assert origin(middle) == (base.relations, (primitive_row(left_dir),))
+        assert origin(top) == (base.relations, (primitive_row(left_dir), primitive_row(right_dir)))
+        assert origin(top)[0] is base.relations
+
+    def test_a_long_chain_of_quotients_takes_its_dual(self):
+        # one unit relation at a time, more quotients than the interpreter
+        # has frames: every origin names the first space, so the dual is
+        # cut from its complement without following a chain
+        names = tuple(f"o{i}" for i in range(24))
+        p = Presentation(GeneratorSet(names), span([], 1152))
+        first = p.relations
+        for c in range(1100):
+            p = quotient(p, [RelVector(tuple(int(j == c) for j in range(1152)))])
+        assert origin(p.relations)[0] is first and len(origin(p.relations)[1]) == 1100
+        assert dual(p).relations == direct_dual(p.relations)
+
+    def test_the_first_record_stays(self):
+        # the same space grown again, in the other order, keeps its first origin
+        base = builtin("DendSquareDias")
+        left_dir, right_dir = extra_relation_directions()
+        clear_relation_memos()
+        both = quotient(base, [left_dir, right_dir]).relations
+        first = origin(both)
+        assert first == (base.relations, (primitive_row(left_dir), primitive_row(right_dir)))
+        other = quotient(base, [right_dir])
+        assert quotient(other, [left_dir]).relations is both
+        assert origin(both) is first
+
+    def test_a_dropped_quotient_frees_its_base(self):
+        # a base that only its quotient's record holds lives as long as the
+        # quotient, whatever was computed about the two
+        p = Presentation(GeneratorSet(("a", "b")), span([[1, 2, 0, 0, 0, 0, 0, 5]], 8))
+        q = quotient(p, [RelVector((0, 1, 0, 0, 0, 0, 3, 0))])
+        assert dual(q).relations == direct_dual(q.relations)
+        base = weakref.ref(p.relations)
+        assert base()._dual is not None and origin(q.relations)[0] is base()
+        _quotient_relations.cache_clear()
+        del p
+        gc.collect()
+        assert base() is not None
+        grown = weakref.ref(q.relations)
+        del q
+        gc.collect()
+        assert base() is None and grown() is None
 
     def test_a_space_with_no_origin_is_eliminated(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            quadops.presentations,
-            "complement_under_form",
-            lambda s, form: calls.append(s) or complement_under_form(s, form),
-        )
+        calls = counted_complements(monkeypatch)
         p = builtin("Xplus")
         clear_relation_memos()
         dual(p)
@@ -894,9 +982,41 @@ print(dims)
 """
 
 
+# In a fresh process: the dimensions dual(Xplus) and dual(Xminus) complement
+# by elimination, and the base Xplus's weight-5 ideal grows from, after 200
+# unrelated growing quotients.
+HISTORY_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import quadops.expansion as expansion
+import quadops.presentations as presentations
+from quadops.catalog import builtin
+from quadops.linalg import complement_under_form, span
+from quadops.presentations import GeneratorSet, Presentation, RelVector, quotient
+xplus, xminus = builtin("Xplus"), builtin("Xminus")
+line = Presentation(GeneratorSet(("a",)), span([], 2))
+grown = [quotient(line, [RelVector((1, b))]) for b in range(200)]
+dims = []
+def complement(s, form):
+    dims.append(s.dimension)
+    return complement_under_form(s, form)
+presentations.complement_under_form = complement
+presentations.dual(xplus)
+presentations.dual(xminus)
+bases = []
+base_echelon = expansion._base_echelon
+def recorded(relations, n):
+    bases.append((relations.dimension, n))
+    return base_echelon(relations, n)
+expansion._base_echelon = recorded
+expansion.weight_component(xplus, 5)
+print(dims, bases)
+"""
+
+
 class TestCatalogOrigins:
     """``catalog.builtin`` records Xplus and Xminus through ``quotient``,
-    the only writer of ``_origins``, as DendSquareDias and the last
+    the only writer of an origin, as DendSquareDias and the last
     relation of their literal lists."""
 
     @pytest.mark.parametrize("name,sign", (("Xplus", 1), ("Xminus", -1)))
@@ -904,12 +1024,13 @@ class TestCatalogOrigins:
         clear_relation_memos()
         space = builtin(name).relations
         square_space = builtin("DendSquareDias").relations
-        assert _origins[space] == (square_space, (primitive_row(sixteenth_vector(sign)),))
+        assert origin(space) == (square_space, (primitive_row(sixteenth_vector(sign)),))
+        assert origin(space)[0] is square_space
 
     def test_other_builtins_ask_no_quotient(self, fresh_builtins):
         clear_relation_memos()
         for name in ("As", "Dend", "Dias", "DendSquareDias"):
-            assert builtin(name).relations not in _origins
+            assert origin(builtin(name).relations) is None
         assert _quotient_relations.cache_info().misses == 0
 
     @pytest.mark.parametrize(
@@ -931,7 +1052,7 @@ class TestCatalogOrigins:
             lambda name: literal() if name == "Xplus" else real(name),
         )
         clear_relation_memos()
-        assert builtin("Xplus").relations not in _origins
+        assert origin(builtin("Xplus").relations) is None
 
     @pytest.mark.parametrize("order", ("dual-first", "ideal-first"))
     def test_the_dual_of_a_fresh_builtin_is_cut_from_the_square(self, order):
@@ -945,6 +1066,20 @@ class TestCatalogOrigins:
         assert proc.returncode == 0, proc.stderr
         # the square's complement once; both duals are cut from it
         assert proc.stdout == "[15]\n"
+
+    def test_records_outlive_unrelated_quotients(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", HISTORY_PROBE.format(src=src)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # both duals cut from the square's complement, and the ideal grown
+        # from the square's weight-5 echelon, as in a process that made
+        # no other quotient
+        assert proc.stdout == "[15] [(15, 5)]\n"
 
 
 class TestDerivedDuals:
@@ -977,11 +1112,13 @@ class TestDerivedDuals:
     @given(st.data())
     @settings(deadline=None, max_examples=60)
     def test_quotients_of_quotients(self, data):
+        clear_relation_memos()
         chain = [data.draw(presentations(max_ops=3))]
         for _ in range(2):
             chain.append(quotient(chain[-1], data.draw(extra_relations(chain[-1]))))
-        clear_relation_memos()
-        # the last dual cuts the middle one's, which cuts the first one's
+        # each quotient records the first space as its base, so each dual
+        # is cut from the first one's
+        assert all(origin(q.relations) is None or origin(q.relations)[0] is chain[0].relations for q in chain)
         for q in reversed(chain):
             assert dual(q).relations == direct_dual(q.relations)
 
@@ -1392,6 +1529,28 @@ class TestPairRanks:
         flipped = SignedRelabeling(tuple(range(p.num_ops)), sigma.signs)
         flipped_relations = apply_relabeling(flipped, p).relations
         assert _pair_projections(flipped_relations) == _pair_projections(p.relations)
+
+    def test_scan_quotients_widen_the_square(self):
+        # each grown from the square: its projections start from the
+        # square's and pass over the sixteenth relation alone
+        clear_relation_memos()
+        for q in scan_quotients(4):
+            assert origin(q.relations) is None or origin(q.relations)[0] == builtin("DendSquareDias").relations
+            assert _pair_projections(q.relations) == sympy_pair_projections(q)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_a_quotient_widens_its_base_projections(self, data):
+        p = data.draw(presentations(max_ops=3))
+        extras = data.draw(extra_relations(p))
+        clear_relation_memos()
+        q = quotient(p, extras)
+        derived = _pair_projections(q.relations)
+        assert derived == sympy_pair_projections(q)
+        # with no origin the projections are read off every row
+        clear_relation_memos()
+        assert origin(q.relations) is None
+        assert _pair_projections(q.relations) == derived
 
 
 class TestIntegerCoordinates:

@@ -10,17 +10,19 @@ import json
 
 import pytest
 
+import quadops.presentations
 import quadops.verify
-from quadops.catalog import BUILTIN_NAMES, catalog
-from quadops.expansion import _base_echelon, _ideal_rank, _normal_edges
+from quadops.catalog import BUILTIN_NAMES, builtin, catalog
+from quadops.expansion import _base_echelon
+from quadops.linalg import _cut_under_form, complement_under_form
 from quadops.presentations import (
-    _dual_relations,
+    _forget_relation_facts,
     _is_morphism,
-    _origins,
     _quotient_relations,
     _relabeled_relations,
     _relabeling_iso,
     _square_relations,
+    dual,
     relation_vector,
 )
 from quadops.series import predicted_dims
@@ -334,12 +336,10 @@ class TestReports:
         assert any("necessary condition" in note for note in payload["notes"])
 
 
-# every memo that the quick battery asks
+# every memo that the quick battery asks; the facts kept on each relation
+# space are counted apart
 MEMOS = (
-    _dual_relations,
     _quotient_relations,
-    _ideal_rank,
-    _normal_edges,
     _relabeling_iso,
     _square_relations,
     _relabeled_relations,
@@ -347,9 +347,10 @@ MEMOS = (
     quadops.verify._spot_checks,
     predicted_dims,
 )
-# the quick battery eliminates nothing, so it never asks the memo of base
-# echelons; the cold sweep clears it with the others all the same
-CLEARED = MEMOS + (_base_echelon,)
+# what ``_forget_relation_facts`` leaves: the memos of whole results, and
+# the memo of base echelons, which the quick battery never asks since it
+# eliminates nothing; the cold sweep clears them all the same
+CLEARED = (quadops.verify._spot_checks, predicted_dims, _base_echelon)
 
 
 def _deletion_cases():
@@ -373,28 +374,46 @@ class TestSensitivity:
     def test_deletion_case_count(self):
         assert len(_deletion_cases()) == 56
 
-    def test_verdicts_do_not_depend_on_the_memos(self):
+    def test_verdicts_do_not_depend_on_the_memos(self, monkeypatch):
         # the memos must give what a fresh computation gives: each deletion
         # once on cleared memos, once on memos warmed by the full battery
         # (which asks about every unchanged built-in)
+        complements = []
+        for name, compute in (
+            ("complement_under_form", complement_under_form),
+            ("_cut_under_form", _cut_under_form),
+        ):
+            monkeypatch.setattr(
+                quadops.presentations,
+                name,
+                lambda *args, compute=compute: complements.append(compute(*args)) or complements[-1],
+            )
+        # an unchanged built-in's space and its dual, each the complement of the other
+        unchanged = {p.relations for name in BUILTIN_NAMES for p in (builtin(name), dual(builtin(name)))}
+
         def sweep(clear):
             reports = []
             for name, index in _deletion_cases():
                 if clear:
+                    _forget_relation_facts()
                     for memo in CLEARED:
                         memo.cache_clear()
-                    _origins.clear()
                 mutant = catalog().without_relation(name, index)
                 reports.append(verify_all(mutant, VerifyConfig.quick()))
             return reports
 
         cold = sweep(clear=True)
+        # the counters see the complements of unchanged built-ins made cold
+        assert any(space in unchanged for space in complements)
         assert verify_all().ok
         hits = [memo.cache_info().hits for memo in MEMOS]
+        complements.clear()
         warm = sweep(clear=False)
         # every memo the battery asks is hit at least once
         gained = [memo.cache_info().hits - before for memo, before in zip(MEMOS, hits)]
         assert all(n > 0 for n in gained), {m.__name__: n for m, n in zip(MEMOS, gained)}
+        # and no complement of an unchanged built-in is computed again
+        assert not any(space in unchanged for space in complements)
         assert warm == cold
         assert not any(report.ok for report in cold)
 
