@@ -5,6 +5,12 @@ generated by binary operations subject to quadratic relations: Koszul-style
 duals, square products, quotients, free expansion of weight components, and
 the generating-series test that a Koszul pair must satisfy. All arithmetic
 is exact rational; no floating point is used anywhere.
+
+``quadops.catalog`` is the function ``catalog()``: the package binds the
+name over its submodule of the same name, so ``from quadops import
+catalog`` and ``import quadops.catalog as m`` give the function too. The
+module is ``importlib.import_module("quadops.catalog")``, and ``from
+quadops.catalog import builtin`` reads from it as usual.
 """
 
 from .catalog import ASCII_ALIASES, BUILTIN_NAMES, BuiltinCatalog, builtin, catalog

@@ -52,18 +52,15 @@ WORK_LIMIT = 1_000_000
 # monomials: refused uncounted, as the counts grow to thousands of digits.
 _REFUSED_FROM = next(n for n in itertools.count(1) if catalan(n - 1) > WORK_LIMIT)
 
-_GLOBAL_FLAGS = (
-    ("--format", dict(choices=("text", "json"), help="output format")),
-    (
-        "--max-weight",
-        dict(
-            type=int,
-            dest="max_weight",
-            help="weight of the verify-paper battery (default 4); "
-            "a weight ceiling for the other commands",
-        ),
+_GLOBAL_FLAGS = {
+    "--format": dict(choices=("text", "json"), help="output format"),
+    "--max-weight": dict(
+        type=int,
+        dest="max_weight",
+        help="weight of the verify-paper battery (default 4); "
+        "a weight ceiling for the other commands",
     ),
-)
+}
 
 
 # a resolved operand: its display name and its presentation
@@ -75,85 +72,11 @@ class UsageError(Exception):
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    for name, options in _GLOBAL_FLAGS:
+    for name, options in _GLOBAL_FLAGS.items():
         # subparser defaults would overwrite values parsed at the top
         # level, so subparsers only set what was given
         default = None if top else argparse.SUPPRESS
         parser.add_argument(name, default=default, **options)
-
-
-def _subcommand(
-    sub, name: str, handler, help: str, operands: tuple[str, ...] = ()
-) -> argparse.ArgumentParser:
-    """Register a subcommand with the global flags and, when it names
-    operands, the source file they are resolved in."""
-    sp = sub.add_parser(name, help=help)
-    sp.set_defaults(handler=handler, operands=operands)
-    _add_global_flags(sp, top=False)
-    if operands:
-        sp.add_argument("file", help="source file or 'builtins'")
-    for operand in operands:
-        sp.add_argument(operand, help="operad name, optionally dual:NAME")
-    return sp
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quadops",
-        description="computer algebra for binary quadratic operad "
-        "presentations",
-    )
-    _add_global_flags(parser, top=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(sub, "dual", _cmd_dual, "print the dual presentation", ("op",))
-    _subcommand(sub, "square", _cmd_square, "print the square product", ("op1", "op2"))
-
-    sp = _subcommand(
-        sub, "quotient", _cmd_quotient, "add relations and print the quotient", ("op",)
-    )
-    sp.add_argument(
-        "--rel",
-        action="append",
-        required=True,
-        help="relation to add, in the source grammar (repeatable)",
-    )
-
-    _subcommand(
-        sub, "iso", _cmd_iso, "search for a signed relabeling isomorphism", ("op1", "op2")
-    )
-
-    sp = _subcommand(sub, "dims", _cmd_dims, "free-algebra component dimensions", ("op",))
-    sp.add_argument("--max", type=int, default=4, help="largest weight")
-
-    sp = _subcommand(
-        sub, "gk-check", _cmd_gk, "generating-series inverse test against the dual", ("op",)
-    )
-    sp.add_argument("--max", type=int, default=4, help="series order")
-
-    sp = _subcommand(sub, "verify-paper", _cmd_verify, "run the full verification battery")
-    sp.add_argument(
-        "--report", help="also write the report to this path"
-    )
-    sp.add_argument(
-        "--scan-grid",
-        type=int,
-        default=2,
-        dest="scan_grid",
-        help="radius of the uniqueness scan grid, 0 disables the scan",
-    )
-
-    sp = _subcommand(
-        sub, "expand", _cmd_expand, "weight component of the free algebra", ("op",)
-    )
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument(
-        "--basis",
-        action="store_true",
-        help="list the surviving basis monomials",
-    )
-
-    return parser
 
 
 def _load(file_arg: str) -> dict[str, Presentation]:
@@ -368,8 +291,116 @@ def _cmd_expand(ns: argparse.Namespace, op: _Operand) -> tuple[int, str, dict]:
     return 0, "\n".join(lines), payload
 
 
+# Each subcommand: its handler, its help, the operands it resolves and its
+# further arguments, by flag, with their add_argument options.
+_COMMANDS = {
+    "dual": (_cmd_dual, "print the dual presentation", ("op",), {}),
+    "square": (_cmd_square, "print the square product", ("op1", "op2"), {}),
+    "quotient": (
+        _cmd_quotient,
+        "add relations and print the quotient",
+        ("op",),
+        {
+            "--rel": dict(
+                action="append",
+                required=True,
+                help="relation to add, in the source grammar (repeatable)",
+            ),
+        },
+    ),
+    "iso": (_cmd_iso, "search for a signed relabeling isomorphism", ("op1", "op2"), {}),
+    "dims": (
+        _cmd_dims,
+        "free-algebra component dimensions",
+        ("op",),
+        {"--max": dict(type=int, default=4, help="largest weight")},
+    ),
+    "gk-check": (
+        _cmd_gk,
+        "generating-series inverse test against the dual",
+        ("op",),
+        {"--max": dict(type=int, default=4, help="series order")},
+    ),
+    "verify-paper": (
+        _cmd_verify,
+        "run the full verification battery",
+        (),
+        {
+            "--report": dict(help="also write the report to this path"),
+            "--scan-grid": dict(
+                type=int,
+                default=2,
+                dest="scan_grid",
+                help="radius of the uniqueness scan grid, 0 disables the scan",
+            ),
+        },
+    ),
+    "expand": (
+        _cmd_expand,
+        "weight component of the free algebra",
+        ("op",),
+        {
+            "--weight": dict(type=int, required=True),
+            "--basis": dict(action="store_true", help="list the surviving basis monomials"),
+        },
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Each subcommand takes the global flags and, when it names operands,
+    the source file they are resolved in. A parser of one subcommand
+    lists all of them in its usage line all the same, as a metavar, so
+    its help and its errors read as the full parser's do for that
+    command. The full parser takes no metavar: it would rename the
+    "argument command" of its errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="quadops",
+        description="computer algebra for binary quadratic operad "
+        "presentations",
+    )
+    _add_global_flags(parser, top=True)
+    names = _COMMANDS if command is None else (command,)
+    usage = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **usage)
+    for name in names:
+        handler, help, operands, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, operands=operands)
+        _add_global_flags(sp, top=False)
+        if operands:
+            sp.add_argument("file", help="source file or 'builtins'")
+        for operand in operands:
+            sp.add_argument(operand, help="operad name, optionally dual:NAME")
+        for flag, options in arguments.items():
+            sp.add_argument(flag, **options)
+    return parser
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The subcommand argv names, when only global flags, each given as
+    the exact flag and then its value, come before it; None otherwise.
+
+    A value starting with "-" ends the scan, since argparse may read it
+    as an option. None leaves every other form to the full parser:
+    "--format=json", an abbreviated flag, a help flag, an unknown command.
+    """
+    i = 0
+    while i + 1 < len(argv) and argv[i] in _GLOBAL_FLAGS and not argv[i + 1].startswith("-"):
+        i += 2
+    if i < len(argv) and argv[i] in _COMMANDS:
+        return argv[i]
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    # a one-shot run builds the parser of its own subcommand only
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = build_parser(_named_command(argv)).parse_args(argv)
     try:
         if ns.max_weight is not None and ns.max_weight < 1:
             raise UsageError("--max-weight must be at least 1")

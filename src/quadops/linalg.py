@@ -640,47 +640,55 @@ def complement_under_form(s: Subspace, signs: Sequence[int]) -> Subspace:
     return _kernel(({last - c: x * signs[c] for c, x in row} for row in s.rows), n)
 
 
-def _cut_under_form(s: Subspace, row: IntRow, signs: Sequence[int]) -> Subspace:
-    """The vectors of ``s`` orthogonal to ``row`` for the diagonal form
-    diag(signs): s ∩ row^⊥, from the canonical basis of s with no
-    elimination.
+def _cut_under_form(s: Subspace, rows: Iterable[IntRow], signs: Sequence[int]) -> Subspace:
+    """The vectors of ``s`` orthogonal to every row of ``rows`` for the
+    diagonal form diag(signs): s ∩ rows^⊥, from the canonical basis of s
+    with no elimination.
 
-    Pair each basis row d_i with ``row`` (pi_i). If every pi_i is 0, s
-    itself is returned. Otherwise let j be the row with pi_j != 0 and the
-    largest lead. Row j is dropped, and each other row with pi_i != 0
-    becomes pi_j d_i - pi_i d_j, made primitive with a positive lead.
+    The basis is cut by one row x at a time, as canonical row tuples. Pair
+    each basis row d_i with x (pi_i). If every pi_i is 0, nothing is cut.
+    Otherwise let j be the row with pi_j != 0 and the largest lead. Row j
+    is dropped, and each other row with pi_i != 0 becomes
+    pi_j d_i - pi_i d_j, made primitive with a positive lead.
 
-    These rows are already the canonical basis. Every such i has
+    These rows are again the canonical basis. Every such i has
     lead_i < lead_j, and d_j is zero before lead_j, so the new row keeps
     d_i's lead with the nonzero entry pi_j d_i[lead_i]. Both d_i and d_j
     are zero at every remaining lead, and so is the new row. It pairs to
-    pi_j pi_i - pi_i pi_j = 0 with ``row``. The rows with pi_i = 0 are
-    kept as they are. So dim s - 1 rows of s ∩ row^⊥ lead at distinct
-    columns and are zero at each other's leads, and the cut has exactly
-    that dimension, because some pi_j is nonzero. The cost is one pass
-    over the nonzeros of the basis.
+    pi_j pi_i - pi_i pi_j = 0 with x. The rows with pi_i = 0 are kept as
+    they are. So dim - 1 rows of the cut lead at distinct columns and are
+    zero at each other's leads, and the cut has exactly that dimension,
+    because some pi_j is nonzero. Each x costs one pass over the nonzeros
+    of the basis rows leading at or before its last column; the others
+    pair to 0 with it. One ``Subspace`` is built at the end, and when
+    nothing is cut, ``s`` itself is returned.
     """
-    weights = {c: x * signs[c] for c, x in row}
-    get = weights.get
-    pairings = [sum(x * get(c, 0) for c, x in r) for r in s.rows]
-    j = max((i for i, pi in enumerate(pairings) if pi), default=None)
-    if j is None:
+    basis = list(s.rows)
+    for row in rows:
+        weights = {c: x * signs[c] for c, x in row}
+        get = weights.get
+        # a basis row is zero before its lead, so the rows leading after
+        # every column of x pair to 0 with it
+        near = basis[: bisect_left(basis, ((max(weights, default=-1) + 1,),))]
+        pairings = [sum(x * get(c, 0) for c, x in r) for r in near]
+        j = max((i for i, pi in enumerate(pairings) if pi), default=None)
+        if j is None:
+            continue
+        pj, dj = pairings[j], basis.pop(j)
+        for i, pi in enumerate(pairings[:j]):
+            if pi:
+                new = {c: pj * x for c, x in basis[i]}
+                for c, x in dj:
+                    y = new.get(c, 0) - pi * x
+                    if y:
+                        new[c] = y
+                    else:
+                        del new[c]
+                _normalize(new, basis[i][0][0])
+                basis[i] = tuple(sorted(new.items()))
+    if len(basis) == s.dimension:
         return s
-    pj, dj = pairings[j], s.rows[j]
-    rows = []
-    for r, pi in zip(s.rows[:j], pairings):
-        if pi:
-            new = {c: pj * x for c, x in r}
-            for c, x in dj:
-                y = new.get(c, 0) - pi * x
-                if y:
-                    new[c] = y
-                else:
-                    del new[c]
-            _normalize(new, r[0][0])
-            r = tuple(sorted(new.items()))
-        rows.append(r)
-    return Subspace(s.ambient_dim, (*rows, *s.rows[j + 1 :]))
+    return Subspace(s.ambient_dim, tuple(basis))
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:

@@ -300,7 +300,7 @@ def _dual_relations(relations: Subspace) -> Subspace:
     kept on the space once computed.
 
     A space that ``quotient`` grew as B + <rows> takes the complement of B
-    cut by each row in turn (``linalg._cut_under_form``), with no
+    cut by all its rows at once (``linalg._cut_under_form``), with no
     elimination, since (B + <x>)^⊥ = B^⊥ ∩ x^⊥; any other space takes
     ``complement_under_form``. Both give the same canonical space.
     """
@@ -308,9 +308,10 @@ def _dual_relations(relations: Subspace) -> Subspace:
     if out is None:
         form = pairing_form(isqrt(relations.ambient_dim // 2))
         base, rows = getattr(relations, "_origin", None) or (None, ())
-        out = complement_under_form(relations, form) if base is None else _dual_relations(base)
-        for row in rows:
-            out = _cut_under_form(out, row, form)
+        if base is None:
+            out = complement_under_form(relations, form)
+        else:
+            out = _cut_under_form(_dual_relations(base), rows, form)
         _set(relations, "_dual", out)
     return out
 

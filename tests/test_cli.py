@@ -820,6 +820,107 @@ class TestMalformedInput:
         assert err == f"--rel {rel!r}: 1:19: error: malformed monomial: expected variable x\n"
 
 
+# argv and the subcommand `main` builds the parser of, None for the full
+# parser: each subcommand with valid operands, each one's help, errors, and
+# global flags in the forms only the full parser reads
+NARROW_CASES = [
+    (["dual", "builtins", "Dend"], "dual"),
+    (["square", "builtins", "Dend", "Dias"], "square"),
+    (["quotient", "builtins", "As", "--rel", "(x dot y) dot z = x dot (y dot z)"], "quotient"),
+    (["iso", "builtins", "dual:Xplus", "Xplus"], "iso"),
+    (["dims", "builtins", "Dend", "--max", "3"], "dims"),
+    (["gk-check", "--max", "3", "builtins", "Dias"], "gk-check"),
+    (["verify-paper", "--scan-grid", "0", "--max-weight", "3"], "verify-paper"),
+    (["expand", "builtins", "Dend", "--weight", "3", "--basis"], "expand"),
+    *[([name, "--help"], name) for name in quadops.cli._COMMANDS],
+    (["--help"], None),
+    (["-h", "dims"], None),
+    ([], None),
+    (["bogus"], None),
+    (["dims"], "dims"),
+    (["dims", "builtins", "Dend", "--bogus"], "dims"),
+    (["quotient", "builtins", "As"], "quotient"),
+    (["--format", "--max-weight", "dims"], None),
+    (["--format=json", "dims", "builtins", "Dend"], None),
+    (["--form", "json", "dims", "builtins", "Dend"], None),
+    (["--max-weight", "3", "verify-paper", "--scan-grid", "0"], "verify-paper"),
+    (["--max-weight", "-1", "dims", "builtins", "Dend"], None),
+    (["--format", "xml", "dims", "builtins", "Dend"], "dims"),
+]
+NARROW_IDS = [re.sub(r"[^\w-]+", "_", " ".join(argv)) or "empty" for argv, _ in NARROW_CASES]
+
+
+def outcome(capsys, call) -> tuple:
+    """What a call returns, or the code it exits with, and its output."""
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = SystemExit, exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestNarrowParser:
+    @pytest.mark.parametrize("argv,command", NARROW_CASES, ids=NARROW_IDS)
+    def test_narrow_parser_reads_as_the_full_one(self, capsys, argv, command):
+        assert quadops.cli._named_command(argv) == command
+        full = outcome(capsys, lambda: build_parser().parse_args(argv))
+        assert outcome(capsys, lambda: build_parser(command).parse_args(argv)) == full
+
+    @pytest.mark.parametrize("argv,command", NARROW_CASES, ids=NARROW_IDS)
+    def test_main_prints_what_the_full_parser_gives(self, monkeypatch, capsys, argv, command):
+        narrow = outcome(capsys, lambda: main(argv))
+        monkeypatch.setattr(quadops.cli, "_named_command", lambda argv: None)
+        assert narrow == outcome(capsys, lambda: main(argv))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'dual', "
+             "'square', 'quotient', 'iso', 'dims', 'gk-check', 'verify-paper', 'expand')"),
+        ],
+        ids=["empty", "bogus"],
+    )
+    def test_full_parser_errors_name_the_command_argument(self, capsys, argv, message):
+        # the full parser keeps argparse's own name for the subcommand
+        # argument; a metavar there would replace it with the choices
+        assert outcome(capsys, lambda: main(argv))[2].endswith(f"quadops: error: {message}\n")
+
+    def test_a_one_shot_run_builds_two_parsers(self):
+        # a fresh process: the top-level parser and verify-paper's, not all nine
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r})\n"
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from quadops.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['--format', 'json', 'verify-paper', '--scan-grid', '0'])\n"
+            "print(code, *built, sep='|')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0|quadops|quadops verify-paper\n"
+
+    def test_argv_defaults_to_the_command_line(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(
+            quadops.cli,
+            "build_parser",
+            lambda command=None: built.append(command) or build_parser(command),
+        )
+        monkeypatch.setattr(sys, "argv", ["quadops", "dims", "builtins", "Dend", "--max", "3"])
+        assert outcome(capsys, main) == (0, "1, 2, 5\n", "")
+        assert built == ["dims"]
+
+
 def parser_flags() -> set[str]:
     parser = build_parser()
     (subparsers,) = (

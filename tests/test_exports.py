@@ -45,6 +45,19 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_catalog_is_the_function_and_the_module_is_imported_by_name():
+    # the package binds `catalog` to the function over its submodule; the
+    # module stays reachable by its full name, as the docs say
+    module = importlib.import_module("quadops.catalog")
+    assert inspect.ismodule(module) and module.__name__ == "quadops.catalog"
+    assert inspect.isfunction(quadops.catalog) and quadops.catalog is module.catalog
+    assert callable(module.spanning_relations)
+    how = 'importlib.import_module("quadops.catalog")'
+    assert how in quadops.__doc__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert how in readme.split("\n## Library\n")[1].split("\n## ")[0]
+
+
 def test_benchmark_tracer_targets_resolve():
     # the benchmark's tracer wraps these names; one renamed or deleted in
     # the package would otherwise show only when the benchmark runs

@@ -486,15 +486,18 @@ def test_complement_matches_sympy_nullspace(m, data):
 @settings(deadline=None, max_examples=200)
 @given(matrices(max_rows=5, max_cols=6), st.data())
 def test_cut_is_the_complement_of_the_larger_span(m, data):
-    # s^⊥ ∩ x^⊥ = (s + <x>)^⊥, in the same canonical rows
+    # s^⊥ ∩ x_1^⊥ ∩ ... ∩ x_r^⊥ = (s + <x_1, ..., x_r>)^⊥, in the same
+    # canonical rows
     n = m.cols
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-    x = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+    xs = data.draw(
+        st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
     c = complement_under_form(span(m.row_list(), n), signs)
-    cut = _cut_under_form(c, tuple(sparse_row(x).items()), signs)
-    assert cut == complement_under_form(span([*m.row_list(), x], n), signs)
+    cut = _cut_under_form(c, [tuple(sparse_row(x).items()) for x in xs], signs)
+    assert cut == complement_under_form(span([*m.row_list(), *xs], n), signs)
     if cut.dimension == c.dimension:
-        # x is orthogonal to all of c: nothing is cut
+        # every x is orthogonal to all of c: nothing is cut
         assert cut is c
 
 
@@ -505,7 +508,7 @@ def test_cut_golden():
     signs = (1, 1, -1)
     c = complement_under_form(span([[1, 0, -1]], 3), signs)
     assert c.rows == (((0, 1), (2, -1)), ((1, 1),))
-    cut = _cut_under_form(c, ((0, 1), (1, 1)), signs)
+    cut = _cut_under_form(c, [((0, 1), (1, 1))], signs)
     assert cut.rows == (((0, 1), (1, -1), (2, -1)),)
 
 

@@ -37,6 +37,7 @@ from quadops.catalog import (
 from quadops.linalg import (
     DimensionError,
     Matrix,
+    Subspace,
     complement_under_form,
     reduce_row,
     rref,
@@ -244,6 +245,32 @@ def counted_complements(monkeypatch):
 def direct_dual(relations):
     """The complement by elimination, never read off an origin."""
     return complement_under_form(relations, pairing_form(isqrt(relations.ambient_dim // 2)))
+
+
+def unit_chain(length: int) -> tuple[Presentation, Presentation]:
+    """A 24-operation free presentation and the quotient of it by the
+    first ``length`` unit relations, asked one quotient at a time."""
+    names = tuple(f"o{i}" for i in range(24))
+    first = p = Presentation(GeneratorSet(names), span([], 1152))
+    for c in range(length):
+        p = quotient(p, [RelVector(tuple(int(j == c) for j in range(1152)))])
+    return first, p
+
+
+def assert_dual_cut_into_one_space(monkeypatch, base: Presentation, q: Presentation):
+    """With base's dual known, q's dual builds one new ``Subspace``, itself,
+    and it is the complement by elimination."""
+    dual(base)
+    built = []
+    new = Subspace.__new__
+    monkeypatch.setattr(
+        Subspace,
+        "__new__",
+        staticmethod(lambda cls, n, rows: built.append(rows) or new(cls, n, rows)),
+    )
+    cut = dual(q).relations
+    assert built == [cut.rows]
+    assert cut == direct_dual(q.relations)
 
 
 @st.composite
@@ -902,17 +929,14 @@ class TestOriginRecord:
         assert origin(top) == (base.relations, (primitive_row(left_dir), primitive_row(right_dir)))
         assert origin(top)[0] is base.relations
 
-    def test_a_long_chain_of_quotients_takes_its_dual(self):
+    def test_a_long_chain_of_quotients_takes_its_dual(self, monkeypatch):
         # one unit relation at a time, more quotients than the interpreter
         # has frames: every origin names the first space, so the dual is
-        # cut from its complement without following a chain
-        names = tuple(f"o{i}" for i in range(24))
-        p = Presentation(GeneratorSet(names), span([], 1152))
-        first = p.relations
-        for c in range(1100):
-            p = quotient(p, [RelVector(tuple(int(j == c) for j in range(1152)))])
-        assert origin(p.relations)[0] is first and len(origin(p.relations)[1]) == 1100
-        assert dual(p).relations == direct_dual(p.relations)
+        # cut from its complement without following a chain, and by all
+        # 1,100 rows into one new space
+        first, p = unit_chain(1100)
+        assert origin(p.relations)[0] is first.relations and len(origin(p.relations)[1]) == 1100
+        assert_dual_cut_into_one_space(monkeypatch, first, p)
 
     def test_the_first_record_stays(self):
         # the same space grown again, in the other order, keeps its first origin
@@ -1121,6 +1145,17 @@ class TestDerivedDuals:
         assert all(origin(q.relations) is None or origin(q.relations)[0] is chain[0].relations for q in chain)
         for q in reversed(chain):
             assert dual(q).relations == direct_dual(q.relations)
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_short_unit_chains(self, monkeypatch, length):
+        assert_dual_cut_into_one_space(monkeypatch, *unit_chain(length))
+
+    def test_both_directions_cut_into_one_new_space(self, monkeypatch):
+        base = builtin("DendSquareDias")
+        clear_relation_memos()
+        q = quotient(base, list(extra_relation_directions()))
+        assert len(origin(q.relations)[1]) == 2
+        assert_dual_cut_into_one_space(monkeypatch, base, q)
 
     def test_the_two_directions_one_at_a_time(self):
         base = builtin("DendSquareDias")
