@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .linalg import DimensionError, _Record, _scaled_row, _set, span_rows
+from .linalg import DimensionError, _Record, _divided_by_lead, _scaled_row, _set, span_rows
 from .presentations import (
     GeneratorSet,
     Presentation,
@@ -530,13 +530,7 @@ def _presentation_text(p: Presentation, name: str) -> tuple[str, list[str]]:
     for op in names:
         if not _is_valid_name(op) or op == "operad":
             raise ValueError(f"operation name does not survive printing: {op!r}")
-    relations = []
-    for row in p.relations.rows:
-        lead = row[0][1]
-        if lead != 1:
-            # each entry divided by the lead, as Subspace.rational_rows does
-            row = [(c, Fraction(x, lead) if x % lead else x // lead) for c, x in row]
-        relations.append(_format(row, names))
+    relations = [_format(_divided_by_lead(row), names) for row in p.relations.rows]
     lines = [f"operad {name} {{", f"  ops: {', '.join(names)};"]
     lines.extend(f"  rel: {relation};" for relation in relations)
     lines.append("}")

@@ -48,7 +48,7 @@ that weight peaks at about 42 MB, the 205,920 of Dias at weight 8 at about
 A quotient's ideal grows from its base's. The ideal of a sum of relation
 spaces is the sum of their ideals (Loday and Vallette, *Algebraic
 Operads*, ch. 5 and 7), so for a space that ``quotient`` grew as
-B + <x_1, ..., x_m> (``Subspace._origin``), ``_ideal_echelon`` starts from
+B + <x_1, ..., x_m> (its origin), ``_ideal_echelon`` starts from
 a shallow copy of B's echelon and inserts only the generators of the x_i,
 sorted as above; a space with no origin is the zero space extended by all
 its rows. The result is exact for the reason above: every rank, pivot set
@@ -78,16 +78,18 @@ criterion; every other dim is a rank, as are all dims up to weight 4.
 
 Two caches are keyed by the weight alone, ``enumerate_trees`` and
 ``_context_layouts``; the CLI's preflight (``weight_work``) bounds the
-weights. Two facts are kept on the interned relation space and collected
-with it: ``_ideal_rank`` the rank of each weight's ideal, and
-``_normal_edges`` the leading edges of a quadratic Gröbner basis, or None
-when none of the 2*k! orders it tries has one. A failed search reduces
-the relation rows once per order and counts weight 4 each time, about
-1 ms for the 48 orders on four operations. The orders grow as k!, so
+weights. Two entries of a relation space's record, ``Subspace._facts``,
+are written here and collected with the space (the ``presentations``
+module docstring describes the record and the origin): ``ideal_ranks``,
+the rank of each weight's ideal (``_ideal_rank``), and ``normal_edges``,
+the leading edges of a quadratic Gröbner basis, or None when none of the
+2*k! orders ``_normal_edges`` tries has one. A failed search reduces the
+relation rows once per order and counts weight 4 each time, about 1 ms
+for the 48 orders on four operations. The orders grow as k!, so
 ``component_dim`` searches only at a weight whose C(2n-3, n) * k^(n-3) *
 dim R generator rows are at least the 2 * k! * dim R rows the search
-reduces: from weight 5 for k <= 5, 6 for k = 6 and 7, 8 for k = 10.
-No monomial, ideal basis or echelon is kept but those of ``_base_echelon``.
+reduces: from weight 5 for k <= 5, 6 for k = 6 and 7, 8 for k = 10. No
+monomial, ideal basis or echelon is kept but those of ``_base_echelon``.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def _ideal_echelon(relations: Subspace, n: int) -> Echelon:
     if n < 3:
         raise ValueError("the relation ideal starts at weight 3")
     k = isqrt(relations.ambient_dim // 2)
-    base, relation_rows = getattr(relations, "_origin", None) or (None, relations.rows)
+    base, relation_rows = relations._facts.get("origin", (None, relations.rows))
     echelon: Echelon = {} if base is None else dict(_base_echelon(base, n))
     rows = list(_ideal_generators(k, relation_rows, n))
     # pop() takes the highest lead column first; among equal leads the
@@ -322,7 +324,7 @@ _base_echelon = lru_cache(maxsize=4)(_ideal_echelon)
 
 def _ideal_rank(relations: Subspace, n: int) -> int:
     """Rank of the weight-n ideal generated by a relation space, kept on
-    the space per weight once computed (``Subspace._ideal_ranks``).
+    the space's record per weight once computed (``ideal_ranks``).
 
     At weight 3 it is dim R, with no elimination: a 3-leaf tree has one
     rotation and no other vertex, so ``_ideal_generators`` sends relation
@@ -331,10 +333,9 @@ def _ideal_rank(relations: Subspace, n: int) -> int:
     """
     if n == 3:
         return relations.dimension
-    ranks = getattr(relations, "_ideal_ranks", None) or {}
+    ranks = relations._facts.setdefault("ideal_ranks", {})
     if n not in ranks:
         ranks[n] = len(_ideal_echelon(relations, n))
-        _set(relations, "_ideal_ranks", ranks)
     return ranks[n]
 
 
@@ -367,7 +368,7 @@ def _normal_count(k: int, forbidden: Collection[int], n: int) -> int:
 def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     """The quadratic leading edges of a relation space, if they form a
     quadratic Gröbner basis under one of 2*k! orders, else None; kept on
-    the space once searched (``Subspace._normal_edges``).
+    the space's record once searched (``normal_edges``).
 
     The orders are the engine's column order and its mirror, each under
     the k! orders of the labels: a variant compares two monomials by the
@@ -380,10 +381,9 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     those leading monomials in the presentation's own labels, as
     ``_normal_count`` names them.
     """
-    try:
-        return relations._normal_edges
-    except AttributeError:
-        pass
+    facts = relations._facts
+    if "normal_edges" in facts:
+        return facts["normal_edges"]
     k = isqrt(relations.ambient_dim // 2)
     k2 = k * k
     # relation coordinate i*k + j, (x op_i y) op_j z, is the edge from op_j
@@ -406,7 +406,7 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
                 (s * k + a) * k + b for s, a, b in (edges[coordinate[col]] for col in echelon)
             )
             break
-    _set(relations, "_normal_edges", found)
+    facts["normal_edges"] = found
     return found
 
 

@@ -19,10 +19,12 @@ giving the canonical RREF rows.
 A ``Subspace`` stores exactly those rows, primitive integers with a
 positive lead, in a hashable form. They are canonical, so two subspaces
 are equal exactly when their stored rows are equal; they are hash-consed
-(Filliâtre and Conchon, 2006), one live instance per class and rows.
-Membership tests reduce against the rows, and dense rows over QQ are
-built only on request, by
-``Subspace.rational_rows``. The small dense ``Matrix`` type holds the
+(Filliâtre and Conchon, 2006), one live instance per class and rows,
+each with a ``_facts`` record that the ``presentations`` module
+docstring describes. Membership tests reduce against the rows. Dense
+rows over QQ are built only on request, by ``Subspace.rational_rows``,
+which divides each row by its lead (``_divided_by_lead``, the rule the
+text printer shares). The small dense ``Matrix`` type holds the
 generator maps and the input of ``rref`` and ``kernel``; ``span`` takes
 dense coordinate vectors. Every number held outside the rows follows one
 rule, ``_exact``: an ``int`` at every integral value, a ``Fraction`` only
@@ -375,10 +377,8 @@ class _Key(tuple):
         return self[1]
 
 
-# the live subspaces, each held by a weak reference under its _Key, and
-# the slots of a subspace that hold facts about it, filled on first use
+# the live subspaces, each held by a weak reference under its _Key
 _interned: dict[_Key, weakref.ref] = {}
-_FACTS = ("_dual", "_origin", "_pair_projections", "_normal_edges", "_ideal_ranks")
 
 
 def _drop(key: _Key, ref: weakref.ref) -> None:
@@ -401,12 +401,12 @@ class Subspace(_Record):
 
     Instances are interned: constructing one with the rows of a live
     instance of its class, validated all the same, returns that instance.
-    The hash is computed once. The underscored slots hold facts that
-    ``presentations`` and ``expansion`` fill on first use; none is part of
-    the value.
+    The hash is computed once. ``_facts``, a dict made with the instance,
+    holds what ``presentations`` and ``expansion`` compute about the space
+    (see the ``presentations`` module docstring); it is not part of the value.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_hash", *_FACTS, "__weakref__")
+    __slots__ = ("ambient_dim", "rows", "_hash", "_facts", "__weakref__")
 
     def __new__(cls, ambient_dim: int, rows: tuple[IntRow, ...]) -> Subspace:
         if ambient_dim < 0:
@@ -454,6 +454,7 @@ class Subspace(_Record):
             _set(space, "ambient_dim", ambient_dim)
             _set(space, "rows", rows)
             _set(space, "_hash", h)
+            _set(space, "_facts", {})
             _interned[key] = weakref.ref(space, partial(_drop, key))
         return space
 
@@ -481,10 +482,8 @@ class Subspace(_Record):
         out = []
         for row in self.rows:
             dense: list[int | Fraction] = [0] * self.ambient_dim
-            lead = row[0][1]
-            for c, x in row:
-                q, r = divmod(x, lead)
-                dense[c] = Fraction(x, lead) if r else q
+            for c, x in _divided_by_lead(row):
+                dense[c] = x
             out.append(tuple(dense))
         return out
 
@@ -494,29 +493,43 @@ class Subspace(_Record):
         return reduce_row(self.echelon(), sparse_row(vector)) is None
 
 
+def _divided_by_lead(row: IntRow) -> Sequence[tuple[int, int | Fraction]]:
+    """A basis row's ``(column, entry)`` pairs with each entry divided by
+    the row's lead: an ``int`` wherever the lead divides the entry, a
+    ``Fraction`` elsewhere."""
+    lead = row[0][1]
+    if lead == 1:
+        return row
+    return [(c, Fraction(x, lead) if x % lead else x // lead) for c, x in row]
+
+
 def echelon_subspace(echelon: Echelon, ambient_dim: int) -> Subspace:
     """The subspace spanned by the rows of an echelon."""
     rows = tuple(tuple(sorted(row.items())) for _, row in back_substitute(echelon))
     return Subspace(ambient_dim, rows)
 
 
-def _extend(s: Subspace, rows: Iterable[SparseRow]) -> Subspace:
-    """Subspace spanned by ``s`` and sparse integer rows; the rows are consumed.
+def _extend(s: Subspace, rows: Iterable[IntRow]) -> tuple[Subspace, tuple[IntRow, ...]]:
+    """The span of ``s`` and integer rows, and the rows that made it
+    larger: each lies outside the span of ``s`` and the rows kept before it.
 
     Each row goes straight into the canonical basis, with no back
     substitution of the rows already there. The basis rows are zero at
     each other's leads, so one pass over the lead columns a row holds
     clears them all. A nonzero residue is made primitive with a positive
     lead, and its lead is cleared from only the basis rows nonzero there;
-    every other row is kept as the same tuple. When no row adds anything,
-    ``s`` itself is returned.
+    every other row is kept as the same tuple. One ``Subspace`` is built
+    at the end, and when no row adds anything, ``s`` itself is returned.
     """
     basis = {row[0][0]: row for row in s.rows}
-    for row in rows:
+    kept = []
+    for given in rows:
+        row = dict(given)
         for col in [c for c in row if c in basis]:
             _eliminate(row, col, dict(basis[col]))
         if not row:
             continue
+        kept.append(given)
         lead = min(row)
         _normalize(row, lead)
         for other, brow in basis.items():
@@ -530,9 +543,9 @@ def _extend(s: Subspace, rows: Iterable[SparseRow]) -> Subspace:
                 _normalize(changed, other)
                 basis[other] = tuple(sorted(changed.items()))
         basis[lead] = tuple(sorted(row.items()))
-    if len(basis) == s.dimension:
-        return s
-    return Subspace(s.ambient_dim, tuple(basis[lead] for lead in sorted(basis)))
+    if not kept:
+        return s, ()
+    return Subspace(s.ambient_dim, tuple(basis[lead] for lead in sorted(basis))), tuple(kept)
 
 
 def span_rows(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:

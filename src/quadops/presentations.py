@@ -18,20 +18,26 @@ the canonical basis it starts from, and the dual of a quotient is cut
 from the dual of the space it starts from.
 
 Relation spaces are interned ``linalg.Subspace`` objects. What is
-computed about one space alone is kept on it, filled on first use and
-collected with it: its complement (``_dual_relations``), its projection
-onto each coordinate pair (``_pair_projections``) and its origin. Only
-what was computed is kept, never a derived reverse fact, so a double dual
-still takes two kernel computations and no check holds by construction.
+computed about one space alone is kept in its record, the dict
+``Subspace._facts`` made with the space, filled on first use and
+collected with it. This module and ``expansion`` read and write their
+own entries with plain dict operations: ``dual`` (``_dual_relations``),
+``origin`` (below), ``pair_projections`` (``_pair_projections``), and
+``normal_edges`` and ``ideal_ranks`` (``expansion._normal_edges`` and
+``expansion._ideal_rank``). Only what was computed is kept, never a
+derived reverse fact, so a double dual still takes two kernel
+computations and no check holds by construction.
 
 The origin of a space that ``quotient`` grew is its base B and the extra
-rows x_1, ..., x_m that made it larger; a base grown in turn gives way to
-its own base. ``quotient`` alone writes it, and the first one stays.
-``catalog.builtin`` records Xplus and Xminus by asking ``quotient`` for
-DendSquareDias with their sixteenth relation, while the catalog keeps
-the span of each literal list, the same object when the two are equal.
-A space with an origin takes the shorter path below, any other the
-direct computation, to the same canonical result:
+rows x_1, ..., x_m that made it larger (``linalg._extend``). A base grown
+in turn gives way to its own base, so an origin always names the first
+base of a chain of quotients. ``_quotient_relations`` writes it on a
+memo miss, and the first one written stays. ``catalog.builtin`` records
+Xplus and Xminus by asking ``quotient`` for DendSquareDias with their
+sixteenth relation, while the catalog keeps the span of each literal
+list, the same object when the two are equal. A space with an origin
+takes the shorter path below, any other the direct computation, to the
+same canonical result:
 
 * since (B + <x>)^⊥ = B^⊥ ∩ x^⊥, ``_dual_relations`` cuts the dual of B
   by each x_i (``linalg._cut_under_form``);
@@ -54,7 +60,7 @@ space; ``_is_morphism`` by the map's nonzero entries scaled to integers
 (``sparse_row``) and the two spaces. A built-in's space takes about 5 KB
 and a square of two four-operation built-ins about 100 KB, so a memo
 full of those stays under 13 MB. ``_forget_relation_facts`` empties these
-memos and the facts of every live space.
+memos and the record of every live space.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
@@ -80,7 +86,6 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
-    _FACTS,
     DimensionError,
     IntRow,
     Matrix,
@@ -297,22 +302,23 @@ def pairing_value(v: RelVector, w: RelVector) -> int | Fraction:
 
 def _dual_relations(relations: Subspace) -> Subspace:
     """Orthogonal complement of a relation space under the duality pairing,
-    kept on the space once computed.
+    kept in the space's record once computed.
 
-    A space that ``quotient`` grew as B + <rows> takes the complement of B
-    cut by all its rows at once (``linalg._cut_under_form``), with no
-    elimination, since (B + <x>)^⊥ = B^⊥ ∩ x^⊥; any other space takes
-    ``complement_under_form``. Both give the same canonical space.
+    A space with an origin cuts its base's complement by all the origin's
+    rows at once (``linalg._cut_under_form``), with no elimination; any
+    other space takes ``complement_under_form``. Both give the same
+    canonical space.
     """
-    out = getattr(relations, "_dual", None)
+    facts = relations._facts
+    out = facts.get("dual")
     if out is None:
         form = pairing_form(isqrt(relations.ambient_dim // 2))
-        base, rows = getattr(relations, "_origin", None) or (None, ())
-        if base is None:
-            out = complement_under_form(relations, form)
-        else:
+        if "origin" in facts:
+            base, rows = facts["origin"]
             out = _cut_under_form(_dual_relations(base), rows, form)
-        _set(relations, "_dual", out)
+        else:
+            out = complement_under_form(relations, form)
+        facts["dual"] = out
     return out
 
 
@@ -374,30 +380,19 @@ def _square_relations(p_relations: Subspace, q_relations: Subspace) -> Subspace:
 def quotient(p: Presentation, extra: Iterable[RelVector]) -> Presentation:
     """Presentation with extra relations added to the span.
 
-    Each extra relation is inserted into p's canonical basis (``_extend``);
-    when none adds anything, the result holds p's own relation space.
-    The result is memoized per relation space and extra rows, each made
-    primitive with a positive lead, zero rows dropped
+    The extra relations are inserted into p's canonical basis
+    (``_extend``); when none adds anything, the result holds p's own
+    relation space. The result is memoized per relation space and extra
+    rows, each made primitive with a positive lead, zero rows dropped
     (``_quotient_relations``), so every multiple of one extra relation
-    asks the same entry. A grown space with no origin yet records p's
-    space and the extra rows that made it larger; when p's space was
-    grown in turn, its base and the rows of both steps.
+    asks the same entry. A grown space records its origin there.
 
     Raises:
         DimensionError: if an extra relation has the wrong length; all
             are checked before the memo is asked.
     """
     rows = _extra_rows(extra, p.ambient_dim)
-    relations = p.relations
-    if rows:
-        grown, kept = _quotient_relations(relations, rows)
-        if kept and getattr(grown, "_origin", None) is None:
-            # a chain of quotients records its first base, so no origin
-            # chain grows with the number of quotients asked
-            base, earlier = getattr(relations, "_origin", None) or (relations, ())
-            _set(grown, "_origin", (base, earlier + kept))
-        # with nothing kept, grown is p's own space: spaces are interned
-        relations = grown
+    relations = _quotient_relations(p.relations, rows) if rows else p.relations
     return Presentation(p.generators, relations)
 
 
@@ -418,20 +413,15 @@ def _extra_rows(extra: Iterable[RelVector], ambient_dim: int) -> tuple[IntRow, .
 
 # Bounded LRU keyed by the canonical relation space and the extra rows.
 @lru_cache(maxsize=128)
-def _quotient_relations(
-    relations: Subspace, rows: tuple[IntRow, ...]
-) -> tuple[Subspace, tuple[IntRow, ...]]:
-    """The span of a relation space and extra primitive integer rows, and
-    the rows that made it larger: each lies outside the span of the space
-    and the rows kept before it."""
-    out = relations
-    kept = []
-    for row in rows:
-        grown = _extend(out, [dict(row)])
-        if grown is not out:
-            out = grown
-            kept.append(row)
-    return out, tuple(kept)
+def _quotient_relations(relations: Subspace, rows: tuple[IntRow, ...]) -> Subspace:
+    """The span of a relation space and extra primitive integer rows; a
+    grown space with no origin yet records one, by the module's rule."""
+    grown, kept = _extend(relations, rows)
+    facts = grown._facts
+    if kept and "origin" not in facts:
+        base, earlier = relations._facts.get("origin", (relations, ()))
+        facts["origin"] = (base, earlier + kept)
+    return grown
 
 
 def _push(
@@ -546,8 +536,8 @@ def _relabel(
 
 
 def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
-    """A relation space projected onto each coordinate pair, kept on the
-    space once computed.
+    """A relation space projected onto each coordinate pair, kept in the
+    space's record once computed.
 
     Entry i*k + j describes the projection onto the two coordinates
     ``left_index(k, i, j)`` and ``right_index(k, i, j)``: 0 when it is
@@ -559,11 +549,11 @@ def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
     starts from B's projections and passes over the x_i alone, since the
     projection of a sum of spaces is the sum of their projections.
     """
-    kept = getattr(relations, "_pair_projections", None)
-    if kept is not None:
-        return kept
+    facts = relations._facts
+    if "pair_projections" in facts:
+        return facts["pair_projections"]
     k2 = relations.ambient_dim // 2
-    base, rows = getattr(relations, "_origin", None) or (None, relations.rows)
+    base, rows = facts.get("origin", (None, relations.rows))
     proj: list[int | tuple[int, int]] = [0] * k2 if base is None else [*_pair_projections(base)]
     for row in rows:
         # a row lists its left-block columns before its right-block ones
@@ -581,8 +571,7 @@ def _pair_projections(relations: Subspace) -> tuple[int | tuple[int, int], ...]:
                 proj[pair] = (a // g, b // g)
             elif line != 2 and line[0] * b != a * line[1]:
                 proj[pair] = 2
-    kept = tuple(proj)
-    _set(relations, "_pair_projections", kept)
+    kept = facts["pair_projections"] = tuple(proj)
     return kept
 
 
@@ -732,12 +721,11 @@ def _relabeling_iso(source: Subspace, target: Subspace) -> SignedRelabeling | No
 
 
 def _forget_relation_facts() -> None:
-    """Forget what was computed about relation spaces: the facts kept on
+    """Forget what was computed about relation spaces: the record of
     every live space and the memos keyed by pairs of spaces."""
     for space in [ref() for ref in list(_interned.values())]:
-        for name in _FACTS:
-            if hasattr(space, name):
-                object.__delattr__(space, name)
+        if space is not None:
+            space._facts.clear()
     for memo in (_quotient_relations, _square_relations, _is_morphism, _relabeled_relations):
         memo.cache_clear()
     _relabeling_iso.cache_clear()

@@ -10,20 +10,21 @@ fresh from canonical constructors rather than read from the catalog under
 test, so a damaged catalog cannot satisfy the checks by construction.
 
 The primitives the checks call (duals, quotients, squares, relabelings,
-morphism tests, iso searches, ranks) keep their results by value, on
-the interned relation spaces, never by names. The origin ``quotient``
-keeps on a space it grew serves duals
-and ideals alike, and the catalog makes Xplus's and Xminus's through
-``quotient`` too. So the sixteenth-relation scan eliminates only the
-square's complement and cuts the dual of every point from it, and from
-weight 4 on a battery eliminates the square's ideal once per weight and,
-for Xplus and Xminus, only the sixteenth relation's generators. They
-stay the spans of their literal lists, so the quotient-construction
-checks still compare two spaces built apart. A damaged presentation has
-another relation space, so it misses every memo and is checked afresh,
-while the unchanged built-ins of a damaged catalog are answered from
-the memos. The two pairing spot checks read no catalog at all and are
-built once per process.
+morphism tests, iso searches, ranks) keep their results by value, in
+each interned relation space's record ``Subspace._facts`` or in memos
+keyed by the spaces, never by names; the ``presentations`` module
+docstring describes both. The origin a quotient records on the space it
+grew serves duals and ideals alike, and the catalog makes Xplus's and
+Xminus's through ``quotient`` too. So the sixteenth-relation scan
+eliminates only the square's complement and cuts the dual of every point
+from it, and from weight 4 on a battery eliminates the square's ideal
+once per weight and, for Xplus and Xminus, only the sixteenth relation's
+generators. They stay the spans of their literal lists, so the
+quotient-construction checks still compare two spaces built apart. A
+damaged presentation has another relation space, so it misses every memo
+and is checked afresh, while the unchanged built-ins of a damaged
+catalog are answered from the memos. The two pairing spot checks read no
+catalog at all and are built once per process.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .presentations import (
 )
 from .series import (
     SERIES_LIMITATION_NOTE,
-    DimSeries,
     dim_series,
     gk_defect,
     predicted_dims,
@@ -198,8 +198,15 @@ def _matrix_text(matrix) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
+def _finding_record(
+    check_id: str, matches: bool, expected: str, actual: str, witness: str
+) -> CheckRecord:
+    """A conjectured value's record: a deviation is a finding, never a fail."""
+    return CheckRecord(check_id, "pass" if matches else "finding", expected, actual, witness)
+
+
 def _subspace_equal_record(
-    check_id: str, expected_desc: str, left: Presentation, right: Presentation
+    check_id: str, expected_desc: str, left: Presentation, right: Presentation, witness: str = ""
 ) -> CheckRecord:
     equal = left.relations == right.relations
     return _record(
@@ -208,6 +215,7 @@ def _subspace_equal_record(
         expected_desc,
         f"dimensions {left.relations.dimension} and "
         f"{right.relations.dimension}, {'equal' if equal else 'different'} spans",
+        witness,
     )
 
 
@@ -281,15 +289,12 @@ def _tableau_dual_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     ]
     left_dir, right_dir = extra_relation_directions()
     quotiented = quotient(base, [left_dir, right_dir])
-    swapped = apply_relabeling(MIDDLE_SWAP, quotiented)
-    equal = swapped.relations == d.relations
     records.append(
-        _record(
+        _subspace_equal_record(
             "tableau-dual-matches-swapped-quotient",
-            equal,
             "dual equals the middle-swap relabeling of tableau plus the two extra directions",
-            f"dimensions {swapped.relations.dimension} and "
-            f"{d.relations.dimension}, {'equal' if equal else 'different'} spans",
+            apply_relabeling(MIDDLE_SWAP, quotiented),
+            d,
             f"relabeling {MIDDLE_SWAP.permutation}",
         )
     )
@@ -495,11 +500,10 @@ def _dimension_checks(
         )
         if w >= 4:
             d4 = component_dim(p, 4)
-            matches = d4 == CONJECTURED_WEIGHT_FOUR
             records.append(
-                CheckRecord(
+                _finding_record(
                     f"weight-four-dimension-sixteen-{tag}",
-                    "pass" if matches else "finding",
+                    d4 == CONJECTURED_WEIGHT_FOUR,
                     f"{CONJECTURED_WEIGHT_FOUR} if the open acyclicity question "
                     "resolves positively",
                     str(d4),
@@ -551,11 +555,10 @@ def _series_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecor
         predicted4 = predicted_dims(4, 4).dims[3]
         for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
             d4 = component_dim(cat.presentation(name), 4)
-            matches = d4 == predicted4
             records.append(
-                CheckRecord(
+                _finding_record(
                     f"weight-four-vs-prediction-{tag}",
-                    "pass" if matches else "finding",
+                    d4 == predicted4,
                     f"{predicted4} from the functional-equation solver",
                     str(d4),
                     "the even-degree defect cannot see this value; "

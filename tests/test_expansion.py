@@ -271,7 +271,7 @@ def counted_echelons(monkeypatch):
 
 class TestRankMemo:
     """The rank of each weight's ideal is kept on the relation space
-    (``Subspace._ideal_ranks``) once computed."""
+    (its ``ideal_ranks`` entry in ``Subspace._facts``) once computed."""
 
     def test_ranks_live_as_long_as_their_space(self, monkeypatch):
         calls = counted_echelons(monkeypatch)
@@ -283,7 +283,7 @@ class TestRankMemo:
         # every rank is kept, however many were asked after it
         again = [component_dim(Presentation(GeneratorSet(("b",)), line), 4) for line in lines]
         assert again == dims and len(calls) == len(lines)
-        assert all(line._ideal_ranks == {4: 5 - d} for line, d in zip(lines, dims))
+        assert all(line._facts["ideal_ranks"] == {4: 5 - d} for line, d in zip(lines, dims))
         # and is collected with its space
         refs = [weakref.ref(line) for line in lines]
         calls.clear()
@@ -313,7 +313,7 @@ class TestRankMemo:
             # quadratic basis then asks the rank at weight 5 too
             counted = n == 5 and name in QUADRATIC_BASIS
             assert len(calls) == (0 if n == 3 else 1 if n == 4 or counted else 2)
-            assert sorted(getattr(p.relations, "_ideal_ranks", {})) == [m for _, m in calls]
+            assert sorted(p.relations._facts.get("ideal_ranks", {})) == [m for _, m in calls]
 
 
 def seeded_relations(rng: random.Random) -> Subspace:
@@ -648,7 +648,7 @@ class TestExtendedEchelon:
         _base_echelon.cache_clear()
         for n in (3, 4, 5):
             for q in spaces:
-                assert q._origin[0] == square_space
+                assert q._facts["origin"][0] == square_space
                 assert_extension_exact(q, n)
         info = _base_echelon.cache_info()
         # the square eliminated once per weight, read 24 times
@@ -666,7 +666,7 @@ class TestExtendedEchelon:
     )
     def test_sixteen_relation_spaces(self, space):
         relations = space()
-        assert relations._origin[0] == builtin("DendSquareDias").relations
+        assert relations._facts["origin"][0] == builtin("DendSquareDias").relations
         for n in (3, 4, 5):
             assert_extension_exact(relations, n)
 
@@ -716,9 +716,9 @@ class TestExtendedEchelon:
     def test_a_forgotten_origin_falls_back_to_the_direct_elimination(self):
         square = builtin("DendSquareDias")
         q = quotient(square, [line_relation(1, 2)]).relations
-        assert q._origin[0] is square.relations
+        assert q._facts["origin"][0] is square.relations
         _forget_relation_facts()
-        assert not hasattr(q, "_origin")
+        assert "origin" not in q._facts
         _base_echelon.cache_clear()
         assert_extension_exact(q, 4)
         assert _base_echelon.cache_info().misses == 0

@@ -4,9 +4,12 @@ A name left in an ``__all__`` after its definition is gone breaks
 ``from quadops.<module> import *`` and misleads a reader of the API, so
 each ``__all__`` is checked against the module it belongs to. The
 modules' memos are checked here too: one keyed by a presentation must be
-bounded, and every bound is pinned.
+bounded, and every bound is pinned. So are two rules of the source
+itself: no module imports a name it never uses, and a relation space
+keeps its facts in its one record, never through ``_set``.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import quadops
+from quadops import linalg
 from quadops.linalg import Subspace
 
 MODULES = (
@@ -28,6 +32,9 @@ MODULES = (
     "series",
     "verify",
 )
+
+
+SOURCES = Path(quadops.__file__).resolve().parent
 
 
 def test_every_module_is_checked():
@@ -43,6 +50,27 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a package re-exports what it imports by listing it in __all__
+    used.update(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
 def test_catalog_is_the_function_and_the_module_is_imported_by_name():
@@ -130,3 +158,45 @@ def test_no_memo_is_keyed_by_one_relation_space():
             if kinds.count(Subspace) == 1 and set(kinds) <= {Subspace, int}:
                 single.add(f"{name}.{attr}")
     assert single == SINGLE_SPACE_MEMOS
+
+
+def test_facts_about_a_space_live_in_one_record():
+    # one dict per interned space holds every fact; no slot per fact
+    assert Subspace.__slots__ == ("ambient_dim", "rows", "_hash", "_facts", "__weakref__")
+    assert not hasattr(linalg, "_FACTS")
+    s = Subspace(2, (((0, 1),),))
+    assert isinstance(s._facts, dict) and s._facts is Subspace(2, (((0, 1),),))._facts
+
+
+def _set_targets(path: Path):
+    """(function, target, field) of every ``_set(target, "field", ...)``
+    call in a module, the function named as Class.method where it is one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for top in tree.body:
+        functions = top.body if isinstance(top, ast.ClassDef) else [top]
+        for func in functions:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            where = f"{top.name}.{func.name}" if top is not func else func.name
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_set":
+                    yield where, node.args[0].id, node.args[1].value
+
+
+def test_set_only_builds_records():
+    # _set passes a record's frozen __setattr__; it builds a new record's
+    # fields and writes no fact onto a relation space
+    found = {
+        (path.stem, where, target, field)
+        for path in SOURCES.glob("*.py")
+        for where, target, field in _set_targets(path)
+        if not (target == "self" and where.endswith(".__init__"))
+    }
+    assert found == {
+        ("linalg", "Subspace.__new__", "space", "ambient_dim"),
+        ("linalg", "Subspace.__new__", "space", "rows"),
+        ("linalg", "Subspace.__new__", "space", "_hash"),
+        ("linalg", "Subspace.__new__", "space", "_facts"),
+        ("expansion", "weight_basis", "m", "shape"),
+        ("expansion", "weight_basis", "m", "labels"),
+    }

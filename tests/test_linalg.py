@@ -25,6 +25,7 @@ from quadops.linalg import (
     Matrix,
     Subspace,
     _cut_under_form,
+    _extend,
     _interned,
     back_substitute,
     complement_under_form,
@@ -356,7 +357,7 @@ class TestInterning:
         # each fresh space keeps its complement, itself interned
         names = {8: ("a", "b"), 18: ("a", "b", "c")}
         duals = [dual(Presentation(GeneratorSet(names[s.ambient_dim]), s)) for s in fresh]
-        assert all(s._dual is d.relations for s, d in zip(fresh, duals))
+        assert all(s._facts["dual"] is d.relations for s, d in zip(fresh, duals))
         refs = [weakref.ref(space) for space in fresh]
         del space, fresh, duals
         gc.collect()
@@ -510,6 +511,30 @@ def test_cut_golden():
     assert c.rows == (((0, 1), (2, -1)), ((1, 1),))
     cut = _cut_under_form(c, [((0, 1), (1, 1))], signs)
     assert cut.rows == (((0, 1), (1, -1), (2, -1)),)
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices(max_rows=5, max_cols=6), st.data())
+def test_extend_is_the_span_and_keeps_the_rows_that_raise_the_rank(m, data):
+    # _extend against span_rows, and its kept rows against reduce_row
+    # asked one row at a time; repeats and rows in the span are drawn too
+    n = m.cols
+    s = span(m.row_list(), n)
+    xs = data.draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), max_size=4))
+    if m.rows or xs:
+        xs += data.draw(st.lists(st.sampled_from([*m.row_list(), *xs]), max_size=2))
+    # each row primitive with a positive lead, as quotient passes them
+    rows = [span([x], n).rows[0] for x in xs if any(x)]
+    grown, kept = _extend(s, rows)
+    assert grown == span_rows([dict(r) for r in (*s.rows, *rows)], n)
+    echelon = s.echelon()
+    raising = []
+    for row in rows:
+        if reduce_row(echelon, dict(row)) is not None:
+            raising.append(row)
+            insert_rows(echelon, [dict(row)])
+    assert kept == tuple(raising)
+    assert (grown is s) == (not kept)
 
 
 @given(

@@ -228,7 +228,7 @@ def clear_relation_memos():
 
 def origin(space):
     """The origin ``quotient`` recorded on a space, or None."""
-    return getattr(space, "_origin", None)
+    return space._facts.get("origin")
 
 
 def counted_complements(monkeypatch):
@@ -257,10 +257,8 @@ def unit_chain(length: int) -> tuple[Presentation, Presentation]:
     return first, p
 
 
-def assert_dual_cut_into_one_space(monkeypatch, base: Presentation, q: Presentation):
-    """With base's dual known, q's dual builds one new ``Subspace``, itself,
-    and it is the complement by elimination."""
-    dual(base)
+def counted_spaces(monkeypatch) -> list:
+    """The rows of every ``Subspace`` constructed from now on."""
     built = []
     new = Subspace.__new__
     monkeypatch.setattr(
@@ -268,6 +266,14 @@ def assert_dual_cut_into_one_space(monkeypatch, base: Presentation, q: Presentat
         "__new__",
         staticmethod(lambda cls, n, rows: built.append(rows) or new(cls, n, rows)),
     )
+    return built
+
+
+def assert_dual_cut_into_one_space(monkeypatch, base: Presentation, q: Presentation):
+    """With base's dual known, q's dual builds one new ``Subspace``, itself,
+    and it is the complement by elimination."""
+    dual(base)
+    built = counted_spaces(monkeypatch)
     cut = dual(q).relations
     assert built == [cut.rows]
     assert cut == direct_dual(q.relations)
@@ -431,7 +437,7 @@ class TestPairingAndDual:
 
 class TestDualMemo:
     """The complement of a relation space is kept on the space
-    (``Subspace._dual``) once computed."""
+    (its ``dual`` entry in ``Subspace._facts``) once computed."""
 
     def test_complement_lives_as_long_as_its_space(self, monkeypatch):
         calls = counted_complements(monkeypatch)
@@ -444,7 +450,7 @@ class TestDualMemo:
         again = [dual(Presentation(GeneratorSet(("b",)), line)).relations for line in lines]
         assert all(d is e for d, e in zip(duals, again))
         assert len(calls) == len(lines)
-        assert all(line._dual is d for line, d in zip(lines, duals))
+        assert all(line._facts["dual"] is d for line, d in zip(lines, duals))
         # and is collected with its space
         refs = [weakref.ref(d) for d in duals]
         del duals, again
@@ -474,7 +480,7 @@ class TestDualMemo:
         calls = counted_complements(monkeypatch)
         clear_relation_memos()
         d = dual(p).relations
-        assert origin(d) is None and not hasattr(d, "_dual")
+        assert origin(d) is None and "dual" not in d._facts
         assert dual(dual(p)).relations == p.relations
         assert calls == [p.relations, d]
 
@@ -485,7 +491,7 @@ class TestDualMemo:
         calls = counted_complements(monkeypatch)
         clear_relation_memos()
         assert dual(dual(p)).relations == p.relations
-        assert p.relations._dual is p.relations
+        assert p.relations._facts["dual"] is p.relations
         assert calls == [p.relations]
 
 
@@ -816,6 +822,17 @@ class TestQuotient:
         extra = RelVector((0, 0, 0, 1, 0, -1, 0, 0))
         assert quotient(p, [extra]).relations.rows == (((0, 1), (5, 1)), ((3, 1), (5, -1)))
 
+    def test_a_quotient_by_several_rows_builds_one_space(self, monkeypatch):
+        # the second direction lies in the span of the first two rows, so
+        # two of the three grow the space, into one new Subspace
+        base = builtin("DendSquareDias")
+        left_dir, right_dir = extra_relation_directions()
+        clear_relation_memos()
+        built = counted_spaces(monkeypatch)
+        q = quotient(base, [left_dir, line_relation(1, 2), right_dir]).relations
+        assert built == [q.rows]
+        assert q.dimension == base.relations.dimension + 2
+
     @given(presentations(max_ops=3))
     @settings(deadline=None, max_examples=20)
     def test_wrong_length_extra_leaves_p_unchanged(self, p):
@@ -874,7 +891,8 @@ def primitive_row(v: RelVector):
 
 class TestOriginRecord:
     """How each quotient was made is recorded on the space it grew
-    (``Subspace._origin``), and lives as long as that space."""
+    (its ``origin`` entry in ``Subspace._facts``), and lives as long as
+    that space."""
 
     def test_record_lives_as_long_as_its_space(self):
         p = Presentation(GeneratorSet(("a",)), span([], 2))
@@ -957,7 +975,7 @@ class TestOriginRecord:
         q = quotient(p, [RelVector((0, 1, 0, 0, 0, 0, 3, 0))])
         assert dual(q).relations == direct_dual(q.relations)
         base = weakref.ref(p.relations)
-        assert base()._dual is not None and origin(q.relations)[0] is base()
+        assert base()._facts["dual"] is not None and origin(q.relations)[0] is base()
         _quotient_relations.cache_clear()
         del p
         gc.collect()
