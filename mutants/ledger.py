@@ -75,4 +75,118 @@ MUTANTS = (
         '        builtin("DendSquareDias")\n',
         ("tests/test_presentations.py::TestCatalogOrigins::test_builtins_are_recorded_when_made",),
     ),
+    # the number rule and the value classes' type checks (BENCH_20.json)
+    Mutant(
+        "matrix-stores-entries-without-the-rule",
+        "linalg.py",
+        '        _set(self, "entries", _exact_tuple(entries))\n',
+        '        _set(self, "entries", tuple(entries))\n',
+        (
+            "tests/test_linalg.py::test_matrix_rejects_floats",
+            "tests/test_presentations.py::TestCoordinates::test_inexact_matrix_entries_rejected",
+            "tests/test_presentations.py::TestIntegerCoordinates::test_value_classes_store_one_tuple",
+        ),
+    ),
+    Mutant(
+        "signed-relabeling-without-its-int-check",
+        "presentations.py",
+        "        if not all(type(x) is int for x in (*permutation, *signs)):\n",
+        "        if False:\n",
+        ("tests/test_presentations.py::TestRelabeling::test_relabeling_validation",),
+    ),
+    Mutant(
+        "generator-set-without-its-str-check",
+        "presentations.py",
+        "        if not all(isinstance(n, str) for n in names):\n",
+        "        if False:\n",
+        ("tests/test_presentations.py::TestCoordinates::test_generator_set_validation",),
+    ),
+    Mutant(
+        "pairing-value-sums-into-a-fraction",
+        "presentations.py",
+        "    return _exact(sum(pairing_terms(v, w)))\n",
+        "    return sum(pairing_terms(v, w), Fraction(0))\n",
+        ("tests/test_presentations.py::TestIntegerCoordinates::test_pairing_value_is_a_fraction",),
+    ),
+    Mutant(
+        "rational-rows-always-build-fractions",
+        "linalg.py",
+        "                dense[c] = x\n",
+        "                dense[c] = Fraction(x)\n",
+        (
+            "tests/test_presentations.py::TestIntegerCoordinates"
+            "::test_rational_rows_of_builtins_and_duals",
+            "tests/test_presentations.py::TestIntegerCoordinates::test_non_integral_values_stay_fractions",
+        ),
+    ),
+    Mutant(
+        "exact-keeps-an-integral-fraction",
+        "linalg.py",
+        "        return x.numerator if x.denominator == 1 else x\n",
+        "        return x\n",
+        (
+            "tests/test_presentations.py::TestCoordinates::test_integral_fractions_stored_as_ints",
+            "tests/test_presentations.py::TestIntegerCoordinates"
+            "::test_integral_fraction_coefficients_become_ints",
+            "tests/test_presentations.py::TestIntegerCoordinates"
+            "::test_relation_vector_adds_coefficients_as_given",
+        ),
+    ),
+    # the insertion loop and the weight-3 rank (BENCH_21.json)
+    Mutant(
+        "lead-one-step-subtracts-x",
+        "linalg.py",
+        "                    y = row.get(col, 0) - a * x\n",
+        "                    y = row.get(col, 0) - x\n",
+        (
+            "tests/test_linalg.py::TestInsertRows",
+            "tests/test_expansion.py::TestReductionOrder::test_builtins_at_weights_three_to_five",
+        ),
+    ),
+    Mutant(
+        "stored-row-not-normalized",
+        "linalg.py",
+        "                _normalize(row, lead)\n                echelon[lead] = row\n",
+        "                echelon[lead] = row\n",
+        ("tests/test_linalg.py::TestInsertRows::test_rows_are_consumed_and_zero_rows_skipped",),
+    ),
+    Mutant(
+        "no-eliminate-fallback",
+        "linalg.py",
+        "            if prow[lead] != 1:\n                _eliminate(row, lead, prow)\n                continue\n",
+        "",
+        (
+            "tests/test_linalg.py::TestInsertRows::test_matches_the_reference_loop",
+            "tests/test_expansion.py::TestReductionOrder::test_builtins_at_weights_three_to_five",
+        ),
+    ),
+    Mutant(
+        "weight-three-rank-is-dim-r-minus-one",
+        "expansion.py",
+        "        return relations.dimension\n",
+        "        return relations.dimension - 1\n",
+        ("tests/test_expansion.py::TestWeightThreeRank",),
+    ),
+    Mutant(
+        "weight-three-shortcut-at-weight-four",
+        "expansion.py",
+        "    if n == 3:\n        return relations.dimension\n",
+        "    if n <= 4:\n        return relations.dimension\n",
+        (
+            "tests/test_expansion.py::TestRankMemo::test_rank_is_the_echelon_size",
+            "tests/test_expansion.py::TestIdealAndDims::test_sixteen_relation_pair_weight_four_frozen",
+        ),
+    ),
+    # the text reader (BENCH_24.json)
+    Mutant(
+        "reader-takes-numerators-unscaled",
+        "dsl.py",
+        "                    rows.append(_scaled_row([(c, x) for c, x in coords.items() if x]))\n",
+        "                    rows.append({c: x.numerator for c, x in coords.items() if x})\n",
+        (
+            "tests/test_dsl.py::TestSparseAgainstDense"
+            "::test_reader_spans_what_the_dense_reference_spans",
+            "tests/test_dsl.py::test_reader_corpus_is_pinned",
+        ),
+    ),
 )

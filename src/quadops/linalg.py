@@ -28,7 +28,9 @@ text printer shares). The small dense ``Matrix`` type holds the
 generator maps and the input of ``rref`` and ``kernel``; ``span`` takes
 dense coordinate vectors. Every number held outside the rows follows one
 rule, ``_exact``: an ``int`` at every integral value, a ``Fraction`` only
-where a value is not integral.
+where a value is not integral. A sequence takes the rule through
+``_exact_tuple``, which builds the stored tuple of a ``Matrix``, a
+``presentations.RelVector`` and a ``series.PowerSeries``.
 
 A kernel takes the same engine once. ``kernel`` and
 ``complement_under_form`` (the kernel of a subspace's rows with each
@@ -138,6 +140,13 @@ def _exact(x) -> int | Fraction:
     raise TypeError(f"expected an integer or Fraction, got {x!r}")
 
 
+def _exact_tuple(values: Sequence) -> tuple[int | Fraction, ...]:
+    """``values`` under ``_exact``, always as a tuple (hashable); all ints take one pass."""
+    if all(type(x) is int for x in values):
+        return tuple(values)
+    return tuple(map(_exact, values))
+
+
 class Matrix(_Record):
     """Immutable dense matrix of rationals, stored row-major; entries
     follow ``_exact``."""
@@ -145,19 +154,15 @@ class Matrix(_Record):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[int | Fraction, ...]) -> None:
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError(f"matrix dimensions must be int, got {(rows, cols)!r}")
         if rows < 0 or cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
-        # all ints, the common case, take this one pass; a list given is
-        # stored as a tuple, so equal matrices compare and hash alike
-        if all(type(x) is int for x in entries):
-            entries = tuple(entries)
-        else:
-            entries = tuple(map(_exact, entries))  # TypeError unless int or Fraction
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", entries)
+        _set(self, "entries", _exact_tuple(entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
@@ -208,7 +213,7 @@ class Matrix(_Record):
                     if x:
                         acc += x * b[k * m + j]
                 out.append(acc)
-        return Matrix(self.rows, m, tuple(out))
+        return Matrix(self.rows, m, out)
 
 
 SparseRow = dict[int, int]
@@ -569,10 +574,10 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
         pivot columns elsewhere zero, pivots strictly increasing) and the
         remaining rows are zero.
     """
-    s = span_rows(_sparse_rows(m.row_list(), m.cols), m.cols)
+    s = span(m.row_list(), m.cols)
     entries = [x for row in s.rational_rows() for x in row]
     entries.extend([0] * ((m.rows - s.dimension) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(entries)), s.dimension
+    return Matrix(m.rows, m.cols, entries), s.dimension
 
 
 def _kernel(mirrored: Iterable[SparseRow], cols: int) -> Subspace:

@@ -70,10 +70,11 @@ right coefficients multiplied on the right block.
 Every number here follows ``linalg._exact``: a plain ``int`` at every
 integral value and a ``Fraction`` only at a value that is not integral,
 such as a parsed ``1/2 * ...``. ``RelVector`` and the map's ``Matrix``
-apply it themselves, so the builders (``relation_vector``,
-``push_relation``, ``compose_maps``, the DSL reader) hand them their sums
-as they come; ``pairing_value`` applies it to its sum. The relation space
-itself is stored as sparse primitive integer rows (``linalg.Subspace``).
+apply it themselves, through ``linalg._exact_tuple``, so the builders
+(``relation_vector``, ``push_relation``, ``compose_maps``, the DSL
+reader) hand them their sums as they come; ``pairing_value`` applies it
+to its sum. The relation space itself is stored as sparse primitive
+integer rows (``linalg.Subspace``).
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from .linalg import (
     _Record,
     _cut_under_form,
     _exact,
+    _exact_tuple,
     _extend,
     _interned,
     _normalize,
@@ -167,13 +169,7 @@ class RelVector(_Record):
         k = isqrt(len(coordinates) // 2)
         if len(coordinates) == 0 or 2 * k * k != len(coordinates):
             raise DimensionError(f"relation vector length {len(coordinates)} is not 2*k^2")
-        # all ints, the common case, take this one pass; a list given is
-        # stored as a tuple, so equal vectors compare and hash alike
-        if all(type(x) is int for x in coordinates):
-            coordinates = tuple(coordinates)
-        else:
-            coordinates = tuple(map(_exact, coordinates))  # TypeError unless int or Fraction
-        _set(self, "coordinates", coordinates)
+        _set(self, "coordinates", _exact_tuple(coordinates))
 
     @property
     def num_ops(self) -> int:
@@ -205,10 +201,10 @@ def relation_vector(
     """
     coords: list[int | Fraction] = [0] * (2 * k * k)
     for c, i, j in left_terms:
-        coords[left_index(k, i, j)] += c if type(c) is int else _exact(c)
+        coords[left_index(k, i, j)] += c
     for c, i, j in right_terms:
-        coords[right_index(k, i, j)] -= c if type(c) is int else _exact(c)
-    return RelVector(tuple(coords))
+        coords[right_index(k, i, j)] -= c
+    return RelVector(coords)
 
 
 class Presentation(_Record):

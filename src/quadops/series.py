@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .expansion import component_dim
-from .linalg import _Record, _exact, _set
+from .linalg import _Record, _exact_tuple, _set
 from .presentations import Presentation
 
 __all__ = [
@@ -59,7 +59,7 @@ class PowerSeries(_Record):
             raise ValueError("a truncated series stores at least degree 0")
         if coefficients[0] != 0:
             raise ValueError("series must have no constant term")
-        _set(self, "coefficients", tuple(map(_exact, coefficients)))
+        _set(self, "coefficients", _exact_tuple(coefficients))
 
     @property
     def order(self) -> int:
@@ -95,7 +95,9 @@ class DimSeries(_Record):
     def __init__(self, dims: tuple[int, ...]) -> None:
         if not dims:
             raise ValueError("a dim series covers at least weight 1")
-        if any(not isinstance(d, int) or d < 0 for d in dims):
+        if not all(type(d) is int for d in dims):
+            raise TypeError(f"dimensions must be int, got {dims!r}")
+        if min(dims) < 0:
             raise ValueError("dimensions are nonnegative integers")
         if dims[0] != 1:
             raise ValueError("the weight-1 component is always one-dimensional")

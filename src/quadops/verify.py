@@ -83,6 +83,9 @@ MIDDLE_SWAP = SignedRelabeling((0, 2, 1, 3), (1, 1, 1, 1))
 
 CONJECTURED_WEIGHT_FOUR = 64
 
+# the sixteen-relation pair: (catalog name, check-id tag, sixteenth relation's sign)
+_SIXTEEN_RELATION_PAIR = (("Xplus", "plus", 1), ("Xminus", "minus", -1))
+
 
 class CheckRecord(_Record):
     """One verified claim: identifier, outcome, and the values compared."""
@@ -137,6 +140,8 @@ class VerifyConfig(_Record):
     __slots__ = ("max_weight", "scan_radius")
 
     def __init__(self, max_weight: int = 4, scan_radius: int = 2) -> None:
+        if type(max_weight) is not int or type(scan_radius) is not int:
+            raise TypeError(f"weight and radius must be int, got {(max_weight, scan_radius)!r}")
         if max_weight < 3:
             raise ValueError("the battery needs at least weight 3")
         if scan_radius < 0:
@@ -263,14 +268,14 @@ def _square_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
             cat.presentation("DendSquareDias"),
         )
     ]
-    for sign, tag in ((1, "plus"), (-1, "minus")):
+    for name, tag, sign in _SIXTEEN_RELATION_PAIR:
         built = quotient(constructed, [sixteenth_vector(sign)])
         records.append(
             _subspace_equal_record(
                 f"sixteen-relation-quotient-construction-{tag}",
                 "catalog presentation equals the square quotiented by the canonical sixteenth relation",
                 built,
-                cat.presentation("Xplus" if sign == 1 else "Xminus"),
+                cat.presentation(name),
             )
         )
     return records
@@ -350,7 +355,7 @@ def _spot_checks() -> tuple[CheckRecord, ...]:
 
 def _self_duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     records = []
-    for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
+    for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
         p_dual = dual(p)
         sigma = find_relabeling_iso(p, p_dual)
@@ -410,7 +415,7 @@ def _morphism_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
             "reading both bar products as the single product satisfies all five relations",
         ),
     ]
-    for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
+    for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         records.append(
             morphism_record(
                 f"half-product-algebras-carry-sixteen-structure-{tag}",
@@ -445,28 +450,15 @@ def _morphism_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     return records
 
 
-def _dimension_checks(
-    cat: BuiltinCatalog, config: VerifyConfig
-) -> list[CheckRecord]:
+def _dimension_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecord]:
+    expected_ops = {"As": 2, "Dend": 4, "Dias": 4, "DendSquareDias": 8, "Xplus": 8, "Xminus": 8}
+    ops = {name: binary_ops_dimension(cat.presentation(name)) for name in expected_ops}
     records = [
         _record(
             "binary-operation-space-dimensions",
-            all(
-                binary_ops_dimension(cat.presentation(n)) == e
-                for n, e in (
-                    ("As", 2),
-                    ("Dend", 4),
-                    ("Dias", 4),
-                    ("DendSquareDias", 8),
-                    ("Xplus", 8),
-                    ("Xminus", 8),
-                )
-            ),
-            "2, 4, 4, 8, 8, 8",
-            ", ".join(
-                str(binary_ops_dimension(cat.presentation(n)))
-                for n in BUILTIN_NAMES
-            ),
+            ops == expected_ops,
+            ", ".join(map(str, expected_ops.values())),
+            ", ".join(map(str, ops.values())),
         )
     ]
     w = config.max_weight
@@ -479,15 +471,8 @@ def _dimension_checks(
         ("Dias", linear_prefix, "component-dims-bar-products"),
     ):
         dims = dim_series(cat.presentation(name), w).dims
-        records.append(
-            _record(
-                check_id,
-                dims == expected,
-                str(expected),
-                str(dims),
-            )
-        )
-    for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
+        records.append(_record(check_id, dims == expected, str(expected), str(dims)))
+    for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
         proved = tuple(component_dim(p, n) for n in range(1, 4))
         records.append(
@@ -535,7 +520,7 @@ def _series_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecor
     records.append(
         defect_record("series-defect-half-bar-pair", dend_dims, dias_dims, w)
     )
-    for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
+    for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         dims = dim_series(cat.presentation(name), w)
         records.append(
             defect_record(f"series-defect-sixteen-self-{tag}", dims, dims, w)
@@ -553,7 +538,7 @@ def _series_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecor
     )
     if w >= 4:
         predicted4 = predicted_dims(4, 4).dims[3]
-        for name, tag in (("Xplus", "plus"), ("Xminus", "minus")):
+        for name, tag, _ in _SIXTEEN_RELATION_PAIR:
             d4 = component_dim(cat.presentation(name), 4)
             records.append(
                 _finding_record(

@@ -1,12 +1,30 @@
 """The mutant ledger stays applicable: each mutant's old text occurs
 exactly once in its module, so ``mutants/run.py`` mutates the code it was
-written for. The ledger itself is checked here, not run."""
+written for, and each killer names a test that exists. The ledger itself
+is checked here, not run."""
 
+import ast
 import runpy
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = runpy.run_path(str(ROOT / "mutants" / "ledger.py"))["MUTANTS"]
+
+
+@lru_cache(maxsize=None)
+def _defined_names(path: str) -> dict[str, set[str]]:
+    """Top-level classes and functions of a test file, each class with the
+    names defined in its body ("" holds the top-level names)."""
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    names = {"": set()}
+    for node in tree.body:
+        if isinstance(node, kinds):
+            names[""].add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = {n.name for n in node.body if isinstance(n, kinds)}
+    return names
 
 
 def test_every_mutant_applies_exactly_once():
@@ -16,4 +34,12 @@ def test_every_mutant_applies_exactly_once():
         assert source.count(m.old) == 1, m.name
         assert m.new != m.old and m.killers, m.name
         for killer in m.killers:
-            assert (ROOT / killer.split("::")[0]).is_file(), killer
+            path, *parts = killer.split("::")
+            assert (ROOT / path).is_file(), killer
+            assert 1 <= len(parts) <= 2, killer
+            # a parametrized id carries its parameters in brackets
+            parts = [part.split("[")[0] for part in parts]
+            names = _defined_names(path)
+            assert parts[0] in names[""], killer
+            if len(parts) == 2:
+                assert parts[1] in names.get(parts[0], ()), killer

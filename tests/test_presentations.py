@@ -38,6 +38,8 @@ from quadops.linalg import (
     DimensionError,
     Matrix,
     Subspace,
+    _exact,
+    _exact_tuple,
     complement_under_form,
     reduce_row,
     rref,
@@ -1702,3 +1704,47 @@ class TestIntegerCoordinates:
         assert type(row[0]) is int and type(row[1]) is Fraction
         assert PowerSeries((0, Fraction(2, 2), Fraction(1, 2))).coefficients == (0, 1, Fraction(1, 2))
 
+    EXACT_VALUES = st.one_of(
+        st.integers(-50, 50),
+        st.booleans(),
+        st.fractions(min_value=-10, max_value=10, max_denominator=6),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EXACT_VALUES, max_size=12))
+    def test_exact_tuple_is_the_rule_per_entry(self, values):
+        expected = tuple(map(_exact, values))
+        got = _exact_tuple(values)
+        assert type(got) is tuple and hash(got) == hash(expected)
+        assert got == expected
+        assert [type(x) for x in got] == [type(x) for x in expected]
+        assert _exact_tuple(tuple(values)) == got
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(EXACT_VALUES, max_size=8), st.floats(allow_nan=False), st.data())
+    def test_exact_tuple_refuses_a_float_anywhere(self, values, bad, data):
+        values.insert(data.draw(st.integers(0, len(values))), bad)
+        with pytest.raises(TypeError):
+            _exact_tuple(values)
+
+    def test_value_classes_store_one_tuple(self):
+        # a list of length 2 * 2^2, zero first, with integral Fractions and a bool
+        values = [0, Fraction(4, 2), True, Fraction(1, 3), -3, Fraction(-6, 3), 0, 5]
+        stored = (
+            Matrix(2, 4, values).entries,
+            RelVector(values).coordinates,
+            PowerSeries(values).coefficients,
+        )
+        assert all(t == stored[0] and type(t) is tuple for t in stored)
+        for t in stored:
+            assert [type(x) for x in t] == [int, int, int, Fraction, int, int, int, int]
+
+    def test_relation_vector_adds_coefficients_as_given(self):
+        thirds = [(Fraction(1, 3), 0, 1)] * 3 + [(Fraction(5, 2), 1, 0), (Fraction(3, 2), 1, 0)]
+        v = relation_vector(2, thirds, [(Fraction(7, 7), 1, 1)])
+        assert v.coordinates == (0, 1, 4, 0, 0, 0, 0, -1)
+        assert self.ints(v.coordinates)
+        with pytest.raises(TypeError):
+            relation_vector(2, [(0.5, 0, 0)], [])
+        with pytest.raises(TypeError):
+            relation_vector(2, [(1, 0, 0)], [(0.0, 1, 1)])

@@ -164,3 +164,23 @@ def test_list_fields_are_stored_as_tuples(from_list, from_tuple):
     value = from_list()
     assert value == from_tuple()
     assert hash(value) == hash(from_tuple())
+
+
+# A size or count given as a bool or a float is refused at construction: a
+# bool would silently read as 0 or 1, a float would fail later inside.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DimSeries((True, 2)),
+        lambda: DimSeries((1, 2.0)),
+        lambda: Matrix(2.0, 1, (1, 2)),
+        lambda: Matrix(1, True, (1,)),
+        lambda: VerifyConfig(3.5, 0),
+        lambda: VerifyConfig(3, True),
+    ],
+    ids=["DimSeries-bool", "DimSeries-float", "Matrix-float-rows", "Matrix-bool-cols",
+         "VerifyConfig-float-weight", "VerifyConfig-bool-radius"],
+)
+def test_sizes_must_be_int(build):
+    with pytest.raises(TypeError):
+        build()
