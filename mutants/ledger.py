@@ -189,4 +189,42 @@ MUTANTS = (
             "tests/test_dsl.py::test_reader_corpus_is_pinned",
         ),
     ),
+    # the battery's record memo (BENCH_30.json)
+    Mutant(
+        "count-record-keyed-without-the-spanning-count",
+        "verify.py",
+        "        records.append(_checked(_count_record, tag, p, len(cat.spanning[name])))\n",
+        "        records.append(_checked(_count_record, tag, p, len(p.relation_rows())))\n",
+        (
+            "tests/test_verify.py::TestRecordMemo"
+            "::test_a_duplicate_relation_fails_the_count_record",
+        ),
+    ),
+    Mutant(
+        "forgetting-keeps-the-records",
+        "presentations.py",
+        "    for memo in (_quotient_relations, _square_relations, _relabeling_iso, _checked):\n",
+        "    for memo in (_quotient_relations, _square_relations, _relabeling_iso):\n",
+        (
+            "tests/test_verify.py::TestRecordMemo::test_forgetting_clears_the_records",
+            "tests/test_verify.py::TestRecordAndConfig::test_self_duality_witness_is_applied",
+        ),
+    ),
+    Mutant(
+        "witness-builder-reads-the-catalog",
+        "verify.py",
+        "    p_dual = dual(p)\n",
+        '    p_dual = dual(catalog().presentation(f"X{tag}"))\n',
+        (
+            "tests/test_verify.py::TestRecordMemo::test_builders_take_values_and_read_no_catalog",
+            "tests/test_verify.py::TestSensitivity::test_swapping_the_twins_is_detected",
+        ),
+    ),
+    Mutant(
+        "record-memo-unbounded",
+        "verify.py",
+        "@lru_cache(maxsize=256)\n",
+        "@lru_cache(maxsize=None)\n",
+        ("tests/test_exports.py::test_memos_keyed_by_presentations_are_bounded",),
+    ),
 )

@@ -55,12 +55,12 @@ What is computed about more than one space is kept in an LRU of at most
 ``_quotient_relations`` by the space and the extra rows, each made
 primitive with a positive lead, so every multiple of one relation asks
 one entry; ``_relabeling_iso`` and ``_square_relations`` by the ordered
-pair of spaces; ``_relabeled_relations`` by the signed relabeling and the
-space; ``_is_morphism`` by the map's nonzero entries scaled to integers
-(``sparse_row``) and the two spaces. A built-in's space takes about 5 KB
-and a square of two four-operation built-ins about 100 KB, so a memo
-full of those stays under 13 MB. ``_forget_relation_facts`` empties these
-memos and the record of every live space.
+pair of spaces. ``apply_relabeling`` and ``is_morphism`` keep nothing:
+the battery, their one caller in the package, keeps its records in
+``verify._checked``. A built-in's space takes about 5 KB and a square
+of two four-operation built-ins about 100 KB, so a memo full of those
+stays under 13 MB. ``_forget_relation_facts`` empties these memos, the
+battery's records and the record of every live space.
 
 The square product of two presentations has one generator per ordered pair
 of generators (pair (i, l) at index ``i*k_q + l``) and one relation per
@@ -468,13 +468,9 @@ def is_morphism(
     True means every algebra over ``to_ops_of`` becomes an algebra over
     ``from_ops_of`` by reading each source operation through the map.
 
-    The answer is memoized (``_is_morphism``) per integer coefficient row
-    of the map and pair of canonical relation spaces, never per name.
-
     Raises:
         DimensionError: if the map's source or target is not the
-            generator set of the matching presentation; both are checked
-            before the memo is asked.
+            generator set of the matching presentation.
     """
     if phi.source != from_ops_of.generators:
         raise DimensionError("map source does not match the source presentation")
@@ -482,24 +478,11 @@ def is_morphism(
         raise DimensionError("map target does not match the target presentation")
     # the map's entries scaled to integers: every image is scaled alike,
     # which membership does not see
-    coeffs = tuple(sparse_row(phi.matrix.entries).items())
-    return _is_morphism(coeffs, from_ops_of.relations, to_ops_of.relations)
-
-
-# Bounded LRU keyed by integer coefficients and canonical relation spaces.
-@lru_cache(maxsize=128)
-def _is_morphism(
-    coeffs: tuple[tuple[int, int], ...], source: Subspace, target: Subspace
-) -> bool:
-    """The test of ``is_morphism`` on the map's nonzero entries by flat
-    index, scaled to integers, and the two relation spaces."""
-    ks = isqrt(source.ambient_dim // 2)
-    kt = isqrt(target.ambient_dim // 2)
-    entries = dict(coeffs)
-    echelon = target.echelon()
+    entries = sparse_row(phi.matrix.entries)
+    echelon = to_ops_of.relations.echelon()
     return all(
-        reduce_row(echelon, _push(ks, kt, entries, row)) is None
-        for row in source.rows
+        reduce_row(echelon, _push(phi.source.size, phi.target.size, entries, row)) is None
+        for row in from_ops_of.relations.rows
     )
 
 
@@ -619,28 +602,16 @@ def _sign_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 
 
 def apply_relabeling(sigma: SignedRelabeling, p: Presentation) -> Presentation:
-    """Rename operation i to position perm[i] with sign signs[i].
-
-    The moved relation space is memoized per relabeling and relation
-    space (``_relabeled_relations``); the names are attached on each call.
-    """
+    """Rename operation i to position perm[i] with sign signs[i]."""
     k = p.num_ops
     if sigma.size != k:
         raise DimensionError("relabeling size does not match the presentation")
     names: list[str] = [""] * k
     for i, name in enumerate(p.generators.names):
         names[sigma.permutation[i]] = name
-    return Presentation(GeneratorSet(tuple(names)), _relabeled_relations(sigma, p.relations))
-
-
-# Bounded LRU keyed by the relabeling and the canonical relation space.
-@lru_cache(maxsize=128)
-def _relabeled_relations(sigma: SignedRelabeling, relations: Subspace) -> Subspace:
-    """A relation space moved by a signed relabeling of its k operations."""
-    k = sigma.size
     imap = _index_map(sigma.permutation, k)
-    rows = _relabel(relations.rows, imap, _pair_signs(sigma.signs, k), k)
-    return span_rows(rows, 2 * k * k)
+    rows = _relabel(p.relations.rows, imap, _pair_signs(sigma.signs, k), k)
+    return Presentation(GeneratorSet(tuple(names)), span_rows(rows, 2 * k * k))
 
 
 def find_relabeling_iso(
@@ -718,10 +689,12 @@ def _relabeling_iso(source: Subspace, target: Subspace) -> SignedRelabeling | No
 
 def _forget_relation_facts() -> None:
     """Forget what was computed about relation spaces: the record of
-    every live space and the memos keyed by pairs of spaces."""
+    every live space, the memos keyed by pairs of spaces and the
+    battery's records, which are read off them."""
+    from .verify import _checked
+
     for space in [ref() for ref in list(_interned.values())]:
         if space is not None:
             space._facts.clear()
-    for memo in (_quotient_relations, _square_relations, _is_morphism, _relabeled_relations):
+    for memo in (_quotient_relations, _square_relations, _relabeling_iso, _checked):
         memo.cache_clear()
-    _relabeling_iso.cache_clear()

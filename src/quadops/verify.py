@@ -9,22 +9,28 @@ tableau, the sixteenth-relation coordinates, the middle swap) are built
 fresh from canonical constructors rather than read from the catalog under
 test, so a damaged catalog cannot satisfy the checks by construction.
 
-The primitives the checks call (duals, quotients, squares, relabelings,
-morphism tests, iso searches, ranks) keep their results by value, in
-each interned relation space's record ``Subspace._facts`` or in memos
-keyed by the spaces, never by names; the ``presentations`` module
-docstring describes both. The origin a quotient records on the space it
-grew serves duals and ideals alike, and the catalog makes Xplus's and
-Xminus's through ``quotient`` too. So the sixteenth-relation scan
-eliminates only the square's complement and cuts the dual of every point
-from it, and from weight 4 on a battery eliminates the square's ideal
-once per weight and, for Xplus and Xminus, only the sixteenth relation's
-generators. They stay the spans of their literal lists, so the
-quotient-construction checks still compare two spaces built apart. A
-damaged presentation has another relation space, so it misses every memo
-and is checked afresh, while the unchanged built-ins of a damaged
-catalog are answered from the memos. The two pairing spot checks read no
-catalog at all and are built once per process.
+Each record is made by a module-level builder that receives exactly the
+values it reads (presentations, generator maps, the spanning count, the
+weight or the expected tuple, the tag or name), never the catalog or the
+config. The section functions look those values up and call every
+builder through ``_checked``, an LRU of 256 records keyed by the builder
+and its arguments. A damaged presentation has another relation space,
+so its records miss and are built afresh, while a record of an
+unchanged built-in is one lookup. ``presentations._forget_relation_facts``
+clears the records too. The uniqueness scan is not kept.
+
+The primitives the builders call (duals, quotients, squares, iso
+searches, ranks) keep their results by value, in each interned relation
+space's record ``Subspace._facts`` or in memos keyed by the spaces, never
+by names; the ``presentations`` module docstring describes both. The
+origin a quotient records on the space it grew serves duals and ideals
+alike, and the catalog makes Xplus's and Xminus's through ``quotient``
+too. So the sixteenth-relation scan eliminates only the square's
+complement and cuts the dual of every point from it, and from weight 4
+on a battery eliminates the square's ideal once per weight and, for
+Xplus and Xminus, only the sixteenth relation's generators. They stay
+the spans of their literal lists, so the quotient-construction checks
+still compare two spaces built apart.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .catalog import (
 from .expansion import binary_ops_dimension, catalan, component_dim
 from .linalg import _Record, _set, subspace_contains
 from .presentations import (
+    GeneratorMap,
     Presentation,
     RelVector,
     SignedRelabeling,
@@ -224,100 +231,117 @@ def _subspace_equal_record(
     )
 
 
+# Bounded LRU of the battery's records, keyed by the builder and the values
+# it reads. A builder is module-level and reads nothing but its arguments
+# and the canonical constructors, so equal inputs give an equal record.
+@lru_cache(maxsize=256)
+def _checked(build, *inputs):
+    return build(*inputs)
+
+
+def _dual_record(check_id: str, expected: str, p: Presentation, q: Presentation) -> CheckRecord:
+    return _subspace_equal_record(check_id, expected, dual(p), q)
+
+
+def _double_dual_record(name: str, p: Presentation) -> CheckRecord:
+    return _subspace_equal_record(
+        f"double-dual-restores-{name}",
+        "taking the orthogonal complement twice restores the relation space",
+        dual(dual(p)),
+        p,
+    )
+
+
 def _duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     records = [
-        _subspace_equal_record(
-            "dual-of-one-operation-is-itself",
-            "dual relation space equals the original, dimension 1",
-            dual(cat.presentation("As")),
-            cat.presentation("As"),
-        ),
-        _subspace_equal_record(
-            "dual-of-half-products-is-bar-products",
-            "orthogonal of the 3 half-product relations spans the 5 bar-product relations",
-            dual(cat.presentation("Dend")),
-            cat.presentation("Dias"),
-        ),
-        _subspace_equal_record(
-            "dual-of-bar-products-is-half-products",
-            "orthogonal of the 5 bar-product relations spans the 3 half-product relations",
-            dual(cat.presentation("Dias")),
-            cat.presentation("Dend"),
-        ),
+        _checked(_dual_record, check_id, expected, cat.presentation(p), cat.presentation(q))
+        for p, q, check_id, expected in (
+            ("As", "As", "dual-of-one-operation-is-itself",
+             "dual relation space equals the original, dimension 1"),
+            ("Dend", "Dias", "dual-of-half-products-is-bar-products",
+             "orthogonal of the 3 half-product relations spans the 5 bar-product relations"),
+            ("Dias", "Dend", "dual-of-bar-products-is-half-products",
+             "orthogonal of the 5 bar-product relations spans the 3 half-product relations"),
+        )
     ]
     for name in BUILTIN_NAMES:
-        p = cat.presentation(name)
-        records.append(
-            _subspace_equal_record(
-                f"double-dual-restores-{name}",
-                "taking the orthogonal complement twice restores the relation space",
-                dual(dual(p)),
-                p,
-            )
-        )
+        records.append(_checked(_double_dual_record, name, cat.presentation(name)))
     return records
+
+
+def _tableau_square_record(
+    dend: Presentation, dias: Presentation, base: Presentation
+) -> CheckRecord:
+    return _subspace_equal_record(
+        "square-of-half-and-bar-products-matches-tableau",
+        "product relation space equals the 15-row tableau, dimension 15",
+        square(dend, dias),
+        base,
+    )
+
+
+def _sixteen_quotient_record(
+    tag: str, sign: int, dend: Presentation, dias: Presentation, p: Presentation
+) -> CheckRecord:
+    return _subspace_equal_record(
+        f"sixteen-relation-quotient-construction-{tag}",
+        "catalog presentation equals the square quotiented by the canonical sixteenth relation",
+        quotient(square(dend, dias), [sixteenth_vector(sign)]),
+        p,
+    )
 
 
 def _square_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
-    constructed = square(cat.presentation("Dend"), cat.presentation("Dias"))
-    records = [
-        _subspace_equal_record(
-            "square-of-half-and-bar-products-matches-tableau",
-            "product relation space equals the 15-row tableau, dimension 15",
-            constructed,
-            cat.presentation("DendSquareDias"),
-        )
-    ]
+    dend, dias = cat.presentation("Dend"), cat.presentation("Dias")
+    records = [_checked(_tableau_square_record, dend, dias, cat.presentation("DendSquareDias"))]
     for name, tag, sign in _SIXTEEN_RELATION_PAIR:
-        built = quotient(constructed, [sixteenth_vector(sign)])
         records.append(
-            _subspace_equal_record(
-                f"sixteen-relation-quotient-construction-{tag}",
-                "catalog presentation equals the square quotiented by the canonical sixteenth relation",
-                built,
-                cat.presentation(name),
-            )
+            _checked(_sixteen_quotient_record, tag, sign, dend, dias, cat.presentation(name))
         )
     return records
+
+
+def _tableau_dual_dimension_record(base: Presentation) -> CheckRecord:
+    dim = dual(base).relations.dimension
+    return _record("tableau-dual-dimension-seventeen", dim == 17, "32 - 15 = 17", str(dim))
+
+
+def _swapped_quotient_record(base: Presentation) -> CheckRecord:
+    quotiented = quotient(base, extra_relation_directions())
+    return _subspace_equal_record(
+        "tableau-dual-matches-swapped-quotient",
+        "dual equals the middle-swap relabeling of tableau plus the two extra directions",
+        apply_relabeling(MIDDLE_SWAP, quotiented),
+        dual(base),
+        f"relabeling {MIDDLE_SWAP.permutation}",
+    )
+
+
+def _product_of_duals_record(
+    base: Presentation, dend: Presentation, dias: Presentation
+) -> CheckRecord:
+    d = dual(base)
+    product_of_duals = square(dual(dend), dual(dias))
+    contained = subspace_contains(d.relations, product_of_duals.relations)
+    return _record(
+        "product-of-duals-inside-dual-of-product",
+        contained,
+        "square of the duals is contained in the dual of the square",
+        f"dimension {product_of_duals.relations.dimension} space "
+        f"{'inside' if contained else 'not inside'} dimension "
+        f"{d.relations.dimension} space",
+    )
 
 
 def _tableau_dual_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     base = cat.presentation("DendSquareDias")
-    d = dual(base)
-    records = [
-        _record(
-            "tableau-dual-dimension-seventeen",
-            d.relations.dimension == 17,
-            "32 - 15 = 17",
-            str(d.relations.dimension),
-        )
+    return [
+        _checked(_tableau_dual_dimension_record, base),
+        _checked(_swapped_quotient_record, base),
+        _checked(
+            _product_of_duals_record, base, cat.presentation("Dend"), cat.presentation("Dias")
+        ),
     ]
-    left_dir, right_dir = extra_relation_directions()
-    quotiented = quotient(base, [left_dir, right_dir])
-    records.append(
-        _subspace_equal_record(
-            "tableau-dual-matches-swapped-quotient",
-            "dual equals the middle-swap relabeling of tableau plus the two extra directions",
-            apply_relabeling(MIDDLE_SWAP, quotiented),
-            d,
-            f"relabeling {MIDDLE_SWAP.permutation}",
-        )
-    )
-    product_of_duals = square(
-        dual(cat.presentation("Dend")), dual(cat.presentation("Dias"))
-    )
-    contained = subspace_contains(d.relations, product_of_duals.relations)
-    records.append(
-        _record(
-            "product-of-duals-inside-dual-of-product",
-            contained,
-            "square of the duals is contained in the dual of the square",
-            f"dimension {product_of_duals.relations.dimension} space "
-            f"{'inside' if contained else 'not inside'} dimension "
-            f"{d.relations.dimension} space",
-        )
-    )
-    return records
 
 
 def _pairing_text(v: RelVector, w: RelVector) -> str:
@@ -325,8 +349,6 @@ def _pairing_text(v: RelVector, w: RelVector) -> str:
     return " ".join(terms) if terms else "no common support"
 
 
-# reads no catalog, so its two records are built once
-@lru_cache(maxsize=1)
 def _spot_checks() -> tuple[CheckRecord, ...]:
     rows = tableau_vectors()
     # each candidate dual direction shares support with exactly one tableau
@@ -353,62 +375,88 @@ def _spot_checks() -> tuple[CheckRecord, ...]:
     )
 
 
+def _witness_record(tag: str, p: Presentation) -> CheckRecord:
+    p_dual = dual(p)
+    sigma = find_relabeling_iso(p, p_dual)
+    # apply the witness too: a check that does not go through the search
+    return _record(
+        f"self-duality-witness-{tag}",
+        sigma == MIDDLE_SWAP
+        and apply_relabeling(sigma, p).relations == p_dual.relations,
+        f"relabeling {MIDDLE_SWAP.permutation} with all positive signs",
+        "no relabeling found"
+        if sigma is None
+        else f"relabeling {sigma.permutation} with signs {sigma.signs}",
+        "" if sigma is None else "verified by applying the relabeling",
+    )
+
+
+def _count_record(tag: str, p: Presentation, spanning: int) -> CheckRecord:
+    dim = p.relations.dimension
+    return _record(
+        f"relation-count-sixteen-{tag}",
+        dim == 16 and spanning == 16,
+        "16 spanning relations, linearly independent",
+        f"{spanning} spanning relations, dimension {dim}",
+    )
+
+
 def _self_duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     records = []
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
-        p_dual = dual(p)
-        sigma = find_relabeling_iso(p, p_dual)
-        # apply the witness too: a check that does not go through the search
-        records.append(
-            _record(
-                f"self-duality-witness-{tag}",
-                sigma == MIDDLE_SWAP
-                and apply_relabeling(sigma, p).relations == p_dual.relations,
-                f"relabeling {MIDDLE_SWAP.permutation} with all positive signs",
-                "no relabeling found"
-                if sigma is None
-                else f"relabeling {sigma.permutation} with signs {sigma.signs}",
-                "" if sigma is None else "verified by applying the relabeling",
-            )
-        )
-        dim = p.relations.dimension
-        spanning = len(cat.spanning[name])
-        records.append(
-            _record(
-                f"relation-count-sixteen-{tag}",
-                dim == 16 and spanning == 16,
-                "16 spanning relations, linearly independent",
-                f"{spanning} spanning relations, dimension {dim}",
-            )
-        )
+        records.append(_checked(_witness_record, tag, p))
+        records.append(_checked(_count_record, tag, p, len(cat.spanning[name])))
     return records
 
 
+def _morphism_record(
+    check_id: str, expected: str, phi: GeneratorMap, source: Presentation, target: Presentation
+) -> CheckRecord:
+    ok = is_morphism(phi, source, target)
+    return _record(
+        check_id,
+        ok,
+        expected,
+        "all pushed relations land in the target space"
+        if ok
+        else "some pushed relation leaves the target space",
+    )
+
+
+def _collapse_record(
+    tag: str, arrows_in: GeneratorMap, arrows_out: GeneratorMap,
+    single_in: GeneratorMap, single_out: GeneratorMap,
+) -> CheckRecord:
+    """Dias to Dend through the four arrows, against Dias to Dend through As."""
+    through_arrows = compose_maps(arrows_in, arrows_out)
+    through_single = compose_maps(single_in, single_out)
+    equal = through_arrows.matrix == through_single.matrix
+    return _record(
+        f"collapse-routes-agree-{tag}",
+        equal,
+        "composite through the arrows equals the composite through the single operation",
+        "matrices equal"
+        if equal
+        else f"{_matrix_text(through_arrows.matrix)} != "
+        f"{_matrix_text(through_single.matrix)}",
+        f"common matrix {_matrix_text(through_single.matrix)}",
+    )
+
+
 def _morphism_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
-    def morphism_record(check_id, source, target, description):
-        ok = is_morphism(
-            cat.map(source, target),
-            cat.presentation(source),
-            cat.presentation(target),
-        )
-        return _record(
-            check_id,
-            ok,
-            description,
-            "all pushed relations land in the target space"
-            if ok
-            else "some pushed relation leaves the target space",
-        )
+    def morphism(check_id, source, target, expected):
+        ends = cat.presentation(source), cat.presentation(target)
+        return _checked(_morphism_record, check_id, expected, cat.map(source, target), *ends)
 
     records = [
-        morphism_record(
+        morphism(
             "half-product-sum-is-associative",
             "As",
             "Dend",
             "the sum of the two half products is associative",
         ),
-        morphism_record(
+        morphism(
             "one-operation-gives-bar-structure",
             "Dias",
             "As",
@@ -417,7 +465,7 @@ def _morphism_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
     ]
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         records.append(
-            morphism_record(
+            morphism(
                 f"half-product-algebras-carry-sixteen-structure-{tag}",
                 name,
                 "Dend",
@@ -425,131 +473,124 @@ def _morphism_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
             )
         )
         records.append(
-            morphism_record(
+            morphism(
                 f"sixteen-algebras-carry-bar-structure-{tag}",
                 "Dias",
                 name,
                 "reading the bar products as arrow sums satisfies all five relations",
             )
         )
-        through_arrows = compose_maps(cat.map("Dias", name), cat.map(name, "Dend"))
-        through_single = compose_maps(cat.map("Dias", "As"), cat.map("As", "Dend"))
-        equal = through_arrows.matrix == through_single.matrix
-        records.append(
-            _record(
-                f"collapse-routes-agree-{tag}",
-                equal,
-                "composite through the arrows equals the composite through the single operation",
-                "matrices equal"
-                if equal
-                else f"{_matrix_text(through_arrows.matrix)} != "
-                f"{_matrix_text(through_single.matrix)}",
-                f"common matrix {_matrix_text(through_single.matrix)}",
-            )
-        )
+        routes = (("Dias", name), (name, "Dend"), ("Dias", "As"), ("As", "Dend"))
+        records.append(_checked(_collapse_record, tag, *(cat.map(*r) for r in routes)))
     return records
+
+
+_EXPECTED_OPS = {"As": 2, "Dend": 4, "Dias": 4, "DendSquareDias": 8, "Xplus": 8, "Xminus": 8}
+
+
+def _ops_record(*presentations: Presentation) -> CheckRecord:
+    """Binary operation spaces of the presentations named in ``_EXPECTED_OPS``, in order."""
+    ops = tuple(map(binary_ops_dimension, presentations))
+    expected = tuple(_EXPECTED_OPS.values())
+    return _record(
+        "binary-operation-space-dimensions",
+        ops == expected,
+        ", ".join(map(str, expected)),
+        ", ".join(map(str, ops)),
+    )
+
+
+def _dims_record(check_id: str, p: Presentation, expected: tuple[int, ...]) -> CheckRecord:
+    dims = dim_series(p, len(expected)).dims
+    return _record(check_id, dims == expected, str(expected), str(dims))
+
+
+def _sixteen_dims_record(tag: str, p: Presentation) -> CheckRecord:
+    proved = tuple(component_dim(p, n) for n in range(1, 4))
+    return _record(f"component-dims-sixteen-{tag}", proved == (1, 4, 16), "(1, 4, 16)", str(proved))
+
+
+def _weight_four_record(tag: str, p: Presentation) -> CheckRecord:
+    d4 = component_dim(p, 4)
+    return _finding_record(
+        f"weight-four-dimension-sixteen-{tag}",
+        d4 == CONJECTURED_WEIGHT_FOUR,
+        f"{CONJECTURED_WEIGHT_FOUR} if the open acyclicity question "
+        "resolves positively",
+        str(d4),
+        "conjectural value, deviation recorded as a finding",
+    )
 
 
 def _dimension_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecord]:
-    expected_ops = {"As": 2, "Dend": 4, "Dias": 4, "DendSquareDias": 8, "Xplus": 8, "Xminus": 8}
-    ops = {name: binary_ops_dimension(cat.presentation(name)) for name in expected_ops}
-    records = [
-        _record(
-            "binary-operation-space-dimensions",
-            ops == expected_ops,
-            ", ".join(map(str, expected_ops.values())),
-            ", ".join(map(str, ops.values())),
-        )
-    ]
+    records = [_checked(_ops_record, *map(cat.presentation, _EXPECTED_OPS))]
     w = config.max_weight
-    catalan_prefix = tuple(catalan(n) for n in range(1, w + 1))
-    linear_prefix = tuple(range(1, w + 1))
-    ones = (1,) * w
     for name, expected, check_id in (
-        ("As", ones, "component-dims-one-operation"),
-        ("Dend", catalan_prefix, "component-dims-half-products"),
-        ("Dias", linear_prefix, "component-dims-bar-products"),
+        ("As", (1,) * w, "component-dims-one-operation"),
+        ("Dend", tuple(catalan(n) for n in range(1, w + 1)), "component-dims-half-products"),
+        ("Dias", tuple(range(1, w + 1)), "component-dims-bar-products"),
     ):
-        dims = dim_series(cat.presentation(name), w).dims
-        records.append(_record(check_id, dims == expected, str(expected), str(dims)))
+        records.append(_checked(_dims_record, check_id, cat.presentation(name), expected))
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
-        proved = tuple(component_dim(p, n) for n in range(1, 4))
-        records.append(
-            _record(
-                f"component-dims-sixteen-{tag}",
-                proved == (1, 4, 16),
-                "(1, 4, 16)",
-                str(proved),
-            )
-        )
+        records.append(_checked(_sixteen_dims_record, tag, p))
         if w >= 4:
-            d4 = component_dim(p, 4)
-            records.append(
-                _finding_record(
-                    f"weight-four-dimension-sixteen-{tag}",
-                    d4 == CONJECTURED_WEIGHT_FOUR,
-                    f"{CONJECTURED_WEIGHT_FOUR} if the open acyclicity question "
-                    "resolves positively",
-                    str(d4),
-                    "conjectural value, deviation recorded as a finding",
-                )
-            )
+            records.append(_checked(_weight_four_record, tag, p))
     return records
+
+
+def _defect_record(check_id: str, p: Presentation, q: Presentation, order: int) -> CheckRecord:
+    defect = gk_defect(dim_series(p, order), dim_series(q, order), order)
+    return _record(
+        check_id,
+        defect.is_zero,
+        f"zero defect through order {order}",
+        "zero"
+        if defect.is_zero
+        else f"coefficients {tuple(map(str, defect.coefficients))}",
+        SERIES_LIMITATION_NOTE,
+    )
+
+
+def _prediction_record() -> CheckRecord:
+    prediction = predicted_dims(4, 5)
+    return _record(
+        "predicted-dims-geometric-seed-four",
+        prediction.ok and prediction.dims == (1, 4, 16, 64, 256),
+        "(1, 4, 16, 64, 256)",
+        str(prediction.dims)
+        if prediction.ok
+        else f"solver stopped: {prediction.failure}",
+    )
+
+
+def _prediction_finding_record(tag: str, p: Presentation) -> CheckRecord:
+    predicted4 = predicted_dims(4, 4).dims[3]
+    d4 = component_dim(p, 4)
+    return _finding_record(
+        f"weight-four-vs-prediction-{tag}",
+        d4 == predicted4,
+        f"{predicted4} from the functional-equation solver",
+        str(d4),
+        "the even-degree defect cannot see this value; "
+        + SERIES_LIMITATION_NOTE,
+    )
 
 
 def _series_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecord]:
     w = config.max_weight
-
-    def defect_record(check_id, p_dims, dual_dims, order):
-        defect = gk_defect(p_dims, dual_dims, order)
-        return _record(
-            check_id,
-            defect.is_zero,
-            f"zero defect through order {order}",
-            "zero"
-            if defect.is_zero
-            else f"coefficients {tuple(map(str, defect.coefficients))}",
-            SERIES_LIMITATION_NOTE,
-        )
-
-    as_dims = dim_series(cat.presentation("As"), 6)
-    records = [defect_record("series-defect-one-operation", as_dims, as_dims, 6)]
-    dend_dims = dim_series(cat.presentation("Dend"), w)
-    dias_dims = dim_series(cat.presentation("Dias"), w)
-    records.append(
-        defect_record("series-defect-half-bar-pair", dend_dims, dias_dims, w)
-    )
+    as_p, dend, dias = map(cat.presentation, ("As", "Dend", "Dias"))
+    records = [
+        _checked(_defect_record, "series-defect-one-operation", as_p, as_p, 6),
+        _checked(_defect_record, "series-defect-half-bar-pair", dend, dias, w),
+    ]
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
-        dims = dim_series(cat.presentation(name), w)
-        records.append(
-            defect_record(f"series-defect-sixteen-self-{tag}", dims, dims, w)
-        )
-    prediction = predicted_dims(4, 5)
-    records.append(
-        _record(
-            "predicted-dims-geometric-seed-four",
-            prediction.ok and prediction.dims == (1, 4, 16, 64, 256),
-            "(1, 4, 16, 64, 256)",
-            str(prediction.dims)
-            if prediction.ok
-            else f"solver stopped: {prediction.failure}",
-        )
-    )
+        p = cat.presentation(name)
+        records.append(_checked(_defect_record, f"series-defect-sixteen-self-{tag}", p, p, w))
+    records.append(_checked(_prediction_record))
     if w >= 4:
-        predicted4 = predicted_dims(4, 4).dims[3]
         for name, tag, _ in _SIXTEEN_RELATION_PAIR:
-            d4 = component_dim(cat.presentation(name), 4)
-            records.append(
-                _finding_record(
-                    f"weight-four-vs-prediction-{tag}",
-                    d4 == predicted4,
-                    f"{predicted4} from the functional-equation solver",
-                    str(d4),
-                    "the even-degree defect cannot see this value; "
-                    + SERIES_LIMITATION_NOTE,
-                )
-            )
+            records.append(_checked(_prediction_finding_record, tag, cat.presentation(name)))
     return records
 
 
@@ -582,7 +623,7 @@ def verify_all(
     records.extend(_duality_checks(cat))
     records.extend(_square_checks(cat))
     records.extend(_tableau_dual_checks(cat))
-    records.extend(_spot_checks())
+    records.extend(_checked(_spot_checks))
     records.extend(_self_duality_checks(cat))
     records.extend(_morphism_checks(cat))
     records.extend(_dimension_checks(cat, config))

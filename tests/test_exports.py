@@ -115,12 +115,10 @@ BOUNDED_MEMOS = {
     "expansion._base_echelon": 4,
     "presentations._quotient_relations": 128,
     "presentations._square_relations": 128,
-    "presentations._is_morphism": 128,
     "presentations._sign_tables": 8,
-    "presentations._relabeled_relations": 128,
     "presentations._relabeling_iso": 128,
     "series.predicted_dims": 128,
-    "verify._spot_checks": 1,
+    "verify._checked": 256,
 }
 
 

@@ -1,15 +1,18 @@
 """The mutant ledger stays applicable: each mutant's old text occurs
 exactly once in its module, so ``mutants/run.py`` mutates the code it was
 written for, and each killer names a test that exists. The ledger itself
-is checked here, not run."""
+is checked here, not run; neither is the runner, whose time limit is
+checked with a stand-in for pytest."""
 
 import ast
 import runpy
+import subprocess
 from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = runpy.run_path(str(ROOT / "mutants" / "ledger.py"))["MUTANTS"]
+RUNNER = runpy.run_path(str(ROOT / "mutants" / "run.py"))
 
 
 @lru_cache(maxsize=None)
@@ -43,3 +46,17 @@ def test_every_mutant_applies_exactly_once():
             assert parts[0] in names[""], killer
             if len(parts) == 2:
                 assert parts[1] in names.get(parts[0], ()), killer
+
+
+def test_a_mutant_past_the_time_limit_is_an_error(monkeypatch):
+    limits = []
+
+    def too_slow(cmd, **kwargs):
+        limits.append(kwargs.get("timeout"))
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", too_slow)
+    result = RUNNER["run_mutant"](MUTANTS[0])
+    limit = RUNNER["TIMEOUT_S"]
+    assert limits == [limit]
+    assert (result["status"], result["detail"]) == ("error", f"timed out after {limit} s")

@@ -6,20 +6,19 @@ sensitivity of the battery: every single-relation deletion across the
 catalog must trip at least one check.
 """
 
+import inspect
 import json
 
 import pytest
 
 import quadops.presentations
 import quadops.verify
-from quadops.catalog import BUILTIN_NAMES, builtin, catalog
+from quadops.catalog import BUILTIN_NAMES, BuiltinCatalog, builtin, catalog
 from quadops.expansion import _base_echelon
 from quadops.linalg import _cut_under_form, complement_under_form
 from quadops.presentations import (
     _forget_relation_facts,
-    _is_morphism,
     _quotient_relations,
-    _relabeled_relations,
     _relabeling_iso,
     _square_relations,
     dual,
@@ -36,6 +35,7 @@ from quadops.verify import (
     scan_grid,
     sixteenth_relation_scan,
     verify_all,
+    _checked,
     _self_duality_checks,
 )
 
@@ -128,9 +128,13 @@ class TestRecordAndConfig:
         records = _self_duality_checks(catalog())
         witnesses = [r for r in records if r.check_id.startswith("self-duality")]
         assert [r.status for r in witnesses] == ["pass", "pass"]
-        # a relabeling that moved nothing would leave p, not its dual
+        # a relabeling that moved nothing would leave p, not its dual; the
+        # records of the first run would answer without applying it
+        _forget_relation_facts()
         monkeypatch.setattr(quadops.verify, "apply_relabeling", lambda sigma, p: p)
         records = _self_duality_checks(catalog())
+        # nor may the patched records answer a later battery
+        _forget_relation_facts()
         witnesses = [r for r in records if r.check_id.startswith("self-duality")]
         assert [r.status for r in witnesses] == ["fail", "fail"]
 
@@ -198,12 +202,63 @@ class TestQuickBattery:
 
 
 def test_spot_checks_are_built_once():
-    quadops.verify._spot_checks.cache_clear()
-    first = quadops.verify._spot_checks()
+    _checked.cache_clear()
+    first = _checked(quadops.verify._spot_checks)
     assert [r.status for r in first] == ["pass", "pass"]
-    assert quadops.verify._spot_checks() is first
-    info = quadops.verify._spot_checks.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+    assert _checked(quadops.verify._spot_checks) is first
+    info = _checked.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 256)
+
+
+class TestRecordMemo:
+    """Each record comes from a module-level builder called through
+    ``_checked`` with exactly the values it reads, so its key is complete."""
+
+    def test_builders_take_values_and_read_no_catalog(self, monkeypatch):
+        calls = []
+
+        def spy(build, *inputs):
+            calls.append((build, inputs))
+            return _checked(build, *inputs)
+
+        def refuse():
+            raise AssertionError("a builder read the catalog")
+
+        _checked.cache_clear()
+        monkeypatch.setattr(quadops.verify, "_checked", spy)
+        monkeypatch.setattr(quadops.verify, "catalog", refuse)
+        report = verify_all(catalog(), VerifyConfig(max_weight=4, scan_radius=0))
+        assert report.ok
+        made = [_checked(build, *inputs) for build, inputs in calls]
+        # every record of the report, spot checks included, came from a builder
+        flat = [r for m in made for r in (m if isinstance(m, tuple) else (m,))]
+        assert tuple(flat) == report.records
+        for build, inputs in calls:
+            assert build.__qualname__ == build.__name__, build
+            assert getattr(quadops.verify, build.__name__) is build
+            params = inspect.signature(build, eval_str=True).parameters.values()
+            assert not {p.annotation for p in params} & {BuiltinCatalog, VerifyConfig}, build
+            assert not any(isinstance(x, (BuiltinCatalog, VerifyConfig)) for x in inputs), build
+
+    def test_a_duplicate_relation_fails_the_count_record(self):
+        assert verify_all().ok
+        cat = catalog()
+        spanning = dict(cat.spanning)
+        spanning["Xplus"] += spanning["Xplus"][-1:]
+        duplicated = BuiltinCatalog(cat.presentations, spanning, cat.maps)
+        # the relation space is unchanged: only the spanning count differs
+        assert duplicated.presentation("Xplus") is builtin("Xplus")
+        report = verify_all(duplicated, VerifyConfig.quick())
+        fails = [r.check_id for r in report.records if r.status == "fail"]
+        assert fails == ["relation-count-sixteen-plus"]
+        record = report.by_id("relation-count-sixteen-plus")
+        assert record.actual == "17 spanning relations, dimension 16"
+
+    def test_forgetting_clears_the_records(self):
+        verify_all(config=VerifyConfig.quick())
+        assert _checked.cache_info().currsize > 0
+        _forget_relation_facts()
+        assert _checked.cache_info().currsize == 0
 
 
 class TestScan:
@@ -336,21 +391,17 @@ class TestReports:
         assert any("necessary condition" in note for note in payload["notes"])
 
 
-# every memo that the quick battery asks; the facts kept on each relation
-# space are counted apart
-MEMOS = (
-    _quotient_relations,
-    _relabeling_iso,
-    _square_relations,
-    _relabeled_relations,
-    _is_morphism,
-    quadops.verify._spot_checks,
-    predicted_dims,
-)
-# what ``_forget_relation_facts`` leaves: the memos of whole results, and
-# the memo of base echelons, which the quick battery never asks since it
-# eliminates nothing; the cold sweep clears them all the same
-CLEARED = (quadops.verify._spot_checks, predicted_dims, _base_echelon)
+# every memo that the quick battery asks on a damaged catalog; the facts
+# kept on each relation space are counted apart
+MEMOS = (_quotient_relations, _square_relations, _checked)
+# memos that only the records of unchanged built-ins ask, so that once
+# those records are kept (``_checked``) a deletion asks them no more
+BEHIND_RECORDS = (_relabeling_iso, predicted_dims)
+# what ``_forget_relation_facts`` leaves: the memo of whole series
+# predictions, and the memo of base echelons, which the quick battery
+# never asks since it eliminates nothing; the cold sweep clears them all
+# the same
+CLEARED = (predicted_dims, _base_echelon)
 
 
 def _deletion_cases():
@@ -407,11 +458,13 @@ class TestSensitivity:
         assert any(space in unchanged for space in complements)
         assert verify_all().ok
         hits = [memo.cache_info().hits for memo in MEMOS]
+        asked = [memo.cache_info()[:2] for memo in BEHIND_RECORDS]
         complements.clear()
         warm = sweep(clear=False)
         # every memo the battery asks is hit at least once
         gained = [memo.cache_info().hits - before for memo, before in zip(MEMOS, hits)]
         assert all(n > 0 for n in gained), {m.__name__: n for m, n in zip(MEMOS, gained)}
+        assert [memo.cache_info()[:2] for memo in BEHIND_RECORDS] == asked
         # and no complement of an unchanged built-in is computed again
         assert not any(space in unchanged for space in complements)
         assert warm == cold
