@@ -193,8 +193,8 @@ MUTANTS = (
     Mutant(
         "count-record-keyed-without-the-spanning-count",
         "verify.py",
-        "        records.append(_checked(_count_record, tag, p, len(cat.spanning[name])))\n",
-        "        records.append(_checked(_count_record, tag, p, len(p.relation_rows())))\n",
+        "        yield _count_record, tag, p, len(cat.spanning[name])\n",
+        "        yield _count_record, tag, p, len(p.relation_rows())\n",
         (
             "tests/test_verify.py::TestRecordMemo"
             "::test_a_duplicate_relation_fails_the_count_record",
@@ -226,5 +226,37 @@ MUTANTS = (
         "@lru_cache(maxsize=256)\n",
         "@lru_cache(maxsize=None)\n",
         ("tests/test_exports.py::test_memos_keyed_by_presentations_are_bounded",),
+    ),
+    # the battery as one stream of builder calls (BENCH_32.json)
+    Mutant(
+        "scan-item-reads-the-builtin-square",
+        "verify.py",
+        '        yield _scan_record, cat.presentation("DendSquareDias"), config.scan_radius\n',
+        '        yield _scan_record, builtin("DendSquareDias"), config.scan_radius\n',
+        ("tests/test_verify.py::TestRecordMemo::test_the_scan_reads_the_catalogs_square",),
+    ),
+    Mutant(
+        "spot-check-reads-the-wrong-row",
+        "verify.py",
+        "    tableau_row = tableau_vectors()[row]\n",
+        "    tableau_row = tableau_vectors()[row - 1]\n",
+        (
+            "tests/test_verify.py::test_spot_checks_are_built_once",
+            "tests/test_cli.py::TestVerifyPaper::test_report_frozen",
+        ),
+    ),
+    Mutant(
+        "predicted-dims-without-its-int-check",
+        "series.py",
+        "    if type(x2) is not int or type(order) is not int:\n",
+        "    if False:\n",
+        ("tests/test_series.py::TestPredictedDims::test_arguments_are_ints",),
+    ),
+    Mutant(
+        "scan-grid-without-its-int-check",
+        "verify.py",
+        "    if type(radius) is not int:\n",
+        "    if False:\n",
+        ("tests/test_verify.py::TestScan::test_grid_radius_is_an_int",),
     ),
 )

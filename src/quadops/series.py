@@ -14,13 +14,13 @@ degrees of the dim series; every even-degree coefficient cancels out of
 its own equation. The predicted-dimension solver therefore fills even
 degrees by geometric continuation (dims[n] = dims[2] * dims[n-1]), which
 reproduces the series of every self-dual Koszul operad with one binary
-generator scaled by dims[2], and solves each odd degree exactly.
+generator scaled by dims[2], and solves each odd degree exactly. Nothing
+here is memoized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .expansion import component_dim
@@ -200,8 +200,6 @@ class DimPrediction(_Record):
         return DimSeries(self.dims)
 
 
-# Bounded LRU; typed, so an int and an equal float or bool never share an entry.
-@lru_cache(maxsize=128, typed=True)
 def predicted_dims(x2: int, order: int) -> DimPrediction:
     """Dim series making the self-dual defect vanish through the order.
 
@@ -209,9 +207,11 @@ def predicted_dims(x2: int, order: int) -> DimPrediction:
     by the functional equation; even-degree ones cancel out of it, so they
     are fixed by geometric continuation (see the module docstring). A
     solution step landing outside the nonnegative integers is reported in
-    the ``failure`` field rather than raised. The result is memoized in an
-    LRU of at most 128 entries keyed by the two arguments.
+    the ``failure`` field rather than raised. Nothing is memoized: the
+    battery keeps the records that read a prediction.
     """
+    if type(x2) is not int or type(order) is not int:
+        raise TypeError(f"weight-2 dimension and order must be int, got {(x2, order)!r}")
     if x2 < 1:
         raise ValueError("the weight-2 dimension is at least 1")
     if order < 1:

@@ -11,13 +11,15 @@ test, so a damaged catalog cannot satisfy the checks by construction.
 
 Each record is made by a module-level builder that receives exactly the
 values it reads (presentations, generator maps, the spanning count, the
-weight or the expected tuple, the tag or name), never the catalog or the
-config. The section functions look those values up and call every
-builder through ``_checked``, an LRU of 256 records keyed by the builder
-and its arguments. A damaged presentation has another relation space,
-so its records miss and are built afresh, while a record of an
-unchanged built-in is one lookup. ``presentations._forget_relation_facts``
-clears the records too. The uniqueness scan is not kept.
+weight, radius or expected tuple, the tag or name), never the catalog or
+the config, and returns that one record. Each section function looks
+those values up and yields ``(builder, *inputs)`` items; ``verify_all``
+makes every record, the uniqueness scan's included, by one call of
+``_checked``, an LRU of 256 records keyed by the builder and its
+arguments. A damaged presentation has another relation space, so its
+records miss and are built afresh, while a record of an unchanged
+built-in is one lookup. ``presentations._forget_relation_facts`` clears
+the records too.
 
 The primitives the builders call (duals, quotients, squares, iso
 searches, ranks) keep their results by value, in each interned relation
@@ -36,11 +38,13 @@ still compare two spaces built apart.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .catalog import (
     BUILTIN_NAMES,
     BuiltinCatalog,
+    builtin,
     catalog,
     line_relation,
     sixteenth_vector,
@@ -169,23 +173,23 @@ def extra_relation_directions() -> tuple[RelVector, RelVector]:
 
 def scan_grid(radius: int) -> tuple[tuple[int, int], ...]:
     """All integer pairs in [-radius, radius]^2, row-major."""
+    if type(radius) is not int:
+        raise TypeError(f"scan radius must be int, got {radius!r}")
     if radius < 1:
         raise ValueError("scan radius is at least 1")
     r = range(-radius, radius + 1)
     return tuple((a, b) for a in r for b in r)
 
 
-def sixteenth_relation_scan(
-    grid, cat: BuiltinCatalog | None = None
-) -> frozenset[tuple]:
+def sixteenth_relation_scan(grid, base: Presentation | None = None) -> frozenset[tuple]:
     """Which scaled combinations of the two directions give a self-dual
-    quotient of the fifteen-relation square."""
+    quotient of the fifteen-relation square ``base``, by default the
+    built-in DendSquareDias."""
     pairs = tuple(grid)
     if not pairs:
         raise ValueError("empty scan grid")
-    if cat is None:
-        cat = catalog()
-    base = cat.presentation("DendSquareDias")
+    if base is None:
+        base = builtin("DendSquareDias")
     passing = []
     for a, b in pairs:
         q = quotient(base, [line_relation(a, b)])
@@ -252,21 +256,18 @@ def _double_dual_record(name: str, p: Presentation) -> CheckRecord:
     )
 
 
-def _duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
-    records = [
-        _checked(_dual_record, check_id, expected, cat.presentation(p), cat.presentation(q))
-        for p, q, check_id, expected in (
-            ("As", "As", "dual-of-one-operation-is-itself",
-             "dual relation space equals the original, dimension 1"),
-            ("Dend", "Dias", "dual-of-half-products-is-bar-products",
-             "orthogonal of the 3 half-product relations spans the 5 bar-product relations"),
-            ("Dias", "Dend", "dual-of-bar-products-is-half-products",
-             "orthogonal of the 5 bar-product relations spans the 3 half-product relations"),
-        )
-    ]
+def _duality_checks(cat: BuiltinCatalog) -> Iterator[tuple]:
+    for p, q, check_id, expected in (
+        ("As", "As", "dual-of-one-operation-is-itself",
+         "dual relation space equals the original, dimension 1"),
+        ("Dend", "Dias", "dual-of-half-products-is-bar-products",
+         "orthogonal of the 3 half-product relations spans the 5 bar-product relations"),
+        ("Dias", "Dend", "dual-of-bar-products-is-half-products",
+         "orthogonal of the 5 bar-product relations spans the 3 half-product relations"),
+    ):
+        yield _dual_record, check_id, expected, cat.presentation(p), cat.presentation(q)
     for name in BUILTIN_NAMES:
-        records.append(_checked(_double_dual_record, name, cat.presentation(name)))
-    return records
+        yield _double_dual_record, name, cat.presentation(name)
 
 
 def _tableau_square_record(
@@ -291,14 +292,11 @@ def _sixteen_quotient_record(
     )
 
 
-def _square_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
+def _square_checks(cat: BuiltinCatalog) -> Iterator[tuple]:
     dend, dias = cat.presentation("Dend"), cat.presentation("Dias")
-    records = [_checked(_tableau_square_record, dend, dias, cat.presentation("DendSquareDias"))]
+    yield _tableau_square_record, dend, dias, cat.presentation("DendSquareDias")
     for name, tag, sign in _SIXTEEN_RELATION_PAIR:
-        records.append(
-            _checked(_sixteen_quotient_record, tag, sign, dend, dias, cat.presentation(name))
-        )
-    return records
+        yield _sixteen_quotient_record, tag, sign, dend, dias, cat.presentation(name)
 
 
 def _tableau_dual_dimension_record(base: Presentation) -> CheckRecord:
@@ -333,15 +331,11 @@ def _product_of_duals_record(
     )
 
 
-def _tableau_dual_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
+def _tableau_dual_checks(cat: BuiltinCatalog) -> Iterator[tuple]:
     base = cat.presentation("DendSquareDias")
-    return [
-        _checked(_tableau_dual_dimension_record, base),
-        _checked(_swapped_quotient_record, base),
-        _checked(
-            _product_of_duals_record, base, cat.presentation("Dend"), cat.presentation("Dias")
-        ),
-    ]
+    yield _tableau_dual_dimension_record, base
+    yield _swapped_quotient_record, base
+    yield _product_of_duals_record, base, cat.presentation("Dend"), cat.presentation("Dias")
 
 
 def _pairing_text(v: RelVector, w: RelVector) -> str:
@@ -349,30 +343,24 @@ def _pairing_text(v: RelVector, w: RelVector) -> str:
     return " ".join(terms) if terms else "no common support"
 
 
-def _spot_checks() -> tuple[CheckRecord, ...]:
-    rows = tableau_vectors()
+def _spot_check_record(side: str, left_terms: tuple, right_terms: tuple, row: int) -> CheckRecord:
+    """Pair a candidate dual direction, given by its terms, with a tableau row."""
+    direction = relation_vector(4, left_terms, right_terms)
+    tableau_row = tableau_vectors()[row]
+    value = pairing_value(direction, tableau_row)
+    return _record(
+        f"pairing-spot-check-{side}-comb-terms",
+        value == 0,
+        "two unit terms cancel to 0",
+        f"{_pairing_text(direction, tableau_row)} = {value}",
+    )
+
+
+def _spot_checks() -> Iterator[tuple]:
     # each candidate dual direction shares support with exactly one tableau
     # row; the two overlapping products are unit terms of opposite sign
-    left_dual = relation_vector(4, [(1, 2, 3), (-1, 0, 3)], [])
-    left_row = rows[11]
-    value_left = pairing_value(left_dual, left_row)
-    right_dual = relation_vector(4, [], [(-1, 0, 1), (1, 0, 3)])
-    right_row = rows[3]
-    value_right = pairing_value(right_dual, right_row)
-    return (
-        _record(
-            "pairing-spot-check-left-comb-terms",
-            value_left == 0,
-            "two unit terms cancel to 0",
-            f"{_pairing_text(left_dual, left_row)} = {value_left}",
-        ),
-        _record(
-            "pairing-spot-check-right-comb-terms",
-            value_right == 0,
-            "two unit terms cancel to 0",
-            f"{_pairing_text(right_dual, right_row)} = {value_right}",
-        ),
-    )
+    yield _spot_check_record, "left", ((1, 2, 3), (-1, 0, 3)), (), 11
+    yield _spot_check_record, "right", (), ((-1, 0, 1), (1, 0, 3)), 3
 
 
 def _witness_record(tag: str, p: Presentation) -> CheckRecord:
@@ -401,13 +389,11 @@ def _count_record(tag: str, p: Presentation, spanning: int) -> CheckRecord:
     )
 
 
-def _self_duality_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
-    records = []
+def _self_duality_checks(cat: BuiltinCatalog) -> Iterator[tuple]:
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
-        records.append(_checked(_witness_record, tag, p))
-        records.append(_checked(_count_record, tag, p, len(cat.spanning[name])))
-    return records
+        yield _witness_record, tag, p
+        yield _count_record, tag, p, len(cat.spanning[name])
 
 
 def _morphism_record(
@@ -444,45 +430,30 @@ def _collapse_record(
     )
 
 
-def _morphism_checks(cat: BuiltinCatalog) -> list[CheckRecord]:
+def _morphism_checks(cat: BuiltinCatalog) -> Iterator[tuple]:
     def morphism(check_id, source, target, expected):
         ends = cat.presentation(source), cat.presentation(target)
-        return _checked(_morphism_record, check_id, expected, cat.map(source, target), *ends)
+        return _morphism_record, check_id, expected, cat.map(source, target), *ends
 
-    records = [
-        morphism(
-            "half-product-sum-is-associative",
-            "As",
-            "Dend",
-            "the sum of the two half products is associative",
-        ),
-        morphism(
-            "one-operation-gives-bar-structure",
-            "Dias",
-            "As",
-            "reading both bar products as the single product satisfies all five relations",
-        ),
-    ]
+    yield morphism(
+        "half-product-sum-is-associative", "As", "Dend",
+        "the sum of the two half products is associative",
+    )
+    yield morphism(
+        "one-operation-gives-bar-structure", "Dias", "As",
+        "reading both bar products as the single product satisfies all five relations",
+    )
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
-        records.append(
-            morphism(
-                f"half-product-algebras-carry-sixteen-structure-{tag}",
-                name,
-                "Dend",
-                "reading the arrows as half products satisfies all sixteen relations",
-            )
+        yield morphism(
+            f"half-product-algebras-carry-sixteen-structure-{tag}", name, "Dend",
+            "reading the arrows as half products satisfies all sixteen relations",
         )
-        records.append(
-            morphism(
-                f"sixteen-algebras-carry-bar-structure-{tag}",
-                "Dias",
-                name,
-                "reading the bar products as arrow sums satisfies all five relations",
-            )
+        yield morphism(
+            f"sixteen-algebras-carry-bar-structure-{tag}", "Dias", name,
+            "reading the bar products as arrow sums satisfies all five relations",
         )
         routes = (("Dias", name), (name, "Dend"), ("Dias", "As"), ("As", "Dend"))
-        records.append(_checked(_collapse_record, tag, *(cat.map(*r) for r in routes)))
-    return records
+        yield _collapse_record, tag, *(cat.map(*r) for r in routes)
 
 
 _EXPECTED_OPS = {"As": 2, "Dend": 4, "Dias": 4, "DendSquareDias": 8, "Xplus": 8, "Xminus": 8}
@@ -522,21 +493,20 @@ def _weight_four_record(tag: str, p: Presentation) -> CheckRecord:
     )
 
 
-def _dimension_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecord]:
-    records = [_checked(_ops_record, *map(cat.presentation, _EXPECTED_OPS))]
+def _dimension_checks(cat: BuiltinCatalog, config: VerifyConfig) -> Iterator[tuple]:
+    yield _ops_record, *map(cat.presentation, _EXPECTED_OPS)
     w = config.max_weight
     for name, expected, check_id in (
         ("As", (1,) * w, "component-dims-one-operation"),
         ("Dend", tuple(catalan(n) for n in range(1, w + 1)), "component-dims-half-products"),
         ("Dias", tuple(range(1, w + 1)), "component-dims-bar-products"),
     ):
-        records.append(_checked(_dims_record, check_id, cat.presentation(name), expected))
+        yield _dims_record, check_id, cat.presentation(name), expected
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
-        records.append(_checked(_sixteen_dims_record, tag, p))
+        yield _sixteen_dims_record, tag, p
         if w >= 4:
-            records.append(_checked(_weight_four_record, tag, p))
-    return records
+            yield _weight_four_record, tag, p
 
 
 def _defect_record(check_id: str, p: Presentation, q: Presentation, order: int) -> CheckRecord:
@@ -577,26 +547,23 @@ def _prediction_finding_record(tag: str, p: Presentation) -> CheckRecord:
     )
 
 
-def _series_checks(cat: BuiltinCatalog, config: VerifyConfig) -> list[CheckRecord]:
+def _series_checks(cat: BuiltinCatalog, config: VerifyConfig) -> Iterator[tuple]:
     w = config.max_weight
     as_p, dend, dias = map(cat.presentation, ("As", "Dend", "Dias"))
-    records = [
-        _checked(_defect_record, "series-defect-one-operation", as_p, as_p, 6),
-        _checked(_defect_record, "series-defect-half-bar-pair", dend, dias, w),
-    ]
+    yield _defect_record, "series-defect-one-operation", as_p, as_p, 6
+    yield _defect_record, "series-defect-half-bar-pair", dend, dias, w
     for name, tag, _ in _SIXTEEN_RELATION_PAIR:
         p = cat.presentation(name)
-        records.append(_checked(_defect_record, f"series-defect-sixteen-self-{tag}", p, p, w))
-    records.append(_checked(_prediction_record))
+        yield _defect_record, f"series-defect-sixteen-self-{tag}", p, p, w
+    yield (_prediction_record,)
     if w >= 4:
         for name, tag, _ in _SIXTEEN_RELATION_PAIR:
-            records.append(_checked(_prediction_finding_record, tag, cat.presentation(name)))
-    return records
+            yield _prediction_finding_record, tag, cat.presentation(name)
 
 
-def _scan_check(cat: BuiltinCatalog, config: VerifyConfig) -> CheckRecord:
-    grid = scan_grid(config.scan_radius)
-    passing = sixteenth_relation_scan(grid, cat)
+def _scan_record(base: Presentation, radius: int) -> CheckRecord:
+    grid = scan_grid(radius)
+    passing = sixteenth_relation_scan(grid, base)
     expected = frozenset(
         (a, b) for a, b in grid if a != 0 and (a == b or a == -b)
     )
@@ -607,8 +574,13 @@ def _scan_check(cat: BuiltinCatalog, config: VerifyConfig) -> CheckRecord:
         f"exactly the pairs with equal magnitudes and nonzero entries: "
         f"{sorted(expected)}",
         str(sorted(passing)),
-        f"grid radius {config.scan_radius}, {len(grid)} quotients tested",
+        f"grid radius {radius}, {len(grid)} quotients tested",
     )
+
+
+def _scan_checks(cat: BuiltinCatalog, config: VerifyConfig) -> Iterator[tuple]:
+    if config.scan_radius:
+        yield _scan_record, cat.presentation("DendSquareDias"), config.scan_radius
 
 
 def verify_all(
@@ -619,18 +591,18 @@ def verify_all(
         cat = catalog()
     if config is None:
         config = VerifyConfig()
-    records: list[CheckRecord] = []
-    records.extend(_duality_checks(cat))
-    records.extend(_square_checks(cat))
-    records.extend(_tableau_dual_checks(cat))
-    records.extend(_checked(_spot_checks))
-    records.extend(_self_duality_checks(cat))
-    records.extend(_morphism_checks(cat))
-    records.extend(_dimension_checks(cat, config))
-    records.extend(_series_checks(cat, config))
-    if config.scan_radius:
-        records.append(_scan_check(cat, config))
-    return CheckReport(tuple(records))
+    sections = (
+        _duality_checks(cat),
+        _square_checks(cat),
+        _tableau_dual_checks(cat),
+        _spot_checks(),
+        _self_duality_checks(cat),
+        _morphism_checks(cat),
+        _dimension_checks(cat, config),
+        _series_checks(cat, config),
+        _scan_checks(cat, config),
+    )
+    return CheckReport(tuple(_checked(*item) for section in sections for item in section))
 
 
 def report_to_text(report: CheckReport) -> str:

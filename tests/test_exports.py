@@ -117,7 +117,6 @@ BOUNDED_MEMOS = {
     "presentations._square_relations": 128,
     "presentations._sign_tables": 8,
     "presentations._relabeling_iso": 128,
-    "series.predicted_dims": 128,
     "verify._checked": 256,
 }
 

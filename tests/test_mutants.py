@@ -1,8 +1,9 @@
 """The mutant ledger stays applicable: each mutant's old text occurs
 exactly once in its module, so ``mutants/run.py`` mutates the code it was
 written for, and each killer names a test that exists. The ledger itself
-is checked here, not run; neither is the runner, whose time limit is
-checked with a stand-in for pytest."""
+is checked here, not run, beyond each mutated module still parsing;
+neither is the runner, whose time limit is checked with a stand-in for
+pytest."""
 
 import ast
 import runpy
@@ -46,6 +47,15 @@ def test_every_mutant_applies_exactly_once():
             assert parts[0] in names[""], killer
             if len(parts) == 2:
                 assert parts[1] in names.get(parts[0], ()), killer
+
+
+def test_every_mutant_still_parses():
+    # a mutant that breaks the syntax of its module would show only as an
+    # "error" of the runner, never as a kill
+    for m in MUTANTS:
+        path = ROOT / "src" / "quadops" / m.module
+        mutated = path.read_text(encoding="utf-8").replace(m.old, m.new)
+        compile(mutated, str(path), "exec", flags=ast.PyCF_ONLY_AST)
 
 
 def test_a_mutant_past_the_time_limit_is_an_error(monkeypatch):

@@ -282,22 +282,12 @@ class TestPredictedDims:
         with pytest.raises(ValueError):
             predicted_dims(2, 0)
 
-    def test_memo_is_bounded(self):
-        maxsize = predicted_dims.cache_info().maxsize
-        assert maxsize == 128
-        predicted_dims.cache_clear()
-        for x2 in range(1, maxsize + 2):
-            assert predicted_dims(x2, 3).dims == (1, x2, x2 * x2)
-        info = predicted_dims.cache_info()
-        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
-
-    def test_equal_values_of_other_types_get_their_own_entry(self):
-        predicted_dims.cache_clear()
-        assert predicted_dims(2, 2).dims == (1, 2)
-        assert predicted_dims(2.0, 2).dims == (1, 2.0)
-        assert type(predicted_dims(2.0, 2).dims[1]) is float
-        info = predicted_dims.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+    def test_arguments_are_ints(self):
+        # a float dimension used to come back as a solution, and a bool
+        # counted as 1
+        for x2, order in ((4.0, 2), (4.0, 5), (True, 3), (4, 5.0), (4, True)):
+            with pytest.raises(TypeError, match="must be int"):
+                predicted_dims(x2, order)
 
     def test_failure_wrapper(self):
         broken = DimPrediction((1, 2), failure="stuck")

@@ -24,7 +24,6 @@ from quadops.presentations import (
     dual,
     relation_vector,
 )
-from quadops.series import predicted_dims
 from quadops.verify import (
     CheckRecord,
     MIDDLE_SWAP,
@@ -125,14 +124,14 @@ class TestRecordAndConfig:
         assert cfg.scan_radius == 0
 
     def test_self_duality_witness_is_applied(self, monkeypatch):
-        records = _self_duality_checks(catalog())
+        records = [_checked(*item) for item in _self_duality_checks(catalog())]
         witnesses = [r for r in records if r.check_id.startswith("self-duality")]
         assert [r.status for r in witnesses] == ["pass", "pass"]
         # a relabeling that moved nothing would leave p, not its dual; the
         # records of the first run would answer without applying it
         _forget_relation_facts()
         monkeypatch.setattr(quadops.verify, "apply_relabeling", lambda sigma, p: p)
-        records = _self_duality_checks(catalog())
+        records = [_checked(*item) for item in _self_duality_checks(catalog())]
         # nor may the patched records answer a later battery
         _forget_relation_facts()
         witnesses = [r for r in records if r.check_id.startswith("self-duality")]
@@ -203,11 +202,12 @@ class TestQuickBattery:
 
 def test_spot_checks_are_built_once():
     _checked.cache_clear()
-    first = _checked(quadops.verify._spot_checks)
-    assert [r.status for r in first] == ["pass", "pass"]
-    assert _checked(quadops.verify._spot_checks) is first
+    items = list(quadops.verify._spot_checks())
+    first = [_checked(*item) for item in items]
+    assert [(r.status, r.actual) for r in first] == [("pass", "-1 +1 = 0"), ("pass", "+1 -1 = 0")]
+    assert all(_checked(*item) is r for item, r in zip(items, first))
     info = _checked.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 1, 256)
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (2, 2, 2, 256)
 
 
 class TestRecordMemo:
@@ -215,6 +215,7 @@ class TestRecordMemo:
     ``_checked`` with exactly the values it reads, so its key is complete."""
 
     def test_builders_take_values_and_read_no_catalog(self, monkeypatch):
+        # the default config, so that the scan's builder is called too
         calls = []
 
         def spy(build, *inputs):
@@ -227,12 +228,12 @@ class TestRecordMemo:
         _checked.cache_clear()
         monkeypatch.setattr(quadops.verify, "_checked", spy)
         monkeypatch.setattr(quadops.verify, "catalog", refuse)
-        report = verify_all(catalog(), VerifyConfig(max_weight=4, scan_radius=0))
+        report = verify_all(catalog(), VerifyConfig())
         assert report.ok
         made = [_checked(build, *inputs) for build, inputs in calls]
-        # every record of the report, spot checks included, came from a builder
-        flat = [r for m in made for r in (m if isinstance(m, tuple) else (m,))]
-        assert tuple(flat) == report.records
+        # every record of the report came from its own builder call
+        assert all(type(record) is CheckRecord for record in made)
+        assert tuple(made) == report.records
         for build, inputs in calls:
             assert build.__qualname__ == build.__name__, build
             assert getattr(quadops.verify, build.__name__) is build
@@ -254,6 +255,23 @@ class TestRecordMemo:
         record = report.by_id("relation-count-sixteen-plus")
         assert record.actual == "17 spanning relations, dimension 16"
 
+    def test_a_second_battery_scans_nothing(self, monkeypatch):
+        verify_all()
+        scans = []
+
+        def counted(grid, base=None):
+            scans.append(grid)
+            return sixteenth_relation_scan(grid, base)
+
+        monkeypatch.setattr(quadops.verify, "sixteenth_relation_scan", counted)
+        assert verify_all().ok
+        assert scans == []
+
+    def test_the_scan_reads_the_catalogs_square(self):
+        damaged = catalog().without_relation("DendSquareDias", 0)
+        record = verify_all(damaged, VerifyConfig(3, 1)).by_id("sixteenth-relation-uniqueness-scan")
+        assert (record.status, record.actual) == ("fail", "[]")
+
     def test_forgetting_clears_the_records(self):
         verify_all(config=VerifyConfig.quick())
         assert _checked.cache_info().currsize > 0
@@ -265,6 +283,11 @@ class TestScan:
     def test_grid_rejects_zero_radius(self):
         with pytest.raises(ValueError):
             scan_grid(0)
+
+    def test_grid_radius_is_an_int(self):
+        for radius in (True, 1.0):
+            with pytest.raises(TypeError, match="must be int"):
+                scan_grid(radius)
 
     def test_grid_radius_one_row_major(self):
         assert scan_grid(1) == (
@@ -396,12 +419,11 @@ class TestReports:
 MEMOS = (_quotient_relations, _square_relations, _checked)
 # memos that only the records of unchanged built-ins ask, so that once
 # those records are kept (``_checked``) a deletion asks them no more
-BEHIND_RECORDS = (_relabeling_iso, predicted_dims)
-# what ``_forget_relation_facts`` leaves: the memo of whole series
-# predictions, and the memo of base echelons, which the quick battery
-# never asks since it eliminates nothing; the cold sweep clears them all
-# the same
-CLEARED = (predicted_dims, _base_echelon)
+BEHIND_RECORDS = (_relabeling_iso,)
+# what ``_forget_relation_facts`` leaves: the memo of base echelons, which
+# the quick battery never asks since it eliminates nothing; the cold sweep
+# clears it all the same
+CLEARED = (_base_echelon,)
 
 
 def _deletion_cases():
