@@ -136,8 +136,8 @@ MUTANTS = (
     Mutant(
         "lead-one-step-subtracts-x",
         "linalg.py",
-        "                    y = row.get(col, 0) - a * x\n",
-        "                    y = row.get(col, 0) - x\n",
+        "                y = row.get(col, 0) - a * x\n",
+        "                y = row.get(col, 0) - x\n",
         (
             "tests/test_linalg.py::TestInsertRows",
             "tests/test_expansion.py::TestReductionOrder::test_builtins_at_weights_three_to_five",
@@ -146,14 +146,14 @@ MUTANTS = (
     Mutant(
         "stored-row-not-normalized",
         "linalg.py",
-        "                _normalize(row, lead)\n                echelon[lead] = row\n",
-        "                echelon[lead] = row\n",
+        "            _normalize(row, lead)\n            echelon[lead] = row\n",
+        "            echelon[lead] = row\n",
         ("tests/test_linalg.py::TestInsertRows::test_rows_are_consumed_and_zero_rows_skipped",),
     ),
     Mutant(
         "no-eliminate-fallback",
         "linalg.py",
-        "            if prow[lead] != 1:\n                _eliminate(row, lead, prow)\n                continue\n",
+        "        if prow[lead] != 1:\n            _eliminate(row, lead, prow)\n            continue\n",
         "",
         (
             "tests/test_linalg.py::TestInsertRows::test_matches_the_reference_loop",
@@ -258,5 +258,57 @@ MUTANTS = (
         "    if type(radius) is not int:\n",
         "    if False:\n",
         ("tests/test_verify.py::TestScan::test_grid_radius_is_an_int",),
+    ),
+    # one reduction loop, one canonical clear, the weak-value table (BENCH_33.json)
+    Mutant(
+        "clear-leads-skips-a-column",
+        "linalg.py",
+        "    for col in [c for c in row if c in basis]:\n",
+        "    for col in [c for c in row if c in basis][1:]:\n",
+        (
+            "tests/test_catalog.py::TestDimensions::test_relation_space_dimension",
+            "tests/test_presentations.py::TestQuotient::test_matches_the_span_of_all_rows",
+        ),
+    ),
+    Mutant(
+        "extend-keeps-the-new-lead-in-the-basis",
+        "linalg.py",
+        "            if lead in brow:\n",
+        "            if False:\n",
+        (
+            "tests/test_presentations.py::TestQuotient"
+            "::test_rows_cleared_at_a_new_lead_stay_primitive",
+            "tests/test_catalog.py::TestTwoRoutes"
+            "::test_quotients_reproduce_sixteen_dimensional_pair",
+        ),
+    ),
+    Mutant(
+        "extend-keeps-a-cleared-row-as-its-old-tuple",
+        "linalg.py",
+        "                untouched.pop(other, None)\n",
+        "",
+        (
+            "tests/test_presentations.py::TestQuotient"
+            "::test_rows_cleared_at_a_new_lead_stay_primitive",
+            "tests/test_catalog.py::TestTwoRoutes"
+            "::test_quotients_reproduce_sixteen_dimensional_pair",
+        ),
+    ),
+    Mutant(
+        "interning-stores-nothing",
+        "linalg.py",
+        "            _interned[key] = space\n",
+        "",
+        (
+            "tests/test_linalg.py::TestInterning::test_equal_rows_give_one_object",
+            "tests/test_presentations.py::TestDualMemo::test_one_operation_dual_is_the_same_space",
+        ),
+    ),
+    Mutant(
+        "subspace-without-its-ambient-int-check",
+        "linalg.py",
+        "        if type(ambient_dim) is not int:\n",
+        "        if False:\n",
+        ("tests/test_linalg.py::test_ambient_dimension_must_be_an_int",),
     ),
 )

@@ -107,7 +107,6 @@ from .linalg import (
     _set,
     echelon_subspace,
     insert_rows,
-    reduce_row,
 )
 from .presentations import Presentation
 
@@ -374,7 +373,7 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     the k! orders of the labels: a variant compares two monomials by the
     engine columns of their images under a relabeling, and for the mirror
     also under left-right reflection. The relation rows are re-indexed
-    into the variant's weight-3 columns and reduced into a scratch
+    into the variant's weight-3 columns and inserted into a scratch
     echelon, whose lead columns are the leading monomials of the relation
     space; ``component_dim`` says why comparing their weight-4 normal
     count with dim P(4) decides the question. The edges returned are
@@ -394,12 +393,9 @@ def _normal_edges(relations: Subspace) -> frozenset[int] | None:
     found = None
     for mirror, perm in itertools.product((0, 1), itertools.permutations(range(k))):
         cols = [((s ^ mirror) * k + perm[a]) * k + perm[b] for s, a, b in edges]
-        # the rows are independent, so none reduces to zero; only the
-        # leads are wanted, so the rows are stored as reduced, unscaled
+        # only the lead columns are read: the leading monomials
         echelon: Echelon = {}
-        for rel in relations.rows:
-            row = {cols[c]: x for c, x in rel}
-            echelon[reduce_row(echelon, row)] = row
+        insert_rows(echelon, ({cols[c]: x for c, x in rel} for rel in relations.rows))
         if _normal_count(k, echelon, 4) == target:
             coordinate = {col: c for c, col in enumerate(cols)}
             found = frozenset(

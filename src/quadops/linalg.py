@@ -1,36 +1,36 @@
 """Exact linear algebra over the rationals.
 
 One elimination engine serves the whole package. A row is a sparse
-primitive integer vector, a dict from column to nonzero ``int``; rational
-input is scaled by the common denominator of its entries. An echelon is a
-dict from lead column to such a row. A row is reduced against an echelon
-fraction-free (cross-multiplying by the two lead entries, then dividing
-out the content). ``insert_rows`` holds the one insertion loop: it
-reduces a batch of rows and stores each residue, primitive with a
-positive lead, in the echelon; ``span_rows``, the kernel and the
-weight-n ideal all build their echelons through it. ``reduce_row`` is the
-read-only test: it reduces one row and reports the residue's lead, or
-None when the row lies in the span, and leaves the echelon unchanged.
-The set of lead columns is the set of pivot columns of the reduced row
-echelon form, so a rank or a pivot set needs nothing more.
-``back_substitute`` clears each lead column from the rows above it,
-giving the canonical RREF rows.
+primitive integer vector, a dict from column to nonzero ``int``;
+rational input is scaled by the common denominator of its entries. An
+echelon is a dict from lead column to such a row. ``reduce_row`` holds
+the one reduction loop: it clears the row's lowest column with the
+echelon row leading there, fraction-free, until none does, and reports
+the residue's lead, or None when the row lies in the span.
+``insert_rows`` reduces each row of a batch so, then stores the residue,
+primitive with a positive lead. The set of lead columns is the set of
+pivot columns of the reduced row echelon form, so a rank or a pivot set
+needs nothing more. One canonical clear, ``_clear_leads``, takes every
+lead column of a basis whose rows are zero at each other's leads out of
+a row in one pass: ``back_substitute`` gives the canonical RREF rows
+with it, and ``_extend`` adds rows to a canonical basis.
 
 A ``Subspace`` stores exactly those rows, primitive integers with a
 positive lead, in a hashable form. They are canonical, so two subspaces
-are equal exactly when their stored rows are equal; they are hash-consed
-(Filliâtre and Conchon, 2006), one live instance per class and rows,
-each with a ``_facts`` record that the ``presentations`` module
-docstring describes. Membership tests reduce against the rows. Dense
-rows over QQ are built only on request, by ``Subspace.rational_rows``,
-which divides each row by its lead (``_divided_by_lead``, the rule the
-text printer shares). The small dense ``Matrix`` type holds the
-generator maps and the input of ``rref`` and ``kernel``; ``span`` takes
-dense coordinate vectors. Every number held outside the rows follows one
-rule, ``_exact``: an ``int`` at every integral value, a ``Fraction`` only
-where a value is not integral. A sequence takes the rule through
-``_exact_tuple``, which builds the stored tuple of a ``Matrix``, a
-``presentations.RelVector`` and a ``series.PowerSeries``.
+are equal exactly when their stored rows are equal. They are hash-consed
+(Filliâtre and Conchon, 2006) in a weak-value table, ``_interned``: one
+live instance per class and rows, each with a ``_facts`` record that the
+``presentations`` module docstring describes. Membership tests reduce
+against the rows. Dense rows over QQ are built only on request, by
+``Subspace.rational_rows``, which divides each row by its lead
+(``_divided_by_lead``, the rule the text printer shares). The small
+dense ``Matrix`` type holds the generator maps and the input of ``rref``
+and ``kernel``; ``span`` takes dense coordinate vectors. Every number
+held outside the rows follows one rule, ``_exact``: an ``int`` at every
+integral value, a ``Fraction`` only where a value is not integral. A
+sequence takes the rule through ``_exact_tuple``, which builds the
+stored tuple of a ``Matrix``, a ``presentations.RelVector`` and a
+``series.PowerSeries``.
 
 A kernel takes the same engine once. ``kernel`` and
 ``complement_under_form`` (the kernel of a subspace's rows with each
@@ -52,7 +52,6 @@ import math
 import weakref
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -290,11 +289,14 @@ def _eliminate(row: SparseRow, col: int, prow: SparseRow) -> None:
 
 def reduce_row(echelon: Echelon, row: SparseRow) -> int | None:
     """Reduce ``row`` against ``echelon`` and report what is left; the
-    echelon is not changed.
+    package's one reduction loop. The echelon is not changed.
 
     The row's lowest column is cleared with the echelon row leading there
-    until that column leads no echelon row. ``row`` is consumed: it ends as
-    the residue, unscaled.
+    until that column leads no echelon row. The common step, by an echelon
+    row whose lead entry is 1, needs no scaling, so the lead entry is
+    popped and the other entries subtracted; a row with any other lead
+    entry goes through ``_eliminate``. ``row`` is consumed: it ends as the
+    residue, unscaled.
 
     Returns:
         The lead column of the residue, or None when the row reduces to
@@ -305,43 +307,39 @@ def reduce_row(echelon: Echelon, row: SparseRow) -> int | None:
         prow = echelon.get(lead)
         if prow is None:
             return lead
-        _eliminate(row, lead, prow)
+        if prow[lead] != 1:
+            _eliminate(row, lead, prow)
+            continue
+        a = row.pop(lead)
+        # few entries a step: a row.get per entry beats binding it once
+        for col, x in prow.items():
+            if col != lead:
+                y = row.get(col, 0) - a * x
+                if y:
+                    row[col] = y
+                else:
+                    del row[col]
     return None
 
 
 def insert_rows(echelon: Echelon, rows: Iterable[SparseRow]) -> None:
-    """Reduce each row against ``echelon`` and store what survives; the
-    package's one insertion loop.
-
-    Each row is reduced as ``reduce_row`` does, against the rows stored
-    before it. A nonzero residue is made primitive with a positive lead
-    and stored in ``echelon`` under its lead column. The rows are consumed.
-
-    The common step, by a stored row whose lead entry is 1, is written out
-    here: it needs no scaling, so the lead entry is popped and the other
-    entries subtracted. A stored row with any other lead entry goes
-    through ``_eliminate``.
-    """
+    """Reduce each row with ``reduce_row`` against the rows stored before
+    it, and store each nonzero residue in ``echelon`` under its lead
+    column, made primitive with a positive lead. The rows are consumed."""
     for row in rows:
-        while row:
-            lead = min(row)
-            prow = echelon.get(lead)
-            if prow is None:
-                _normalize(row, lead)
-                echelon[lead] = row
-                break
-            if prow[lead] != 1:
-                _eliminate(row, lead, prow)
-                continue
-            a = row.pop(lead)
-            # few entries a step: a row.get per entry beats binding it once
-            for col, x in prow.items():
-                if col != lead:
-                    y = row.get(col, 0) - a * x
-                    if y:
-                        row[col] = y
-                    else:
-                        del row[col]
+        lead = reduce_row(echelon, row)
+        if lead is not None:
+            _normalize(row, lead)
+            echelon[lead] = row
+
+
+def _clear_leads(row: SparseRow, basis: Echelon) -> None:
+    """Clear from ``row``, in place, every column at which a row of
+    ``basis`` leads. The basis rows are zero at each other's leads, so a
+    step changes ``row`` at no other lead column, and one pass over the
+    lead columns ``row`` holds now clears them all."""
+    for col in [c for c in row if c in basis]:
+        _eliminate(row, col, basis[col])
 
 
 def back_substitute(echelon: Echelon) -> list[tuple[int, SparseRow]]:
@@ -353,11 +351,9 @@ def back_substitute(echelon: Echelon) -> list[tuple[int, SparseRow]]:
     """
     done: Echelon = {}
     for lead in sorted(echelon, reverse=True):
+        # the rows done lead after this one, so its own lead is not cleared
         row = dict(echelon[lead])
-        # rows already done are zero at every other lead column, so one
-        # pass over the lead columns present now clears them all
-        for col in [c for c in row if c != lead and c in done]:
-            _eliminate(row, col, done[col])
+        _clear_leads(row, done)
         _normalize(row, lead)
         done[lead] = row
     return [(lead, done[lead]) for lead in sorted(done)]
@@ -382,14 +378,8 @@ class _Key(tuple):
         return self[1]
 
 
-# the live subspaces, each held by a weak reference under its _Key
-_interned: dict[_Key, weakref.ref] = {}
-
-
-def _drop(key: _Key, ref: weakref.ref) -> None:
-    """Remove a collected subspace's entry, unless a newer one took its key."""
-    if _interned.get(key) is ref:
-        del _interned[key]
+# the live subspaces, each under its _Key; a collected one leaves the table
+_interned: weakref.WeakValueDictionary[_Key, Subspace] = weakref.WeakValueDictionary()
 
 
 class Subspace(_Record):
@@ -414,6 +404,8 @@ class Subspace(_Record):
     __slots__ = ("ambient_dim", "rows", "_hash", "_facts", "__weakref__")
 
     def __new__(cls, ambient_dim: int, rows: tuple[IntRow, ...]) -> Subspace:
+        if type(ambient_dim) is not int:
+            raise TypeError(f"ambient dimension must be int, got {ambient_dim!r}")
         if ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
         # One pass per row. Leads increase from row to row and a row's other
@@ -452,15 +444,14 @@ class Subspace(_Record):
                 raise ValueError("basis row must be primitive with a positive lead")
         h = hash((ambient_dim, rows))
         key = _Key((cls, h, ambient_dim, rows))
-        ref = _interned.get(key)
-        space = None if ref is None else ref()
+        space = _interned.get(key)
         if space is None:
             space = object.__new__(cls)
             _set(space, "ambient_dim", ambient_dim)
             _set(space, "rows", rows)
             _set(space, "_hash", h)
             _set(space, "_facts", {})
-            _interned[key] = weakref.ref(space, partial(_drop, key))
+            _interned[key] = space
         return space
 
     def __hash__(self) -> int:
@@ -519,38 +510,33 @@ def _extend(s: Subspace, rows: Iterable[IntRow]) -> tuple[Subspace, tuple[IntRow
     larger: each lies outside the span of ``s`` and the rows kept before it.
 
     Each row goes straight into the canonical basis, with no back
-    substitution of the rows already there. The basis rows are zero at
-    each other's leads, so one pass over the lead columns a row holds
-    clears them all. A nonzero residue is made primitive with a positive
-    lead, and its lead is cleared from only the basis rows nonzero there;
-    every other row is kept as the same tuple. One ``Subspace`` is built
+    substitution of the rows already there: ``_clear_leads`` reduces it
+    against the basis. A nonzero residue is made primitive with a positive
+    lead, and its lead is cleared from the basis rows nonzero there; every
+    other row of ``s`` is kept as the same tuple. One ``Subspace`` is built
     at the end, and when no row adds anything, ``s`` itself is returned.
     """
-    basis = {row[0][0]: row for row in s.rows}
+    basis = s.echelon()
+    untouched = {row[0][0]: row for row in s.rows}
     kept = []
     for given in rows:
         row = dict(given)
-        for col in [c for c in row if c in basis]:
-            _eliminate(row, col, dict(basis[col]))
+        _clear_leads(row, basis)
         if not row:
             continue
         kept.append(given)
         lead = min(row)
         _normalize(row, lead)
         for other, brow in basis.items():
-            # a basis row is nonzero only from its lead on
-            if other > lead:
-                continue
-            i = bisect_left(brow, (lead,))
-            if i < len(brow) and brow[i][0] == lead:
-                changed = dict(brow)
-                _eliminate(changed, lead, row)
-                _normalize(changed, other)
-                basis[other] = tuple(sorted(changed.items()))
-        basis[lead] = tuple(sorted(row.items()))
+            if lead in brow:
+                untouched.pop(other, None)
+                _eliminate(brow, lead, row)
+                _normalize(brow, other)
+        basis[lead] = row
     if not kept:
         return s, ()
-    return Subspace(s.ambient_dim, tuple(basis[lead] for lead in sorted(basis))), tuple(kept)
+    canonical = tuple(untouched.get(c) or tuple(sorted(basis[c].items())) for c in sorted(basis))
+    return Subspace(s.ambient_dim, canonical), tuple(kept)
 
 
 def span_rows(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:

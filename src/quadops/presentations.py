@@ -693,8 +693,7 @@ def _forget_relation_facts() -> None:
     battery's records, which are read off them."""
     from .verify import _checked
 
-    for space in [ref() for ref in list(_interned.values())]:
-        if space is not None:
-            space._facts.clear()
+    for space in _interned.values():
+        space._facts.clear()
     for memo in (_quotient_relations, _square_relations, _relabeling_iso, _checked):
         memo.cache_clear()

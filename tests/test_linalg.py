@@ -25,6 +25,7 @@ from quadops.linalg import (
     Matrix,
     Subspace,
     _cut_under_form,
+    _eliminate,
     _extend,
     _interned,
     back_substitute,
@@ -264,6 +265,18 @@ NOT_INT = [
 ]
 
 
+def test_ambient_dimension_must_be_an_int():
+    # a float equal to an int would be interned as that space and handed
+    # to callers that index or range over the dimension
+    rows = (((0, 1), (1, -1)),)
+    for dim in (2.0, 2.5, True, F(2)):
+        with pytest.raises(TypeError):
+            Subspace(dim, rows)
+    with pytest.raises(TypeError):
+        span([[1, -1, 0]], 3.0)
+    assert type(span([[1, -1]], 2).ambient_dim) is int
+
+
 def test_subspace_rejects_non_canonical_basis():
     assert Subspace(3, (((0, 1), (2, -2)), ((1, 3), (2, 1)))).dimension == 2
     for rows in NON_CANONICAL:
@@ -338,9 +351,8 @@ class TestInterning:
 
     def test_dropped_spaces_leave_the_table(self):
         # what was alive before stays alive, so it can be told apart
-        live = (ref() for ref in list(_interned.values()))
-        before = [space for space in live if space is not None]
-        known = {id(space) for space in before}
+        before = dict(_interned.items())
+        known = {id(space) for space in before.values()}
         rng = random.Random(2601)
         fresh = {}
         while len(fresh) < 1000:
@@ -362,8 +374,9 @@ class TestInterning:
         del space, fresh, duals
         gc.collect()
         assert all(ref() is None for ref in refs)
-        # no entry outlives its space
-        assert all(ref() is not None for ref in _interned.values())
+        # no entry outlives its space, and the live ones stay
+        assert all(ref() is not None for ref in _interned.data.values())
+        assert all(_interned[key] is space for key, space in before.items())
         assert len(_interned) <= len(before)
 
 
@@ -553,14 +566,18 @@ def test_sparse_row_ignores_the_coordinate_type(values):
 
 
 def reference_insert(echelon, rows) -> None:
-    """Oracle for ``insert_rows``: one ``reduce_row`` call per row, every
-    step through ``_eliminate``, and a residue made primitive with a
-    positive lead here before it is stored."""
+    """Oracle for ``insert_rows``, sharing no loop with it: each row's
+    lowest column cleared with the stored row leading there, every step
+    through ``_eliminate``, and a residue made primitive with a positive
+    lead here before it is stored."""
     for row in rows:
-        lead = reduce_row(echelon, row)
-        if lead is not None:
-            g = math.gcd(*row.values()) * (1 if row[lead] > 0 else -1)
-            echelon[lead] = {c: x // g for c, x in row.items()}
+        while row:
+            lead = min(row)
+            if lead not in echelon:
+                g = math.gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+                echelon[lead] = {c: x // g for c, x in row.items()}
+                break
+            _eliminate(row, lead, echelon[lead])
 
 
 # Two oracles for the kernel: a second construction from the package's
